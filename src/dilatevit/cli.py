@@ -2,9 +2,9 @@
 
 Subcommands: flops, gradcheck, bench, train, attnstats, gen-data. Exit codes
 are a stable contract: 0 success, 1 assertion/accuracy failure, 2 usage
-error. Every subcommand honors --seed and --threads; apart from measured
-timings in bench output, results are byte-identical across runs and thread
-counts.
+error. Every subcommand honors --seed and accepts --threads, which has no
+effect: the library runs on one thread. Apart from measured timings in bench
+output, results are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import time
 
 import numpy as np
 
-from . import dft1, metrics, model as model_mod, profiler, runtime, train as train_mod
-from .data import DatasetSpec, make_dataset
+from . import dft1, metrics, model as model_mod, profiler, train as train_mod
+from .data import MAX_CLASSES, DatasetSpec, make_dataset
 from .errors import DilateVitError
 from .gradsuite import GRAD_TOL, run_gradient_suite
 from .msda import MsdaBlockSpec
@@ -31,13 +31,20 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     parser.add_argument(
         "--threads",
-        type=int,
-        default=runtime.default_thread_count(),
-        help="internal thread count (results are identical at any value)",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; no effect, the library starts no threads",
     )
     parser.add_argument("--dtype", choices=["f32", "f64"], default="f32")
     parser.add_argument("--out", default=None, help="output path (file or directory)")
@@ -281,7 +288,9 @@ def cmd_train(args) -> int:
 
 def _maps_from_checkpoint(args) -> list[tuple[str, metrics.AttentionMap]]:
     config, params = model_mod.load_checkpoint(args.checkpoint)
-    spec = DatasetSpec(classes=config.num_classes, size=config.input_size, noise=0.1)
+    # One probe image needs no more classes than the synthetic palette has colors.
+    classes = min(config.num_classes, MAX_CLASSES)
+    spec = DatasetSpec(classes=classes, size=config.input_size, noise=0.1)
     images, _ = make_dataset(1, spec, seed=args.seed)
 
     from .autograd import Tape, graph
@@ -456,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    runtime.set_num_threads(args.threads)
     try:
         return args.fn(args)
     except DilateVitError as exc:

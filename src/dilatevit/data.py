@@ -28,6 +28,7 @@ _COLORS = np.array(
     ],
     dtype=np.float64,
 )
+MAX_CLASSES = len(_COLORS)  # one color per class
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class DatasetSpec:
     noise: float = 0.1
 
     def __post_init__(self):
-        if not (2 <= self.classes <= len(_COLORS)):
-            raise ConfigError(f"classes must be in [2, {len(_COLORS)}], got {self.classes}")
+        if not (2 <= self.classes <= MAX_CLASSES):
+            raise ConfigError(f"classes must be in [2, {MAX_CLASSES}], got {self.classes}")
         if self.size < 8:
             raise ConfigError(f"image size must be >= 8, got {self.size}")
         if self.noise < 0:

@@ -1,9 +1,11 @@
 """Locality and sparsity statistics of attention maps.
 
-An attention map is a row-stochastic [H*W, H*W] matrix over a query grid:
-row q holds the weights query q puts on every key position. Maps can come
-from this library's attention ops or be ingested from DFT1 files produced
-elsewhere.
+An attention map lists, for each query of an H*W grid, the weights it puts
+on its K candidate keys (rows sum to 1) and each key's Chebyshev distance
+from the query. A dense map, ingested from a DFT1 file or produced by global
+attention, has every grid position as a candidate (K = H*W); a windowed map
+has its w*w taps (K = w*w), so its statistics cost O(H*W*w*w) and never
+expand to an [H*W, H*W] matrix.
 
 Metrics:
 
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
+from .swda import _valid_mask, tap_offsets
 
 ROW_SUM_TOL = 1e-4
 
@@ -29,15 +32,10 @@ ROW_SUM_TOL = 1e-4
 class AttentionMap:
     height: int
     width: int
-    weights: np.ndarray  # [H*W, H*W], rows sum to 1
+    weights: np.ndarray  # [H*W, K] weight of each query on its K candidate keys, rows sum to 1
+    dist: np.ndarray  # [H*W, K] or [K]: Chebyshev distance of each candidate key from its query
 
     def __post_init__(self):
-        n = self.height * self.width
-        if self.weights.shape != (n, n):
-            raise ValidationError(
-                f"attention matrix shape {self.weights.shape} does not match "
-                f"{self.height}x{self.width} grid (expected {(n, n)})"
-            )
         if np.any(self.weights < 0):
             raise ValidationError("attention weights must be nonnegative")
         sums = self.weights.sum(axis=1)
@@ -46,10 +44,6 @@ class AttentionMap:
             raise ValidationError(
                 f"rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3e}"
             )
-
-    @property
-    def n_keys(self) -> int:
-        return self.height * self.width
 
 
 def _chebyshev_table(h: int, w: int) -> np.ndarray:
@@ -65,8 +59,7 @@ def locality_mass(amap: AttentionMap, radius: int) -> tuple[np.ndarray, float]:
     """Per-query and mean attention mass within Chebyshev radius of the query."""
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
-    dist = _chebyshev_table(amap.height, amap.width)
-    per_query = np.sum(np.where(dist <= radius, amap.weights, 0.0), axis=1)
+    per_query = np.sum(np.where(amap.dist <= radius, amap.weights, 0.0), axis=1)
     return per_query, float(per_query.mean())
 
 
@@ -94,20 +87,31 @@ def sparsity_profile(amap: AttentionMap, threshold: float = 0.01) -> SparsitySta
 
 
 def from_dense(weights: np.ndarray, height: int, width: int) -> AttentionMap:
-    return AttentionMap(height=height, width=width, weights=np.asarray(weights))
+    """A map whose candidates are all H*W grid positions: weights [H*W, H*W]."""
+    weights = np.asarray(weights)
+    n = height * width
+    if weights.shape != (n, n):
+        raise ValidationError(
+            f"attention matrix shape {weights.shape} does not match "
+            f"{height}x{width} grid (expected {(n, n)})"
+        )
+    return AttentionMap(height, width, weights, _chebyshev_table(height, width))
 
 
-def from_swda_weights(weights, cfg, renormalize: bool | None = None) -> AttentionMap:
-    """Build a map from tap-order windowed-attention weights [H, W, w*w].
+def from_swda_weights(weights, cfg) -> AttentionMap:
+    """A map whose candidates are the w*w taps: tap-order weights [H, W, w*w].
 
-    Zero-pad-mode weights lose the mass of their padded taps when expanded to
-    real key positions, so they are renormalized by default; masked-mode
-    weights are already row-stochastic.
+    Off-map taps have no key position, so they are zeroed and every row is
+    renormalized in float64; this restores row sums of 1 for zero_pad
+    weights, which lose the mass of their padded taps. Tap (p, q) at rate r
+    lies at Chebyshev distance max(|p|, |q|) * r from its query.
     """
-    from .swda import attention_to_dense
-
-    h, w = weights.shape[0], weights.shape[1]
-    if renormalize is None:
-        renormalize = cfg.edge_mode == "zero_pad"
-    dense = attention_to_dense(np.asarray(weights), cfg, renormalize=renormalize)
-    return AttentionMap(height=h, width=w, weights=dense)
+    a = np.asarray(weights, dtype=np.float64)
+    h, w, taps = a.shape
+    if taps != cfg.taps:
+        raise ShapeError(f"weights carry {taps} taps but config expects {cfg.taps}")
+    inside = np.moveaxis(_valid_mask(h, w, cfg), 0, -1)
+    a = np.where(inside, a, 0.0).reshape(h * w, taps)
+    a /= a.sum(axis=1, keepdims=True)
+    dist = np.array([max(abs(p), abs(q)) * cfg.r for p, q in tap_offsets(cfg.w)])
+    return AttentionMap(h, w, a, dist)

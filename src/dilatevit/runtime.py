@@ -1,48 +1,14 @@
-"""Thread-count knob for the library's internal parallelism.
+"""Thread-count knob, kept for callers that set it.
 
-Parallel sections only ever partition work over independent output rows;
-each output element is produced by exactly one task with a fixed reduction
-order, so results are bit-identical at every thread count.
+The library runs on one thread and starts none of its own: every kernel
+computes its whole output in one vectorized pass with a fixed reduction
+order, so results never depend on the thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-_NUM_THREADS = 1
-
 
 def set_num_threads(n: int) -> None:
-    global _NUM_THREADS
+    """Validate a thread count; the library runs on one thread whatever it is."""
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
-    _NUM_THREADS = int(n)
-
-
-def get_num_threads() -> int:
-    return _NUM_THREADS
-
-
-def default_thread_count() -> int:
-    return os.cpu_count() or 1
-
-
-def map_row_blocks(fn, n_rows: int, min_rows_per_block: int = 8) -> None:
-    """Run ``fn(row_start, row_stop)`` over a partition of ``range(n_rows)``.
-
-    Single-threaded when the configured thread count is 1 or the work is too
-    small to split. ``fn`` must write only to rows inside its block.
-    """
-    threads = _NUM_THREADS
-    if threads <= 1 or n_rows < 2 * min_rows_per_block:
-        fn(0, n_rows)
-        return
-    n_blocks = min(threads, max(1, n_rows // min_rows_per_block))
-    bounds = [(i * n_rows) // n_blocks for i in range(n_blocks + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(fn, bounds[i], bounds[i + 1]) for i in range(n_blocks)
-        ]
-        for fut in futures:
-            fut.result()

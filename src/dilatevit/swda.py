@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import runtime
 from .counting import add_macs
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -185,19 +184,9 @@ def swda_forward_with_state(
     mask = None if cfg.edge_mode == "zero_pad" else _valid_mask(H, W, cfg)
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
 
-    out = np.empty_like(q)
-    weights = np.empty((H, W, cfg.taps), dtype=q.dtype)
-
-    def run_rows(r0, r1):
-        qs = q[r0:r1]
-        pk = panels_k[:, r0:r1]
-        pv = panels_v[:, r0:r1]
-        logits = np.einsum("hwd,thwd->thw", qs, pk) * scale
-        a = _softmax_taps(logits, None if mask is None else mask[:, r0:r1])
-        weights[r0:r1] = a
-        out[r0:r1] = np.einsum("hwt,thwd->hwd", a, pv)
-
-    runtime.map_row_blocks(run_rows, H)
+    logits = np.einsum("hwd,thwd->thw", q, panels_k) * scale
+    weights = _softmax_taps(logits, mask)
+    out = np.einsum("hwt,thwd->hwd", weights, panels_v)
     return out, SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
 
 

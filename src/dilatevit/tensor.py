@@ -182,15 +182,17 @@ def conv2d(
     h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
     kh, kw, _, cout = kernel.shape
     cin = x.shape[2]
-    add_macs(h_out * w_out * cout * kh * kw * (cin // groups))
+    macs = h_out * w_out * cout * kh * kw * (cin // groups)
 
     if groups == 1:
+        add_macs(macs)
         cols = im2col(x, kh, kw, stride, zero_pad)
         kmat = kernel.reshape(kh * kw * cin, cout)
         out = cols.reshape(h_out * w_out, -1) @ kmat
         return out.reshape(h_out, w_out, cout)
 
     if groups == cin and cout == cin:
+        add_macs(macs)
         xp = np.pad(x, ((zero_pad, zero_pad), (zero_pad, zero_pad), (0, 0)))
         out = np.zeros((h_out, w_out, cout), dtype=x.dtype)
         for a in range(kh):
@@ -203,7 +205,7 @@ def conv2d(
 
     cg_in, cg_out = cin // groups, cout // groups
     out = np.empty((h_out, w_out, cout), dtype=x.dtype)
-    for g in range(groups):
+    for g in range(groups):  # each groups=1 call counts its own MACs
         out[:, :, g * cg_out : (g + 1) * cg_out] = conv2d(
             np.ascontiguousarray(x[:, :, g * cg_in : (g + 1) * cg_in]),
             kernel[:, :, :, g * cg_out : (g + 1) * cg_out],

@@ -23,7 +23,7 @@ from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.gradsuite import run_gradient_suite
 from dilatevit.msda import MsdaBlockSpec, mhsa_attention, msda_attention
 from dilatevit.profiler import count_model, count_pattern_suite
-from dilatevit.swda import SwdaConfig, swda_forward
+from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
 from dilatevit.train import batch_loss, train
 from tests_common import make_block_params_f32
 
@@ -324,7 +324,7 @@ def test_criterion_10_metric_sanity():
             amap = metrics.from_swda_weights(weights, cfg)
             radius = (w - 1) * rate // 2
             outside = metrics._chebyshev_table(h, w_map) > radius
-            assert np.all(amap.weights[outside] == 0.0), (w, rate)
+            assert np.all(attention_to_dense(weights, cfg)[outside] == 0.0), (w, rate)
             per_query, _ = metrics.locality_mass(amap, radius)
             assert np.array_equal(per_query, amap.weights.sum(axis=1))
             assert np.abs(per_query - 1.0).max() < 1e-12

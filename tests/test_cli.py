@@ -1,9 +1,11 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from dilatevit import cli, dft1
+from dilatevit import cli, dft1, model
 
 
 def run(argv):
@@ -79,6 +81,12 @@ class TestFlops:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["flops", "--does-not-exist"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_is_usage_error(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["flops", "--preset", "toy", "--threads", threads])
         assert exc.value.code == 2
 
     def test_kernel_size_sweep_matches_published_points(self, capsys):
@@ -354,6 +362,17 @@ class TestAttnstats:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("stage1.block0.head0,") for line in lines)
         assert any(line.startswith("stage3.block0.head0,") for line in lines)
+
+    def test_checkpoint_with_more_classes_than_the_palette(self, tmp_path, capsys):
+        config = model.toy(num_classes=10)
+        model.save_checkpoint(tmp_path / "ckpt", config, model.init_params(config, seed=0))
+        radii = "0,1,2,3"
+        assert run(["attnstats", "--checkpoint", str(tmp_path / "ckpt"), "--radii", radii]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        per_layer = Counter(row.split(",", 1)[0] for row in rows)
+        n_heads = sum(stage.depth * stage.n_heads for stage in config.stages)
+        assert len(per_layer) == n_heads
+        assert set(per_layer.values()) == {len(radii.split(",")) + 3}
 
     def test_requires_a_source(self, capsys):
         assert run(["attnstats"]) == 1

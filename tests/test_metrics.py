@@ -1,13 +1,15 @@
 """Attention-map locality and sparsity metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dilatevit import metrics
-from dilatevit.errors import ValidationError
-from dilatevit.swda import SwdaConfig, swda_forward
+from dilatevit.errors import ShapeError, ValidationError
+from dilatevit.metrics import _chebyshev_table
+from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
 from dilatevit.tensor import softmax
 
 
@@ -20,11 +22,14 @@ def uniform_map(h, w):
     return metrics.from_dense(np.full((n, n), 1.0 / n), h, w)
 
 
-def swda_map(h, w, cfg, seed=0):
+def swda_weights(h, w, cfg, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    q, k, v = (rng.standard_normal((h, w, cfg.d_k)) for _ in range(3))
-    _, weights = swda_forward(q, k, v, cfg, return_weights=True)
-    return metrics.from_swda_weights(weights, cfg)
+    q, k, v = (rng.standard_normal((h, w, cfg.d_k)).astype(dtype) for _ in range(3))
+    return swda_forward(q, k, v, cfg, return_weights=True)[1]
+
+
+def swda_map(h, w, cfg, seed=0):
+    return metrics.from_swda_weights(swda_weights(h, w, cfg, seed), cfg)
 
 
 class TestLocalityMass:
@@ -40,14 +45,13 @@ class TestLocalityMass:
     @pytest.mark.parametrize("rate", [1, 2, 3])
     def test_swda_mass_inside_tap_radius(self, rate):
         cfg = SwdaConfig(w=3, r=rate, d_k=3, edge_mode="masked")
-        amap = swda_map(7, 7, cfg)
+        weights = swda_weights(7, 7, cfg)
+        amap = metrics.from_swda_weights(weights, cfg)
         radius = (cfg.w - 1) * cfg.r // 2
         # exactness: every key outside the tap radius carries weight 0.0,
         # so the in-radius mass IS the full row mass
-        from dilatevit.metrics import _chebyshev_table
-
         outside = _chebyshev_table(7, 7) > radius
-        assert np.all(amap.weights[outside] == 0.0)
+        assert np.all(attention_to_dense(weights, cfg)[outside] == 0.0)
         per_query, mean = metrics.locality_mass(amap, radius)
         assert np.array_equal(per_query, amap.weights.sum(axis=1))
         assert np.abs(per_query - 1.0).max() < 1e-12
@@ -125,6 +129,55 @@ class TestSparsityProfile:
             metrics.sparsity_profile(amap, 0.0)
         with pytest.raises(ValidationError):
             metrics.sparsity_profile(amap, 1.0)
+
+
+class TestTapSpace:
+    """Windowed maps keep w*w candidate keys; the dense [N, N] expansion is the oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["zero_pad", "masked"])
+    def test_matches_dense_oracle(self, mode, dtype):
+        h = w_map = 8
+        for w in (1, 3, 5):
+            for rate in (1, 2, 3):
+                cfg = SwdaConfig(w=w, r=rate, d_k=3, edge_mode=mode)
+                weights = swda_weights(h, w_map, cfg, seed=10 * w + rate, dtype=dtype)
+                taps = metrics.from_swda_weights(weights, cfg)
+                dense = metrics.from_dense(
+                    attention_to_dense(weights.astype(np.float64), cfg, renormalize=True), h, w_map
+                )
+                assert taps.weights.shape == (h * w_map, w * w)
+                for radius in range(8):
+                    got, got_mean = metrics.locality_mass(taps, radius)
+                    want, want_mean = metrics.locality_mass(dense, radius)
+                    assert np.abs(got - want).max() <= 1e-12, (w, rate, radius)
+                    assert abs(got_mean - want_mean) <= 1e-12
+                for threshold in (1e-12, 0.01, 0.2):
+                    got = metrics.sparsity_profile(taps, threshold)
+                    want = metrics.sparsity_profile(dense, threshold)
+                    assert abs(got.mean_active_keys - want.mean_active_keys) <= 1e-12
+                    assert abs(got.participation_ratio - want.participation_ratio) <= 1e-12
+                    assert abs(got.entropy_nats - want.entropy_nats) <= 1e-12
+
+    def test_statistics_need_no_dense_matrix(self):
+        # a dense 56x56 map holds 3136^2 weights: 39 MB even in float32
+        cfg = SwdaConfig(w=3, r=2, d_k=4)
+        weights = swda_weights(56, 56, cfg, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            amap = metrics.from_swda_weights(weights, cfg)
+            for radius in (0, 1, 2, 3):
+                metrics.locality_mass(amap, radius)
+            metrics.sparsity_profile(amap, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_rejects_wrong_tap_count(self):
+        cfg = SwdaConfig(w=3, r=1, d_k=2)
+        with pytest.raises(ShapeError, match="taps"):
+            metrics.from_swda_weights(np.full((4, 4, 4), 0.25), cfg)
 
 
 class TestValidation:

@@ -1,39 +1,14 @@
-"""Thread-pool partitioning and the MAC instrumentation counter."""
+"""Thread-count validation and the MAC instrumentation counter."""
 
 import numpy as np
 import pytest
 
 from dilatevit import runtime
 from dilatevit.counting import add_macs, mac_counter
-from dilatevit.tensor import matmul
+from dilatevit.tensor import conv2d, matmul
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    @pytest.mark.parametrize("rows", [1, 7, 16, 33, 100])
-    def test_every_row_visited_exactly_once(self, threads, rows):
-        seen = np.zeros(rows, dtype=np.int64)
-
-        def fn(r0, r1):
-            assert 0 <= r0 <= r1 <= rows
-            seen[r0:r1] += 1
-
-        try:
-            runtime.set_num_threads(threads)
-            runtime.map_row_blocks(fn, rows)
-        finally:
-            runtime.set_num_threads(1)
-        assert np.array_equal(seen, np.ones(rows, dtype=np.int64))
-
-    def test_small_work_stays_single_block(self):
-        calls = []
-        try:
-            runtime.set_num_threads(8)
-            runtime.map_row_blocks(lambda a, b: calls.append((a, b)), 5)
-        finally:
-            runtime.set_num_threads(1)
-        assert calls == [(0, 5)]
-
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
             runtime.set_num_threads(0)
@@ -58,3 +33,9 @@ class TestMacCounter:
             add_macs(1)
         assert inner.macs == 7
         assert outer.macs == 11
+
+    def test_grouped_conv_counts_each_group_once(self):
+        # groups=2 over 4 channels: each output sees 2 input channels, not 4
+        with mac_counter() as c:
+            conv2d(np.ones((8, 8, 4)), np.ones((3, 3, 2, 4)), 1, 1, groups=2)
+        assert c.macs == 8 * 8 * 4 * 3 * 3 * 2
