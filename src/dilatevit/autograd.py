@@ -163,15 +163,15 @@ class graph:
     def matmul(self, a: Node, b: Node) -> Node:
         out = T.matmul(a.data, b.data)
         return self.tape.record(
-            out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g)
+            out, (a, b), lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
         )
 
-    def transpose2d(self, a: Node) -> Node:
-        if a.data.ndim != 2:
-            raise ShapeError(f"transpose2d expects a matrix, got {a.data.shape}")
-        return self.tape.record(
-            np.ascontiguousarray(a.data.T), (a,), lambda g: (np.ascontiguousarray(g.T),)
-        )
+    def transpose(self, a: Node, axes) -> Node:
+        """Permute the axes of a into a contiguous copy."""
+        if sorted(axes) != list(range(a.data.ndim)):
+            raise ShapeError(f"transpose axes {axes} do not permute the axes of {a.data.shape}")
+        out, inverse = np.ascontiguousarray(a.data.transpose(axes)), np.argsort(axes)
+        return self.tape.record(out, (a,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
 
     def reshape(self, a: Node, shape) -> Node:
         old = a.data.shape
@@ -187,21 +187,6 @@ class graph:
 
         return self.tape.record(
             np.ascontiguousarray(a.data[..., start:stop]), (a,), back
-        )
-
-    def concat_last(self, nodes) -> Node:
-        nodes = list(nodes)
-        widths = [n.data.shape[-1] for n in nodes]
-        offsets = np.cumsum([0] + widths)
-
-        def back(g):
-            return tuple(
-                np.ascontiguousarray(g[..., offsets[i] : offsets[i + 1]])
-                for i in range(len(nodes))
-            )
-
-        return self.tape.record(
-            np.concatenate([n.data for n in nodes], axis=-1), tuple(nodes), back
         )
 
     def conv2d(self, x: Node, kernel: Node, stride=1, zero_pad=0, groups=1) -> Node:
@@ -244,14 +229,30 @@ class graph:
 
         return self.tape.record(y, (x,), back)
 
-    def swda(self, q: Node, k: Node, v: Node, cfg: _swda.SwdaConfig,
+    def swda(self, q: Node, k: Node, v: Node, cfgs: tuple[_swda.SwdaConfig, ...],
              attn_sink: list | None = None, layer: str = "") -> Node:
-        out, state = _swda.swda_forward_with_state(q.data, k.data, v.data, cfg)
-        if attn_sink is not None:
-            attn_sink.append((layer, cfg, state.weights.copy()))
+        """Dilated window attention, head i on channel view [i*d_k, (i+1)*d_k) with cfgs[i]."""
+        d_k = cfgs[0].d_k
+        if q.data.shape[-1] != len(cfgs) * d_k:
+            raise ShapeError(f"{q.data.shape[-1]} channels != {len(cfgs)} heads of d_k {d_k}")
+        out = np.empty_like(q.data)
+        states = []
+        for i, cfg in enumerate(cfgs):
+            c = slice(i * d_k, (i + 1) * d_k)
+            out[..., c], state = _swda.swda_forward_with_state(
+                q.data[..., c], k.data[..., c], v.data[..., c], cfg
+            )
+            states.append(state)
+            if attn_sink is not None:
+                attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy()))
 
         def back(g):
-            return _swda.swda_backward(g, state)
+            grads = tuple(np.empty_like(q.data) for _ in range(3))
+            for i, state in enumerate(states):
+                c = slice(i * d_k, (i + 1) * d_k)
+                for full, part in zip(grads, _swda.swda_backward(g[..., c], state)):
+                    full[..., c] = part
+            return grads
 
         return self.tape.record(out, (q, k, v), back)
 

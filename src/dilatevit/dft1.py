@@ -8,8 +8,8 @@ Layout, all little-endian:
     next  8*rank u64 extents
     rest         raw row-major data
 
-Readers reject wrong magic, unknown dtype codes, zero extents and truncated
-payloads, reporting the byte offset of the failure.
+Readers reject wrong magic, unknown dtype codes, zero extents, truncated
+payloads and trailing bytes, reporting the byte offset of the failure.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ def decode(blob: bytes) -> np.ndarray:
         raise FormatError(
             f"truncated payload: need {need} bytes, have {len(blob)}", offset=len(blob)
         )
+    if len(blob) > need:
+        raise FormatError(f"{len(blob) - need} trailing bytes after the payload", offset=need)
     data = np.frombuffer(blob[header_end:need], dtype=dtype).reshape(shape)
     native = np.dtype(np.float32) if code == 0 else np.dtype(np.float64)
     return np.ascontiguousarray(data.astype(native, copy=False))

@@ -93,7 +93,7 @@ def _swda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
     def build():
         tape = Tape()
         g = graph(tape)
-        out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), cfg)
+        out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
         if corrupt:
             out = _corrupted_identity(g, out)
         return tape, _weighted_sum_loss(g, out, loss_w)

@@ -18,6 +18,7 @@ Metrics:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,16 @@ class AttentionMap:
             )
 
 
+@functools.lru_cache(maxsize=2)
 def _chebyshev_table(h: int, w: int) -> np.ndarray:
-    """[H*W, H*W] Chebyshev distances between grid positions."""
+    """[H*W, H*W] Chebyshev distances between grid positions, one read-only table per grid."""
     qi = np.repeat(np.arange(h), w)
     qj = np.tile(np.arange(w), h)
     di = np.abs(qi[:, None] - qi[None, :])
     dj = np.abs(qj[:, None] - qj[None, :])
-    return np.maximum(di, dj)
+    table = np.maximum(di, dj)
+    table.flags.writeable = False
+    return table
 
 
 def locality_mass(amap: AttentionMap, radius: int) -> tuple[np.ndarray, float]:

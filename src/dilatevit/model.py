@@ -414,15 +414,28 @@ def load_checkpoint(
     if not os.path.exists(manifest_path):
         raise FormatError(f"no manifest.json in checkpoint directory {directory}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise FormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path} must hold a JSON object")
     if manifest.get("format_version") != "1":
         raise FormatError(
             f"unsupported checkpoint format version {manifest.get('format_version')!r}"
         )
+    for key in ("config", "files"):
+        if not isinstance(manifest.get(key), dict):
+            raise FormatError(f"{manifest_path} needs a {key!r} object")
     config = config_from_dict(manifest["config"])
     params = {}
     for name, fname in manifest["files"].items():
-        value = dft1.read_tensor(os.path.join(directory, fname))
-        params[name] = Parameter(name, value)
+        # Tensors live in the checkpoint directory itself, never elsewhere.
+        if not isinstance(fname, str) or fname in ("", ".", "..") or set(fname) & set("/\\\0"):
+            raise FormatError(f"tensor {name}: {fname!r} is not a plain file name")
+        path = os.path.join(directory, fname)
+        if not os.path.isfile(path):
+            raise FormatError(f"tensor {name}: no file {fname!r} in {directory}")
+        params[name] = Parameter(name, dft1.read_tensor(path))
     validate_params(config, params)
     return config, params

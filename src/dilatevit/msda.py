@@ -1,10 +1,11 @@
 """Multi-scale dilated attention blocks.
 
-A block splits the channels into heads, runs the windowed dilated attention
-with a per-head dilation rate, concatenates the heads and applies an output
-projection. Around that sits the usual pre-norm transformer plumbing: a
-depth-wise 3x3 convolution added residually as a conditional position
-encoding, then attention and MLP branches with residual connections.
+A block gives each head its own slice of the channels and its own dilation
+rate, runs the windowed dilated attention of every head in one graph op and
+applies an output projection. Around that sits the usual pre-norm
+transformer plumbing: a depth-wise 3x3 convolution added residually as a
+conditional position encoding, then attention and MLP branches with
+residual connections.
 
 The same block shell also hosts ordinary global multi-head self-attention,
 selected per stage by kind 'D' (dilated) or 'G' (global).
@@ -142,21 +143,8 @@ def msda_attention(
     if not spec.dilation_rates:
         raise ConfigError("dilated attention requires at least one dilation rate")
     q, k, v = _qkv(g, x, spec, params, prefix)
-    d_k = spec.d_k
-    heads = []
-    for i in range(spec.n_heads):
-        lo, hi = i * d_k, (i + 1) * d_k
-        heads.append(
-            g.swda(
-                g.slice_last(q, lo, hi),
-                g.slice_last(k, lo, hi),
-                g.slice_last(v, lo, hi),
-                spec.head_cfg(i),
-                attn_sink=attn_sink,
-                layer=f"{prefix}.head{i}",
-            )
-        )
-    out = g.concat_last(heads)
+    cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
+    out = g.swda(q, k, v, cfgs, attn_sink=attn_sink, layer=prefix)
     return g.linear(
         out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
     )
@@ -176,29 +164,18 @@ def mhsa_attention(
     if dim % n_heads != 0:
         raise ShapeError(f"dim {dim} not divisible by n_heads {n_heads}")
     spec = spec or MsdaBlockSpec(dim=dim, n_heads=n_heads, dilation_rates=(1,))
-    tokens = h * w
+    tokens, d_k = h * w, dim // n_heads
     q, k, v = _qkv(g, x, spec, params, prefix)
-    qf = g.reshape(q, (tokens, dim))
-    kf = g.reshape(k, (tokens, dim))
-    vf = g.reshape(v, (tokens, dim))
-    d_k = dim // n_heads
-    scale = 1.0 / math.sqrt(d_k)
-    heads = []
-    for i in range(n_heads):
-        lo, hi = i * d_k, (i + 1) * d_k
-        qi = g.slice_last(qf, lo, hi)
-        ki = g.slice_last(kf, lo, hi)
-        vi = g.slice_last(vf, lo, hi)
-        scores = g.scale(g.matmul(qi, g.transpose2d(ki)), scale)
-        attn = g.softmax_last(scores)
-        if attn_sink is not None:
-            attn_sink.append((f"{prefix}.head{i}", None, attn.data.copy()))
-        heads.append(g.matmul(attn, vi))
-    out = g.concat_last(heads)
-    out = g.linear(
+    qh = g.transpose(g.reshape(q, (tokens, n_heads, d_k)), (1, 0, 2))  # [heads, N, d_k]
+    kh = g.transpose(g.reshape(k, (tokens, n_heads, d_k)), (1, 2, 0))  # [heads, d_k, N]
+    vh = g.transpose(g.reshape(v, (tokens, n_heads, d_k)), (1, 0, 2))
+    attn = g.softmax_last(g.scale(g.matmul(qh, kh), 1.0 / math.sqrt(d_k)))
+    if attn_sink is not None:
+        attn_sink.extend((f"{prefix}.head{i}", None, a.copy()) for i, a in enumerate(attn.data))
+    out = g.reshape(g.transpose(g.matmul(attn, vh), (1, 0, 2)), (h, w, dim))
+    return g.linear(
         out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
     )
-    return g.reshape(out, (h, w, dim))
 
 
 def transformer_block(

@@ -48,14 +48,14 @@ def dtype_name(arr: np.ndarray) -> str:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product c[m, n] = sum_k a[m, k] * b[k, n]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """c[..., m, n] = sum_k a[..., m, k] * b[..., k, n] on matrices or equal stacks, unbroadcast."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects matrices or equal stacks, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
-    add_macs(a.shape[0] * a.shape[1] * b.shape[1])
+    add_macs(math.prod(a.shape) * b.shape[-1])
     return a @ b
 
 

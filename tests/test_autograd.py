@@ -13,7 +13,7 @@ from dilatevit.autograd import (
     sgd_step,
     zero_grads,
 )
-from dilatevit.errors import ContractError, DeterminismError
+from dilatevit.errors import ContractError, DeterminismError, ShapeError
 from dilatevit.swda import SwdaConfig
 
 
@@ -88,6 +88,11 @@ class TestBackwardBasics:
 
         assert np.abs(combined() - separate()).max() < 1e-12
 
+    def test_transpose_rejects_axes_that_are_not_a_permutation(self):
+        g = graph(Tape())
+        with pytest.raises(ShapeError, match="permute"):
+            g.transpose(g.leaf(np.zeros((2, 3, 4))), (0, 1, 1))
+
 
 def weighted_sum_loss(g, node, weights):
     return g.sum_all(g.mul(node, g.leaf(weights)))
@@ -110,7 +115,9 @@ class TestPerOpGradients:
             self._case_softmax,
             self._case_linear_bias,
             self._case_swda,
-            self._case_concat_slice,
+            self._case_slice,
+            self._case_batched_matmul,
+            self._case_transpose,
             self._case_pool,
             self._case_cross_entropy,
         ]
@@ -249,22 +256,43 @@ class TestPerOpGradients:
 
         def build():
             g = graph(Tape())
-            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), cfg)
+            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params
 
-    def _case_concat_slice(self, rng):
-        params = {
-            "a": Parameter("a", rng.standard_normal((3, 4))),
-            "b": Parameter("b", rng.standard_normal((3, 2))),
-        }
+    def _case_slice(self, rng):
+        params = {"a": Parameter("a", rng.standard_normal((3, 6)))}
         w = rng.standard_normal((3, 3))
 
         def build():
             g = graph(Tape())
-            cat = g.concat_last([g.param(params["a"]), g.param(params["b"])])
-            return g.tape, weighted_sum_loss(g, g.slice_last(cat, 1, 4), w)
+            return g.tape, weighted_sum_loss(g, g.slice_last(g.param(params["a"]), 1, 4), w)
+
+        return build, params
+
+    def _case_batched_matmul(self, rng):
+        params = {
+            "a": Parameter("a", rng.standard_normal((2, 3, 4))),
+            "b": Parameter("b", rng.standard_normal((2, 4, 5))),
+        }
+        w = rng.standard_normal((2, 3, 5))
+
+        def build():
+            g = graph(Tape())
+            out = g.matmul(g.param(params["a"]), g.param(params["b"]))
+            return g.tape, weighted_sum_loss(g, out, w)
+
+        return build, params
+
+    def _case_transpose(self, rng):
+        params = {"x": Parameter("x", rng.standard_normal((2, 3, 4)))}
+        axes = tuple(int(a) for a in rng.permutation(3))
+        w = rng.standard_normal(tuple((2, 3, 4)[a] for a in axes))
+
+        def build():
+            g = graph(Tape())
+            return g.tape, weighted_sum_loss(g, g.transpose(g.param(params["x"]), axes), w)
 
         return build, params
 
@@ -324,7 +352,7 @@ class TestFiniteDiffHarness:
 
         def build():
             g = graph(Tape())
-            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), cfg)
+            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
             return g.tape, weighted_sum_loss(g, out, w)
 
         report = finite_diff_check(build, params, h=1e-5, budget=12, seed=0)

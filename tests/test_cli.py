@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dilatevit import cli, dft1, model
+from tests_common import BROKEN_MANIFESTS, write_broken_checkpoint
 
 
 def run(argv):
@@ -373,6 +374,11 @@ class TestAttnstats:
         n_heads = sum(stage.depth * stage.n_heads for stage in config.stages)
         assert len(per_layer) == n_heads
         assert set(per_layer.values()) == {len(radii.split(",")) + 3}
+
+    @pytest.mark.parametrize("how", sorted(BROKEN_MANIFESTS))
+    def test_broken_checkpoint_exits_1_without_traceback(self, tmp_path, capsys, how):
+        assert run(["attnstats", "--checkpoint", write_broken_checkpoint(tmp_path, how)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_requires_a_source(self, capsys):
         assert run(["attnstats"]) == 1

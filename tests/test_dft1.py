@@ -71,3 +71,11 @@ def test_rejects_zero_extent():
     )
     with pytest.raises(FormatError, match="extent 0 is 0"):
         dft1.decode(blob)
+
+
+def test_rejects_trailing_bytes_at_the_end_of_the_payload(tmp_path):
+    path = tmp_path / "t.dft1"
+    dft1.write_tensor(path, np.ones((2, 2), dtype=np.float32))
+    end = len(path.read_bytes())
+    with pytest.raises(FormatError, match=f"trailing bytes.*offset {end}"):
+        dft1.decode(path.read_bytes() + b"garbage")

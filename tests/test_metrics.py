@@ -68,6 +68,13 @@ class TestLocalityMass:
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert means[max(h, w) - 1] == pytest.approx(1.0)
 
+    def test_maps_on_one_grid_share_a_read_only_distance_table(self):
+        a, b = identity_map(6, 5), uniform_map(6, 5)
+        assert a.dist is b.dist
+        assert not a.dist.flags.writeable
+        assert identity_map(5, 6).dist.shape == (30, 30)
+        assert identity_map(5, 6).dist is not a.dist
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             metrics.locality_mass(identity_map(2, 2), -1)

@@ -7,6 +7,7 @@ from dilatevit import model
 from dilatevit.autograd import Tape, finite_diff_check, graph
 from dilatevit.errors import ConfigError, FormatError
 from dilatevit.profiler import count_model
+from tests_common import BROKEN_MANIFESTS, write_broken_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +245,8 @@ class TestSerialization:
     def test_load_checkpoint_requires_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             model.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("how", sorted(BROKEN_MANIFESTS))
+    def test_broken_manifest_is_a_format_error(self, tmp_path, how):
+        with pytest.raises(FormatError):
+            model.load_checkpoint(write_broken_checkpoint(tmp_path, how))

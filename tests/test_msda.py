@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dilatevit.autograd import Parameter, Tape, finite_diff_check, graph
-from dilatevit.errors import ConfigError
+from dilatevit.errors import ConfigError, ShapeError
 from dilatevit.msda import (
     MsdaBlockSpec,
     block_param_shapes,
@@ -117,6 +117,32 @@ class TestMsdaAttention:
         changed = run(x2)
         assert np.array_equal(base[:, :, :3], changed[:, :, :3])
         assert not np.array_equal(base[:, :, 3:], changed[:, :, 3:])
+
+    def test_swda_heads_are_channel_views_with_their_own_rates(self):
+        rng = np.random.default_rng(4)
+        spec = MsdaBlockSpec(dim=12, n_heads=3, dilation_rates=(1, 2, 3))
+        cfgs = tuple(spec.head_cfg(i) for i in range(3))
+        q, k, v = (rng.standard_normal((7, 6, 12)) for _ in range(3))
+        sink = []
+        g = graph(Tape())
+        out = g.swda(g.leaf(q), g.leaf(k), g.leaf(v), cfgs, attn_sink=sink, layer="m")
+        assert [(layer, cfg.r) for layer, cfg, _ in sink] == [
+            ("m.head0", 1), ("m.head1", 2), ("m.head2", 3)
+        ]
+        for i, (_, cfg, weights) in enumerate(sink):
+            sl = slice(4 * i, 4 * (i + 1))
+            head = [np.ascontiguousarray(a[:, :, sl]) for a in (q, k, v)]
+            expected, expected_weights = swda_forward(*head, cfg, return_weights=True)
+            assert cfg == cfgs[i]
+            assert np.array_equal(weights, expected_weights)
+            assert np.array_equal(out.data[:, :, sl], expected)
+
+    def test_swda_rejects_channels_that_do_not_fill_the_heads(self):
+        cfgs = (SwdaConfig(w=3, r=1, d_k=4),) * 2
+        g = graph(Tape())
+        x = g.leaf(np.zeros((3, 3, 12)))
+        with pytest.raises(ShapeError, match="12 channels"):
+            g.swda(x, x, x, cfgs)
 
     def test_requires_rates(self):
         spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=())

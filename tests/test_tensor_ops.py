@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dilatevit import tensor as T
+from dilatevit.counting import mac_counter
 from dilatevit.errors import NumericError, ShapeError
 
 
@@ -62,6 +63,25 @@ class TestMatmul:
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_stacked_matrices_match_per_matrix_products_and_count_batch_macs(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((3, 5, 4))
+        b = rng.standard_normal((3, 4, 2))
+        with mac_counter() as c:
+            out = T.matmul(a, b)
+        assert out.shape == (3, 5, 2)
+        for i in range(3):
+            assert np.abs(out[i] - triple_loop_matmul(a[i], b[i])).max() < 1e-12
+        assert c.macs == 3 * 5 * 4 * 2
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((3, 5, 4), (2, 4, 2)), ((1, 5, 4), (3, 4, 2)), ((5, 4), (3, 4, 2)), ((3, 5, 4), (4, 2))],
+    )
+    def test_stacks_must_have_equal_leading_extents(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="equal stacks"):
+            T.matmul(np.ones(a_shape), np.ones(b_shape))
 
     def test_associativity(self):
         rng = np.random.default_rng(1)

@@ -1,7 +1,12 @@
 """Shared fixtures-by-function for the heavier test modules."""
 
+import json
+import os
+import shutil
+
 import numpy as np
 
+from dilatevit import model
 from dilatevit.autograd import Parameter
 from dilatevit.msda import MsdaBlockSpec, block_param_shapes
 
@@ -18,3 +23,42 @@ def make_block_params_f32(spec: MsdaBlockSpec, prefix: str, rng) -> dict[str, Pa
             value = (0.3 * rng.standard_normal(shape)).astype(np.float32)
         params[name] = Parameter(name, value)
     return params
+
+
+def _first_file_named(name):
+    """Point the first tensor at ``name``, or at the outside copy when name is None."""
+
+    def edit(manifest, outside):
+        manifest["files"][sorted(manifest["files"])[0]] = name or outside
+        return json.dumps(manifest)
+
+    return edit
+
+
+# How each broken manifest is made from a valid one: edit(manifest, outside) -> text.
+BROKEN_MANIFESTS = {
+    "not_json": lambda m, outside: json.dumps(m)[:-9],
+    "not_an_object": lambda m, outside: json.dumps([m]),
+    "no_files": lambda m, outside: json.dumps({k: v for k, v in m.items() if k != "files"}),
+    "no_config": lambda m, outside: json.dumps({k: v for k, v in m.items() if k != "config"}),
+    "parent_dir_file": _first_file_named("../outside.dft1"),
+    "absolute_file": _first_file_named(None),
+    "dotdot_file": _first_file_named(".."),
+    "missing_file": _first_file_named("absent.dft1"),
+}
+
+
+def write_broken_checkpoint(root, how: str) -> str:
+    """A toy checkpoint under root/ckpt whose manifest is broken as BROKEN_MANIFESTS[how]."""
+    ckpt_dir = os.path.join(root, "ckpt")
+    config = model.toy()
+    model.save_checkpoint(ckpt_dir, config, model.init_params(config, seed=0))
+    path = os.path.join(ckpt_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    # A valid tensor next to the checkpoint, so only the name check can refuse reading it.
+    outside = os.path.join(root, "outside.dft1")
+    shutil.copyfile(os.path.join(ckpt_dir, manifest["files"][sorted(manifest["files"])[0]]), outside)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(BROKEN_MANIFESTS[how](manifest, outside))
+    return ckpt_dir
