@@ -4,6 +4,7 @@ Nodes are appended in creation order, which is already a topological order,
 so backward is a single reverse sweep. Each op stores a closure that maps the
 incoming gradient to per-parent gradients; gradient accumulation follows node
 order, so two backward passes from the same forward state are bit-identical.
+A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 """
 
 from __future__ import annotations
@@ -71,8 +72,21 @@ class Tape:
         return node
 
 
+class NoRecordTape(Tape):
+    """Forward-only tape: nodes carry no parents or closures and nothing is kept,
+    so each intermediate is freed once its last consumer has run."""
+
+    def record(self, data, parents=(), backward_fn=None) -> Node:
+        return Node(data, -1)
+
+    def param(self, parameter: Parameter) -> Node:
+        return Node(parameter.value, -1)
+
+
 def backward(tape: Tape, loss: Node) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every reachable node, keyed by node id."""
+    if isinstance(tape, NoRecordTape):
+        raise ContractError("backward needs a recording Tape, not a NoRecordTape")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.data)}
@@ -235,6 +249,8 @@ class graph:
         d_k = cfgs[0].d_k
         if q.data.shape[-1] != len(cfgs) * d_k:
             raise ShapeError(f"{q.data.shape[-1]} channels != {len(cfgs)} heads of d_k {d_k}")
+        if attn_sink is not None and q.data.ndim != 3:
+            raise ContractError(f"an attention sink needs one [H, W, C] map, got {q.data.shape}")
         out = np.empty_like(q.data)
         states = []
         for i, cfg in enumerate(cfgs):
@@ -264,16 +280,17 @@ class graph:
         )
 
     def global_avg_pool(self, x: Node) -> Node:
-        """[H, W, C] -> [C] mean over spatial positions."""
-        if x.data.ndim != 3:
-            raise ShapeError(f"global_avg_pool expects [H, W, C], got {x.data.shape}")
-        h, w, _ = x.data.shape
+        """[..., H, W, C] -> [..., C] mean over spatial positions."""
+        if x.data.ndim < 3:
+            raise ShapeError(f"global_avg_pool expects [..., H, W, C], got {x.data.shape}")
+        h, w, _ = x.data.shape[-3:]
         inv = np.asarray(1.0 / (h * w), dtype=x.data.dtype)
 
         def back(g):
-            return (np.broadcast_to(g * inv, x.data.shape).astype(x.data.dtype, copy=True),)
+            spread = (g * inv)[..., None, None, :]
+            return (np.broadcast_to(spread, x.data.shape).astype(x.data.dtype, copy=True),)
 
-        return self.tape.record(x.data.mean(axis=(0, 1)), (x,), back)
+        return self.tape.record(x.data.mean(axis=(-3, -2)), (x,), back)
 
     def linear(self, x: Node, weight: Node, bias: Node | None = None) -> Node:
         """x[..., Cin] @ weight[Cin, Cout] (+ bias) applied tokenwise."""
@@ -284,20 +301,20 @@ class graph:
             out = self.add_bias(out, bias)
         return self.reshape(out, lead + (weight.data.shape[-1],))
 
-    def softmax_cross_entropy(self, logits: Node, label: int) -> Node:
-        """Scalar -log softmax(logits)[label] for a 1-D logits vector."""
-        z = logits.data
-        if z.ndim != 1:
-            raise ShapeError(f"expected 1-D logits, got shape {z.shape}")
-        m = z.max()
-        lse = m + np.log(np.exp(z - m).sum())
-        loss = np.asarray(lse - z[label], dtype=z.dtype)
+    def softmax_cross_entropy(self, logits: Node, labels) -> Node:
+        """Mean over the leading axes of -log softmax(logits)[..., label] for logits [..., K]."""
+        z, idx = logits.data, np.asarray(labels)[..., None]
+        if z.ndim < 1 or idx.shape[:-1] != z.shape[:-1]:
+            raise ShapeError(f"logits {z.shape} need one label per leading index, got {idx.shape[:-1]}")
+        m = z.max(axis=-1, keepdims=True)
+        lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+        loss = np.asarray(np.mean(lse - np.take_along_axis(z, idx, -1)), dtype=z.dtype)
         probs = np.exp(z - lse)
 
         def back(g):
             gz = probs.copy()
-            gz[label] -= 1.0
-            return (gz * g,)
+            np.put_along_axis(gz, idx, np.take_along_axis(gz, idx, -1) - 1.0, -1)
+            return (gz * (g / idx.size),)
 
         return self.tape.record(loss, (logits,), back)
 

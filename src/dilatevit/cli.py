@@ -293,10 +293,10 @@ def _maps_from_checkpoint(args) -> list[tuple[str, metrics.AttentionMap]]:
     spec = DatasetSpec(classes=classes, size=config.input_size, noise=0.1)
     images, _ = make_dataset(1, spec, seed=args.seed)
 
-    from .autograd import Tape, graph
+    from .autograd import NoRecordTape, graph
 
     sink: list = []
-    g = graph(Tape())
+    g = graph(NoRecordTape())
     model_mod.forward(g, g.leaf(images[0]), config, params, attn_sink=sink)
     maps = []
     for layer, cfg, weights in sink:

@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dft1
-from .autograd import Node, Parameter, Tape, graph
+from .autograd import Node, NoRecordTape, Parameter, graph
 from .errors import ConfigError, FormatError
 from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, transformer_block, trunc_normal
+from .tensor import DTYPES
 
 CONFIG_FORMAT_VERSION = "1"
 
@@ -246,7 +247,7 @@ def _pget(params, name):
 
 def tokenize(g: graph, image: Node, config: ModelConfig, params) -> Node:
     """Four overlapping 3x3 convs with strides 2,1,2,1; norm+GELU after all but the last."""
-    if image.data.shape[0] % 4 != 0 or image.data.shape[1] % 4 != 0:
+    if image.data.shape[-3] % 4 != 0 or image.data.shape[-2] % 4 != 0:
         raise ConfigError(f"tokenizer needs extents divisible by 4, got {image.data.shape}")
     x = image
     strides = (2, 1, 2, 1)
@@ -266,7 +267,7 @@ def tokenize(g: graph, image: Node, config: ModelConfig, params) -> Node:
 
 def downsample(g: graph, x: Node, params, index: int) -> Node:
     """3x3 stride-2 overlapping patch merge between stages."""
-    h, w, _ = x.data.shape
+    h, w, _ = x.data.shape[-3:]
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigError(f"downsampler needs even extents, got {x.data.shape}")
     x = g.conv2d(x, g.param(_pget(params, f"downsample{index}.weight")), stride=2, zero_pad=1)
@@ -280,12 +281,12 @@ def forward(
     params: dict[str, Parameter],
     attn_sink: list | None = None,
 ) -> Node:
-    """Logits for one [S, S, in_channels] image node."""
+    """Logits [..., K] for an image node [..., S, S, in_channels]; leading axes are batch."""
     s = config.input_size
-    if image.data.shape != (s, s, config.in_channels):
+    if image.data.shape[-3:] != (s, s, config.in_channels):
         raise ConfigError(
             f"image shape {image.data.shape} does not match configured "
-            f"({s}, {s}, {config.in_channels})"
+            f"(..., {s}, {s}, {config.in_channels})"
         )
     x = tokenize(g, image, config, params)
     for si, stage in enumerate(config.stages, start=1):
@@ -309,12 +310,13 @@ def forward(
 def predict(
     config: ModelConfig, params: dict[str, Parameter], images: np.ndarray
 ) -> np.ndarray:
-    """Logits for a [S,S,C] image or a [B,S,S,C] batch (per-sample forward)."""
+    """Logits for a [S,S,C] image or a [B,S,S,C] batch, one image per untaped forward:
+    BLAS may round a row of a multi-row product unlike the same row alone."""
     single = images.ndim == 3
     batch = images[None] if single else images
     outs = []
     for img in batch:
-        g = graph(Tape())
+        g = graph(NoRecordTape())
         outs.append(forward(g, g.leaf(img), config, params).data)
     stacked = np.stack(outs, axis=0)
     return stacked[0] if single else stacked
@@ -427,6 +429,9 @@ def load_checkpoint(
     for key in ("config", "files"):
         if not isinstance(manifest.get(key), dict):
             raise FormatError(f"{manifest_path} needs a {key!r} object")
+    if manifest.get("dtype") not in ("f32", "f64"):
+        raise FormatError(f"{manifest_path}: dtype must be 'f32' or 'f64', got {manifest.get('dtype')!r}")
+    dtype = DTYPES[manifest["dtype"]]
     config = config_from_dict(manifest["config"])
     params = {}
     for name, fname in manifest["files"].items():
@@ -436,6 +441,9 @@ def load_checkpoint(
         path = os.path.join(directory, fname)
         if not os.path.isfile(path):
             raise FormatError(f"tensor {name}: no file {fname!r} in {directory}")
-        params[name] = Parameter(name, dft1.read_tensor(path))
+        value = dft1.read_tensor(path)
+        if value.dtype != dtype:
+            raise FormatError(f"tensor {name} is {value.dtype}, the manifest says {manifest['dtype']}")
+        params[name] = Parameter(name, value)
     validate_params(config, params)
     return config, params

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .autograd import Node, Parameter, graph
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .swda import SwdaConfig
 
 LN_EPS = 1e-5
@@ -138,8 +138,8 @@ def msda_attention(
     attn_sink: list | None = None,
 ) -> Node:
     """Windowed dilated attention with one dilation rate per head."""
-    if x.data.ndim != 3 or x.data.shape[-1] != spec.dim:
-        raise ShapeError(f"expected [H, W, {spec.dim}] input, got {x.data.shape}")
+    if x.data.ndim < 3 or x.data.shape[-1] != spec.dim:
+        raise ShapeError(f"expected [..., H, W, {spec.dim}] input, got {x.data.shape}")
     if not spec.dilation_rates:
         raise ConfigError("dilated attention requires at least one dilation rate")
     q, k, v = _qkv(g, x, spec, params, prefix)
@@ -159,20 +159,24 @@ def mhsa_attention(
     spec: MsdaBlockSpec | None = None,
     attn_sink: list | None = None,
 ) -> Node:
-    """Global multi-head self-attention over all H*W tokens."""
-    h, w, dim = x.data.shape
+    """Global multi-head self-attention over all H*W tokens of each [..., H, W, C] map."""
+    lead, (h, w, dim) = x.data.shape[:-3], x.data.shape[-3:]
     if dim % n_heads != 0:
         raise ShapeError(f"dim {dim} not divisible by n_heads {n_heads}")
+    if attn_sink is not None and lead:
+        raise ContractError(f"an attention sink needs one [H, W, C] map, got {x.data.shape}")
     spec = spec or MsdaBlockSpec(dim=dim, n_heads=n_heads, dilation_rates=(1,))
-    tokens, d_k = h * w, dim // n_heads
+    d_k, nb = dim // n_heads, len(lead)
+    split = lead + (h * w, n_heads, d_k)
+    swap = tuple(range(nb)) + (nb + 1, nb, nb + 2)  # [..., N, heads, d_k] <-> [..., heads, N, d_k]
     q, k, v = _qkv(g, x, spec, params, prefix)
-    qh = g.transpose(g.reshape(q, (tokens, n_heads, d_k)), (1, 0, 2))  # [heads, N, d_k]
-    kh = g.transpose(g.reshape(k, (tokens, n_heads, d_k)), (1, 2, 0))  # [heads, d_k, N]
-    vh = g.transpose(g.reshape(v, (tokens, n_heads, d_k)), (1, 0, 2))
+    qh = g.transpose(g.reshape(q, split), swap)
+    kh = g.transpose(g.reshape(k, split), swap[:nb] + (nb + 1, nb + 2, nb))  # [..., heads, d_k, N]
+    vh = g.transpose(g.reshape(v, split), swap)
     attn = g.softmax_last(g.scale(g.matmul(qh, kh), 1.0 / math.sqrt(d_k)))
     if attn_sink is not None:
         attn_sink.extend((f"{prefix}.head{i}", None, a.copy()) for i, a in enumerate(attn.data))
-    out = g.reshape(g.transpose(g.matmul(attn, vh), (1, 0, 2)), (h, w, dim))
+    out = g.reshape(g.transpose(g.matmul(attn, vh), swap), x.data.shape)
     return g.linear(
         out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
     )

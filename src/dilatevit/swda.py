@@ -14,8 +14,9 @@ map size. Two edge policies are provided:
 * ``masked``: out-of-bounds taps are removed from the softmax entirely.
 
 Two implementations sit behind one contract: a naive per-query gather loop
-(the reference) and a blocked one that slices whole shifted panels out of a
-padded map and reduces them vectorized. Equivalence is a standing test.
+(the reference, one [H, W, d] map) and a blocked one that slices whole
+shifted panels out of padded [..., H, W, d] maps, leading axes being batch,
+and reduces them vectorized. Equivalence is a standing test.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .counting import add_macs
 from .errors import ConfigError, ContractError, ShapeError
+from .tensor import pad_hw
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class SwdaState:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    weights: np.ndarray  # [H, W, w*w] softmax output in tap order
+    weights: np.ndarray  # [..., H, W, w*w] softmax output in tap order
     cfg: SwdaConfig = field(repr=False, default=None)
 
 
@@ -105,20 +107,21 @@ def _check_qkv(q, k, v, cfg):
         raise ShapeError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
     if q.dtype != k.dtype or q.dtype != v.dtype:
         raise ShapeError(f"Q/K/V dtypes differ: {q.dtype}, {k.dtype}, {v.dtype}")
-    if q.ndim != 3:
-        raise ShapeError(f"expected [H, W, d_k] maps, got shape {q.shape}")
-    if q.shape[2] != cfg.d_k:
-        raise ShapeError(f"channel extent {q.shape[2]} != configured d_k {cfg.d_k}")
+    if q.ndim < 3:
+        raise ShapeError(f"expected [..., H, W, d_k] maps, got shape {q.shape}")
+    if q.shape[-1] != cfg.d_k:
+        raise ShapeError(f"channel extent {q.shape[-1]} != configured d_k {cfg.d_k}")
 
 
 def _gather_panels(x: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
-    """Stack the w*w shifted views of a zero-padded map: [taps, H, W, d]."""
-    H, W, d = x.shape
+    """Stack the w*w shifted views of a zero-padded map: [..., taps, H, W, d]."""
+    H, W = x.shape[-3:-1]
     m = ((cfg.w - 1) // 2) * cfg.r
-    xp = np.pad(x, ((m, m), (m, m), (0, 0)))
-    panels = np.empty((cfg.taps, H, W, d), dtype=x.dtype)
+    xp = pad_hw(x, m)
+    panels = np.empty(x.shape[:-3] + (cfg.taps,) + x.shape[-3:], dtype=x.dtype)
     for t, (p, q) in enumerate(tap_offsets(cfg.w)):
-        panels[t] = xp[m + p * cfg.r : m + p * cfg.r + H, m + q * cfg.r : m + q * cfg.r + W, :]
+        i, j = m + p * cfg.r, m + q * cfg.r
+        panels[..., t, :, :, :] = xp[..., i : i + H, j : j + W, :]
     return panels
 
 
@@ -138,22 +141,17 @@ def _valid_mask(H: int, W: int, cfg: SwdaConfig) -> np.ndarray:
 
 
 def _softmax_taps(logits_thw: np.ndarray, mask_thw: np.ndarray | None) -> np.ndarray:
-    """Softmax over the leading tap axis, optionally restricted to valid taps.
+    """Softmax over the tap axis of [..., taps, H, W] logits, optionally restricted to valid taps.
 
-    Returns weights in [H, W, taps] layout. The center tap is always valid,
-    so every query has at least one participating tap.
+    Returns weights in [..., H, W, taps] layout. The center tap is always
+    valid, so every query has a finite maximum and masked taps get exp(-inf) = 0.
     """
-    if mask_thw is None:
-        m = np.max(logits_thw, axis=0, keepdims=True)
-        e = np.exp(logits_thw - m)
-    else:
-        neg = np.asarray(-np.inf, dtype=logits_thw.dtype)
-        masked = np.where(mask_thw, logits_thw, neg)
-        m = np.max(masked, axis=0, keepdims=True)
-        e = np.exp(masked - m)
-        e[~mask_thw] = 0.0
-    weights = e / np.sum(e, axis=0, keepdims=True)
-    return np.ascontiguousarray(np.moveaxis(weights, 0, -1))
+    if mask_thw is not None:
+        logits_thw = np.where(mask_thw, logits_thw, np.asarray(-np.inf, dtype=logits_thw.dtype))
+    m = np.max(logits_thw, axis=-3, keepdims=True)
+    e = np.exp(logits_thw - m)
+    weights = e / np.sum(e, axis=-3, keepdims=True)
+    return np.ascontiguousarray(np.moveaxis(weights, -3, -1))
 
 
 def swda_forward(
@@ -165,7 +163,7 @@ def swda_forward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Blocked forward pass. Returns (output, weights or None).
 
-    Weights, when requested, are [H, W, w*w] in ascending tap order; in
+    Weights, when requested, are [..., H, W, w*w] in ascending tap order; in
     masked mode out-of-bounds taps carry weight 0.
     """
     out, state = swda_forward_with_state(q, k, v, cfg)
@@ -176,17 +174,16 @@ def swda_forward_with_state(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: SwdaConfig
 ) -> tuple[np.ndarray, SwdaState]:
     _check_qkv(q, k, v, cfg)
-    H, W, d = q.shape
-    add_macs(2 * H * W * cfg.taps * d)  # logits + value reduction
+    add_macs(2 * q.size * cfg.taps)  # logits + value reduction, every leading index
 
     panels_k = _gather_panels(k, cfg)
     panels_v = _gather_panels(v, cfg)
-    mask = None if cfg.edge_mode == "zero_pad" else _valid_mask(H, W, cfg)
+    mask = None if cfg.edge_mode == "zero_pad" else _valid_mask(*q.shape[-3:-1], cfg)
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
 
-    logits = np.einsum("hwd,thwd->thw", q, panels_k) * scale
+    logits = np.einsum("...hwd,...thwd->...thw", q, panels_k) * scale
     weights = _softmax_taps(logits, mask)
-    out = np.einsum("hwt,thwd->hwd", weights, panels_v)
+    out = np.einsum("...hwt,...thwd->...hwd", weights, panels_v)
     return out, SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
 
 
@@ -197,8 +194,10 @@ def swda_forward_naive(
     cfg: SwdaConfig,
     return_weights: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reference forward: explicit per-query gather in ascending query order."""
+    """Reference forward on one [H, W, d] map: per-query gather in ascending query order."""
     _check_qkv(q, k, v, cfg)
+    if q.ndim != 3:
+        raise ShapeError(f"the naive reference takes one [H, W, d] map, got {q.shape}")
     H, W, d = q.shape
     add_macs(2 * H * W * cfg.taps * d)
     scale = 1.0 / math.sqrt(cfg.d_k)
@@ -240,7 +239,7 @@ def swda_backward(
         raise ContractError("swda_backward requires the saved forward state")
     cfg = cfg or state.cfg
     q, k, v, a = state.q, state.k, state.v, state.weights
-    H, W, d = q.shape
+    H, W, d = q.shape[-3:]
     if grad_out.shape != q.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != output shape {q.shape}")
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
@@ -249,32 +248,34 @@ def swda_backward(
     panels_k = _gather_panels(k, cfg)
     panels_v = _gather_panels(v, cfg)
 
-    grad_a = np.einsum("hwd,thwd->hwt", grad_out, panels_v)
+    grad_a = np.einsum("...hwd,...thwd->...hwt", grad_out, panels_v)
     # Softmax Jacobian-vector product over the tap axis.
     inner = np.sum(a * grad_a, axis=-1, keepdims=True)
     grad_logits = a * (grad_a - inner)
 
-    grad_q = np.einsum("hwt,thwd->hwd", grad_logits, panels_k) * scale
-    grad_kp = np.zeros((H + 2 * m, W + 2 * m, d), dtype=q.dtype)
+    grad_q = np.einsum("...hwt,...thwd->...hwd", grad_logits, panels_k) * scale
+    grad_kp = np.zeros(q.shape[:-3] + (H + 2 * m, W + 2 * m, d), dtype=q.dtype)
     grad_vp = np.zeros_like(grad_kp)
     for t, (p, qq) in enumerate(tap_offsets(cfg.w)):
         sl_h = slice(m + p * cfg.r, m + p * cfg.r + H)
         sl_w = slice(m + qq * cfg.r, m + qq * cfg.r + W)
-        grad_kp[sl_h, sl_w, :] += grad_logits[:, :, t, None] * q * scale
-        grad_vp[sl_h, sl_w, :] += a[:, :, t, None] * grad_out
-    grad_k = grad_kp[m : m + H, m : m + W, :]
-    grad_v = grad_vp[m : m + H, m : m + W, :]
+        grad_kp[..., sl_h, sl_w, :] += grad_logits[..., t, None] * q * scale
+        grad_vp[..., sl_h, sl_w, :] += a[..., t, None] * grad_out
+    grad_k = grad_kp[..., m : m + H, m : m + W, :]
+    grad_v = grad_vp[..., m : m + H, m : m + W, :]
     return grad_q, np.ascontiguousarray(grad_k), np.ascontiguousarray(grad_v)
 
 
 def swda_backward_naive(
     grad_out: np.ndarray, state: SwdaState, cfg: SwdaConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference adjoint: per-query scatter in ascending query order."""
+    """Reference adjoint on one [H, W, d] map: per-query scatter in ascending query order."""
     if state is None or state.weights is None:
         raise ContractError("swda_backward requires the saved forward state")
     cfg = cfg or state.cfg
     q, k, v, a = state.q, state.k, state.v, state.weights
+    if q.ndim != 3:
+        raise ShapeError(f"the naive reference takes one [H, W, d] map, got {q.shape}")
     H, W, d = q.shape
     scale = 1.0 / math.sqrt(cfg.d_k)
     grad_q = np.zeros_like(q)

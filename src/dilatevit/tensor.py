@@ -1,10 +1,12 @@
 """Dense tensor primitives every higher layer is built from.
 
 A "tensor" throughout this library is a C-contiguous numpy array of float32
-or float64; feature maps are channels-last ``[H, W, C]`` so a gathered window
-of key vectors is one contiguous read per channel. All ops are pure functions
-of their inputs: no hidden state, fixed reduction order, bit-identical results
-across runs and thread counts.
+or float64; feature maps are channels-last ``[..., H, W, C]`` so a gathered
+window of key vectors is one contiguous read per channel. Any leading axes
+are batch axes: an op maps each leading index independently, and a kernel
+gradient sums over them. All ops are pure functions of their inputs: no
+hidden state, fixed reduction order, bit-identical results across runs and
+thread counts.
 
 dtype policy: float32 is the runtime default; float64 is used for oracle
 comparisons and gradient checks.
@@ -108,12 +110,12 @@ def conv_output_extent(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def _check_conv_args(x, kernel, stride, zero_pad, groups):
-    if x.ndim != 3 or kernel.ndim != 4:
+    if x.ndim < 3 or kernel.ndim != 4:
         raise ShapeError(
-            f"conv2d expects x [H,W,Cin] and kernel [kh,kw,Cin/groups,Cout], got {x.shape} and {kernel.shape}"
+            f"conv2d expects x [..., H,W,Cin] and kernel [kh,kw,Cin/groups,Cout], got {x.shape} and {kernel.shape}"
         )
     kh, kw, kc, cout = kernel.shape
-    cin = x.shape[2]
+    cin = x.shape[-1]
     if cin % groups != 0 or cout % groups != 0:
         raise ShapeError(
             f"conv2d channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}"
@@ -124,8 +126,8 @@ def _check_conv_args(x, kernel, stride, zero_pad, groups):
         )
     if stride < 1 or zero_pad < 0:
         raise ValueError(f"conv2d stride must be >= 1 and pad >= 0, got {stride}, {zero_pad}")
-    h_out = conv_output_extent(x.shape[0], kh, stride, zero_pad)
-    w_out = conv_output_extent(x.shape[1], kw, stride, zero_pad)
+    h_out = conv_output_extent(x.shape[-3], kh, stride, zero_pad)
+    w_out = conv_output_extent(x.shape[-2], kw, stride, zero_pad)
     if h_out < 1 or w_out < 1:
         raise ShapeError(
             f"conv2d output would be empty: input {x.shape}, kernel {kernel.shape}, stride {stride}, pad {zero_pad}"
@@ -133,38 +135,43 @@ def _check_conv_args(x, kernel, stride, zero_pad, groups):
     return h_out, w_out
 
 
+def pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the H and W axes of x [..., H, W, C] by ``pad`` on each side."""
+    return np.pad(x, ((0, 0),) * (x.ndim - 3) + ((pad, pad), (pad, pad), (0, 0)))
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold x [H,W,C] into patches [H', W', kh*kw*C] (tap-major, ascending)."""
-    h_out = conv_output_extent(x.shape[0], kh, stride, pad)
-    w_out = conv_output_extent(x.shape[1], kw, stride, pad)
-    c = x.shape[2]
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    cols = np.empty((h_out, w_out, kh * kw, c), dtype=x.dtype)
+    """Unfold x [..., H,W,C] into patches [..., H', W', kh*kw*C] (tap-major, ascending)."""
+    h_out = conv_output_extent(x.shape[-3], kh, stride, pad)
+    w_out = conv_output_extent(x.shape[-2], kw, stride, pad)
+    lead, c = x.shape[:-3], x.shape[-1]
+    xp = pad_hw(x, pad)
+    cols = np.empty(lead + (h_out, w_out, kh * kw, c), dtype=x.dtype)
     for a in range(kh):
         for b in range(kw):
-            cols[:, :, a * kw + b, :] = xp[
-                a : a + stride * h_out : stride, b : b + stride * w_out : stride, :
+            cols[..., a * kw + b, :] = xp[
+                ..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :
             ]
-    return cols.reshape(h_out, w_out, kh * kw * c)
+    return cols.reshape(lead + (h_out, w_out, kh * kw * c))
 
 
 def col2im(
     cols: np.ndarray, h: int, w: int, c: int, kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to an [h,w,c] map.
+    """Adjoint of :func:`im2col`: scatter-add patches back to an [..., h,w,c] map.
 
     Accumulation runs in ascending (kh, kw) tap order; within one tap every
     target element receives exactly one contribution.
     """
-    h_out, w_out = cols.shape[0], cols.shape[1]
-    cols4 = cols.reshape(h_out, w_out, kh * kw, c)
-    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    lead, h_out, w_out = cols.shape[:-3], cols.shape[-3], cols.shape[-2]
+    cols4 = cols.reshape(lead + (h_out, w_out, kh * kw, c))
+    xp = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for a in range(kh):
         for b in range(kw):
-            xp[a : a + stride * h_out : stride, b : b + stride * w_out : stride, :] += cols4[
-                :, :, a * kw + b, :
+            xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :] += cols4[
+                ..., a * kw + b, :
             ]
-    return xp[pad : pad + h, pad : pad + w, :]
+    return xp[..., pad : pad + h, pad : pad + w, :]
 
 
 def conv2d(
@@ -174,40 +181,40 @@ def conv2d(
     zero_pad: int = 0,
     groups: int = 1,
 ) -> np.ndarray:
-    """Cross-correlation of x [H,W,Cin] with kernel [kh,kw,Cin/groups,Cout].
+    """Cross-correlation of x [..., H,W,Cin] with kernel [kh,kw,Cin/groups,Cout].
 
     ``groups == Cin`` with ``Cout == Cin`` is the depth-wise case and takes a
     dedicated slice-accumulate path (no im2col materialization).
     """
     h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
     kh, kw, _, cout = kernel.shape
-    cin = x.shape[2]
-    macs = h_out * w_out * cout * kh * kw * (cin // groups)
+    lead, cin = x.shape[:-3], x.shape[-1]
+    macs = math.prod(lead) * h_out * w_out * cout * kh * kw * (cin // groups)
 
     if groups == 1:
         add_macs(macs)
         cols = im2col(x, kh, kw, stride, zero_pad)
         kmat = kernel.reshape(kh * kw * cin, cout)
-        out = cols.reshape(h_out * w_out, -1) @ kmat
-        return out.reshape(h_out, w_out, cout)
+        out = cols.reshape(-1, kmat.shape[0]) @ kmat
+        return out.reshape(lead + (h_out, w_out, cout))
 
     if groups == cin and cout == cin:
         add_macs(macs)
-        xp = np.pad(x, ((zero_pad, zero_pad), (zero_pad, zero_pad), (0, 0)))
-        out = np.zeros((h_out, w_out, cout), dtype=x.dtype)
+        xp = pad_hw(x, zero_pad)
+        out = np.zeros(lead + (h_out, w_out, cout), dtype=x.dtype)
         for a in range(kh):
             for b in range(kw):
                 out += (
-                    xp[a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
+                    xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
                     * kernel[a, b, 0, :]
                 )
         return out
 
     cg_in, cg_out = cin // groups, cout // groups
-    out = np.empty((h_out, w_out, cout), dtype=x.dtype)
+    out = np.empty(lead + (h_out, w_out, cout), dtype=x.dtype)
     for g in range(groups):  # each groups=1 call counts its own MACs
-        out[:, :, g * cg_out : (g + 1) * cg_out] = conv2d(
-            np.ascontiguousarray(x[:, :, g * cg_in : (g + 1) * cg_in]),
+        out[..., g * cg_out : (g + 1) * cg_out] = conv2d(
+            np.ascontiguousarray(x[..., g * cg_in : (g + 1) * cg_in]),
             kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
             stride,
             zero_pad,
@@ -224,47 +231,46 @@ def conv2d_backward(
     zero_pad: int,
     groups: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of :func:`conv2d` w.r.t. input and kernel."""
+    """Gradients of :func:`conv2d` w.r.t. input and kernel (summed over leading axes)."""
     kh, kw, _, cout = kernel.shape
-    cin = x.shape[2]
-    h, w = x.shape[0], x.shape[1]
+    h, w, cin = x.shape[-3:]
+    h_out, w_out = grad_out.shape[-3], grad_out.shape[-2]
 
     if groups == 1:
         cols = im2col(x, kh, kw, stride, zero_pad)
-        h_out, w_out = grad_out.shape[0], grad_out.shape[1]
-        gmat = grad_out.reshape(h_out * w_out, cout)
-        grad_kernel = (cols.reshape(h_out * w_out, -1).T @ gmat).reshape(kernel.shape)
+        gmat = grad_out.reshape(-1, cout)
+        grad_kernel = (cols.reshape(gmat.shape[0], -1).T @ gmat).reshape(kernel.shape)
         gcols = (gmat @ kernel.reshape(kh * kw * cin, cout).T).reshape(
-            h_out, w_out, kh * kw * cin
+            grad_out.shape[:-1] + (kh * kw * cin,)
         )
         grad_x = col2im(gcols, h, w, cin, kh, kw, stride, zero_pad)
         return grad_x, grad_kernel
 
     if groups == cin and cout == cin:
-        h_out, w_out = grad_out.shape[0], grad_out.shape[1]
-        xp = np.pad(x, ((zero_pad, zero_pad), (zero_pad, zero_pad), (0, 0)))
+        xp = pad_hw(x, zero_pad)
         grad_xp = np.zeros_like(xp)
         grad_kernel = np.zeros_like(kernel)
+        axes = tuple(range(x.ndim - 1))
         for a in range(kh):
             for b in range(kw):
                 sl_h = slice(a, a + stride * h_out, stride)
                 sl_w = slice(b, b + stride * w_out, stride)
-                grad_kernel[a, b, 0, :] = np.sum(xp[sl_h, sl_w, :] * grad_out, axis=(0, 1))
-                grad_xp[sl_h, sl_w, :] += grad_out * kernel[a, b, 0, :]
-        return grad_xp[zero_pad : zero_pad + h, zero_pad : zero_pad + w, :], grad_kernel
+                grad_kernel[a, b, 0, :] = np.sum(xp[..., sl_h, sl_w, :] * grad_out, axis=axes)
+                grad_xp[..., sl_h, sl_w, :] += grad_out * kernel[a, b, 0, :]
+        return grad_xp[..., zero_pad : zero_pad + h, zero_pad : zero_pad + w, :], grad_kernel
 
     cg_in, cg_out = cin // groups, cout // groups
     grad_x = np.empty_like(x)
     grad_kernel = np.empty_like(kernel)
     for g in range(groups):
         gx, gk = conv2d_backward(
-            np.ascontiguousarray(grad_out[:, :, g * cg_out : (g + 1) * cg_out]),
-            np.ascontiguousarray(x[:, :, g * cg_in : (g + 1) * cg_in]),
+            np.ascontiguousarray(grad_out[..., g * cg_out : (g + 1) * cg_out]),
+            np.ascontiguousarray(x[..., g * cg_in : (g + 1) * cg_in]),
             kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
             stride,
             zero_pad,
             groups=1,
         )
-        grad_x[:, :, g * cg_in : (g + 1) * cg_in] = gx
+        grad_x[..., g * cg_in : (g + 1) * cg_in] = gx
         grad_kernel[:, :, :, g * cg_out : (g + 1) * cg_out] = gk
     return grad_x, grad_kernel

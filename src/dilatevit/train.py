@@ -39,17 +39,10 @@ def batch_loss(
     images: np.ndarray,
     labels: np.ndarray,
 ):
-    """Mean cross-entropy over a batch on one tape; returns (tape, loss node)."""
-    tape = Tape()
-    g = graph(tape)
-    losses = []
-    for img, label in zip(images, labels):
-        logits = model_mod.forward(g, g.leaf(img), config, params)
-        losses.append(g.softmax_cross_entropy(logits, int(label)))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = g.add(total, extra)
-    return tape, g.scale(total, 1.0 / len(losses))
+    """Mean cross-entropy of one forward over the [B, S, S, C] batch; returns (tape, loss node)."""
+    g = graph(Tape())
+    logits = model_mod.forward(g, g.leaf(images), config, params)
+    return g.tape, g.softmax_cross_entropy(logits, labels)
 
 
 def accuracy(config: ModelConfig, params, images: np.ndarray, labels: np.ndarray) -> float:

@@ -214,40 +214,46 @@ def test_criterion_06_multiscale_zero_overhead():
 # -- 7. scaling property --------------------------------------------------------
 
 
-def _median_ns(fn, reps=9, warmup=2):
-    for _ in range(warmup):
-        fn()
-    samples = []
+def _round_robin_medians(fns, reps=9, warmup=2):
+    """Median ns of each fn: all are warmed before any is timed, then each
+    repetition times every fn once, so host drift falls on all sizes alike."""
+    for fn in fns.values():
+        for _ in range(warmup):
+            fn()
+    samples = {key: [] for key in fns}
     for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - t0)
-    return statistics.median(samples)
+        for key, fn in fns.items():
+            t0 = time.perf_counter_ns()
+            fn()
+            samples[key].append(time.perf_counter_ns() - t0)
+    return {key: statistics.median(ns) for key, ns in samples.items()}
 
 
 def test_criterion_07_scaling():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     cfg = SwdaConfig(w=3, r=3, d_k=24)
-    swda_per_query = {}
+    swda_runs = {}
     for size in (28, 56, 112):
         q, k, v = (rng.standard_normal((size, size, 24)).astype(np.float32) for _ in range(3))
-        swda_per_query[size] = _median_ns(lambda: swda_forward(q, k, v, cfg)) / (size * size)
-    swda_ratio = max(swda_per_query.values()) / min(swda_per_query.values())
+        swda_runs[size] = lambda q=q, k=k, v=v: swda_forward(q, k, v, cfg)
+    swda_per_query = [ns / (s * s) for s, ns in _round_robin_medians(swda_runs).items()]
+    swda_ratio = max(swda_per_query) / min(swda_per_query)
 
     dim = 24
     spec = MsdaBlockSpec(dim=dim, n_heads=1, dilation_rates=(1,))
     params = make_block_params_f32(spec, "m", rng)
-    mhsa_per_query = {}
+    mhsa_runs = {}
     for size in (28, 56):
         x = rng.standard_normal((size, size, dim)).astype(np.float32)
 
-        def run():
+        def run(x=x):
             g = graph(Tape())
             mhsa_attention(g, g.leaf(x), 1, params, "m", spec=spec)
 
-        mhsa_per_query[size] = _median_ns(run) / (size * size)
-    mhsa_growth = mhsa_per_query[56] / mhsa_per_query[28]
+        mhsa_runs[size] = run
+    mhsa_ns = _round_robin_medians(mhsa_runs)
+    mhsa_growth = (mhsa_ns[56] / 56**2) / (mhsa_ns[28] / 28**2)
     elapsed = time.perf_counter() - start
     ok = swda_ratio < 2.0 and mhsa_growth >= 4.0 and elapsed < 120.0
     report(

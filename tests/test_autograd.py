@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dilatevit.autograd import (
+    NoRecordTape,
     Parameter,
     Tape,
     accumulate_param_grads,
@@ -93,6 +94,55 @@ class TestBackwardBasics:
         with pytest.raises(ShapeError, match="permute"):
             g.transpose(g.leaf(np.zeros((2, 3, 4))), (0, 1, 1))
 
+    def test_no_record_tape_keeps_nothing_and_refuses_backward(self):
+        p = Parameter("p", np.arange(3.0))
+        g = graph(NoRecordTape())
+        loss = g.sum_all(g.mul(g.param(p), g.leaf(np.full(3, 2.0))))
+        assert float(loss.data) == 6.0
+        assert loss.parents == () and loss.backward_fn is None
+        assert g.tape.nodes == [] and g.tape.param_nodes == {}
+        with pytest.raises(ContractError, match="recording"):
+            backward(g.tape, loss)
+
+
+class TestBatchAxis:
+    """Leading axes of pooling and cross-entropy are batch: a per-image loop gives the same."""
+
+    def test_global_avg_pool_matches_per_image_loop(self):
+        x_val = np.random.default_rng(6).standard_normal((3, 4, 5, 6))
+        g = graph(Tape())
+        x = g.leaf(x_val)
+        pooled = g.global_avg_pool(x)
+        gout = np.random.default_rng(7).standard_normal((3, 6))
+        grad = backward(g.tape, weighted_sum_loss(g, pooled, gout))[x.id]
+        for b in range(3):
+            gb = graph(Tape())
+            xb = gb.leaf(x_val[b])
+            pb = gb.global_avg_pool(xb)
+            assert np.array_equal(pooled.data[b], pb.data)
+            assert np.array_equal(grad[b], backward(gb.tape, weighted_sum_loss(gb, pb, gout[b]))[xb.id])
+
+    def test_cross_entropy_is_the_mean_of_per_row_losses(self):
+        rng = np.random.default_rng(8)
+        z_val, labels = rng.standard_normal((4, 5)), np.array([0, 3, 3, 1])
+        g = graph(Tape())
+        z = g.leaf(z_val)
+        loss = g.softmax_cross_entropy(z, labels)
+        grad = backward(g.tape, loss)[z.id]
+        rows = []
+        for b in range(4):
+            gb = graph(Tape())
+            zb = gb.leaf(z_val[b])
+            lb = gb.softmax_cross_entropy(zb, int(labels[b]))
+            rows.append((float(lb.data), backward(gb.tape, lb)[zb.id]))
+        assert abs(float(loss.data) - np.mean([l for l, _ in rows])) <= 1e-12
+        assert np.abs(grad - np.stack([gr for _, gr in rows]) / 4).max() <= 1e-12
+
+    def test_cross_entropy_needs_one_label_per_row(self):
+        g = graph(Tape())
+        with pytest.raises(ShapeError, match="label"):
+            g.softmax_cross_entropy(g.leaf(np.zeros((4, 5))), np.array([0, 1]))
+
 
 def weighted_sum_loss(g, node, weights):
     return g.sum_all(g.mul(node, g.leaf(weights)))
@@ -120,6 +170,10 @@ class TestPerOpGradients:
             self._case_transpose,
             self._case_pool,
             self._case_cross_entropy,
+            self._case_batched_conv,
+            self._case_batched_swda,
+            self._case_batched_pool,
+            self._case_batched_cross_entropy,
         ]
         failures = []
         for i in range(self.CASES):
@@ -313,6 +367,54 @@ class TestPerOpGradients:
         def build():
             g = graph(Tape())
             return g.tape, g.softmax_cross_entropy(g.param(params["x"]), label)
+
+        return build, params
+
+    def _case_batched_conv(self, rng):
+        cin, cout, groups = [(2, 3, 1), (3, 3, 3), (4, 6, 2)][int(rng.integers(0, 3))]
+        params = {
+            "x": Parameter("x", rng.standard_normal((2, 4, 4, cin))),
+            "k": Parameter("k", rng.standard_normal((3, 3, cin // groups, cout))),
+        }
+        w = rng.standard_normal((2, 4, 4, cout))
+
+        def build():
+            g = graph(Tape())
+            out = g.conv2d(g.param(params["x"]), g.param(params["k"]), stride=1, zero_pad=1, groups=groups)
+            return g.tape, weighted_sum_loss(g, out, w)
+
+        return build, params
+
+    def _case_batched_swda(self, rng):
+        cfg = SwdaConfig(w=3, r=int(rng.integers(1, 3)), d_k=2,
+                         edge_mode="zero_pad" if rng.integers(0, 2) == 0 else "masked")
+        params = {name: Parameter(name, rng.standard_normal((2, 3, 4, 2))) for name in ("q", "k", "v")}
+        w = rng.standard_normal((2, 3, 4, 2))
+
+        def build():
+            g = graph(Tape())
+            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
+            return g.tape, weighted_sum_loss(g, out, w)
+
+        return build, params
+
+    def _case_batched_pool(self, rng):
+        params = {"x": Parameter("x", rng.standard_normal((2, 3, 4, 5)))}
+        w = rng.standard_normal((2, 5))
+
+        def build():
+            g = graph(Tape())
+            return g.tape, weighted_sum_loss(g, g.global_avg_pool(g.param(params["x"])), w)
+
+        return build, params
+
+    def _case_batched_cross_entropy(self, rng):
+        params = {"x": Parameter("x", rng.standard_normal((3, 6)))}
+        labels = rng.integers(0, 6, size=3)
+
+        def build():
+            g = graph(Tape())
+            return g.tape, g.softmax_cross_entropy(g.param(params["x"]), labels)
 
         return build, params
 

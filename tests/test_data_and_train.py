@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dilatevit import model
+from dilatevit.autograd import accumulate_param_grads, backward, zero_grads
 from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.errors import ConfigError
 from dilatevit.train import accuracy, batch_loss, train
@@ -47,6 +48,34 @@ class TestTrainLoop:
         tape, loss = batch_loss(config, params, images, labels)
         assert loss.data.shape == ()
         assert np.isfinite(loss.data)
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_batch_gradients_are_the_mean_of_single_image_gradients(self, dtype, bound):
+        # f32 bound: a 1,024-row sum rounds at about sqrt(1024) * 6e-8 = 2e-6 relative.
+        config = model.toy()
+        params = model.init_params(config, seed=1, dtype=dtype)
+        images, labels = make_dataset(4, DatasetSpec(classes=4, size=32), seed=5)
+        images = images.astype(dtype)
+
+        def grads(idx):
+            tape, loss = batch_loss(config, params, images[idx], labels[idx])
+            zero_grads(params)
+            accumulate_param_grads(tape, backward(tape, loss))
+            return {name: p.grad.copy() for name, p in params.items()}
+
+        batched = grads(slice(0, 4))
+        singles = [grads(slice(i, i + 1)) for i in range(4)]
+        for name, g in batched.items():
+            mean = sum(s[name] for s in singles) / 4
+            assert np.abs(g - mean).max() <= bound * np.abs(mean).max(), name
+
+    def test_batch_loss_is_one_forward(self):
+        config = model.toy()
+        params = model.init_params(config, seed=0)
+        images, labels = make_dataset(16, DatasetSpec(classes=4, size=32), seed=0)
+        one, _ = batch_loss(config, params, images[:1], labels[:1])
+        sixteen, _ = batch_loss(config, params, images, labels)
+        assert len(sixteen.nodes) == len(one.nodes)
 
     def test_accuracy_at_init_is_near_chance(self):
         config = model.toy()

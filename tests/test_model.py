@@ -1,5 +1,7 @@
 """Model assembly: shape chain, patterns, params, checkpoints, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,37 @@ class TestForward:
         assert logits.shape == (2, 4)
         single = model.predict(config, params, image)
         assert np.array_equal(logits[0], single)
+
+    def test_predict_records_no_tape_and_matches_a_recording_forward(self, toy_setup):
+        config, params, image = toy_setup
+        g = graph(Tape())
+        recorded = model.forward(g, g.leaf(image), config, params).data
+        assert np.array_equal(model.predict(config, params, image), recorded)
+
+    def test_tiny_predict_peak_memory(self):
+        cfg = model.tiny()
+        params = model.init_params(cfg, seed=0)
+        img = np.random.default_rng(1).standard_normal((224, 224, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.predict(cfg, params, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A recording tape holds every intermediate of the pass: 219 MB.
+        assert peak < 60e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_batched_forward_matches_per_image_forwards(self, toy_setup):
+        config = toy_setup[0]
+        params = model.init_params(config, seed=0, dtype=np.float64)
+        images = np.random.default_rng(3).standard_normal((3, 32, 32, 3))
+        g = graph(Tape())
+        logits = model.forward(g, g.leaf(images), config, params).data
+        assert logits.shape == (3, 4)
+        for b in range(3):
+            gb = graph(Tape())
+            single = model.forward(gb, gb.leaf(images[b]), config, params).data
+            assert np.abs(logits[b] - single).max() <= 1e-12
 
     def test_tiny_logits_shape_at_224(self):
         cfg = model.tiny()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dilatevit.autograd import Parameter, Tape, finite_diff_check, graph
-from dilatevit.errors import ConfigError, ShapeError
+from dilatevit.errors import ConfigError, ContractError, ShapeError
 from dilatevit.msda import (
     MsdaBlockSpec,
     block_param_shapes,
@@ -143,6 +143,18 @@ class TestMsdaAttention:
         x = g.leaf(np.zeros((3, 3, 12)))
         with pytest.raises(ShapeError, match="12 channels"):
             g.swda(x, x, x, cfgs)
+
+    @pytest.mark.parametrize("kind", ["MSDA", "MHSA"])
+    def test_attention_sink_refuses_a_batch_axis(self, kind):
+        spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=(1,))
+        params = identity_qkv_params(spec, "m")
+        g = graph(Tape())
+        x = g.leaf(np.zeros((2, 3, 3, 4)))
+        with pytest.raises(ContractError, match="sink"):
+            if kind == "MSDA":
+                msda_attention(g, x, spec, params, "m", attn_sink=[])
+            else:
+                mhsa_attention(g, x, 1, params, "m", spec=spec, attn_sink=[])
 
     def test_requires_rates(self):
         spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=())

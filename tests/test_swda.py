@@ -6,6 +6,7 @@ import pytest
 from oracles import chebyshev_masked_attention, dense_full_attention, dense_window_oracle
 
 from dilatevit import runtime
+from dilatevit.counting import mac_counter
 from dilatevit.errors import ConfigError, ContractError, ShapeError
 from dilatevit.swda import (
     SwdaConfig,
@@ -192,6 +193,36 @@ class TestBlockedVsNaive:
             naive = swda_backward_naive(gout, state)
             for a, b in zip(blocked, naive):
                 assert np.abs(a - b).max() < 1e-12
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("mode", ["zero_pad", "masked"])
+    def test_matches_per_image_loop(self, mode):
+        rng = np.random.default_rng(12)
+        cfg = SwdaConfig(w=3, r=2, d_k=4, edge_mode=mode)
+        q, k, v = (rng.standard_normal((3, 5, 6, 4)) for _ in range(3))
+        gout = rng.standard_normal(q.shape)
+        with mac_counter() as batched_macs:
+            out, state = swda_forward_with_state(q, k, v, cfg)
+        grads = swda_backward(gout, state)
+        with mac_counter() as single_macs:
+            swda_forward_with_state(q[0], k[0], v[0], cfg)
+        assert batched_macs.macs == 3 * single_macs.macs
+        for b in range(3):
+            out_b, state_b = swda_forward_with_state(q[b], k[b], v[b], cfg)
+            assert np.array_equal(out[b], out_b)
+            assert np.array_equal(state.weights[b], state_b.weights)
+            for full, part in zip(grads, swda_backward(gout[b], state_b)):
+                assert np.array_equal(full[b], part)
+
+    def test_naive_references_take_one_map(self):
+        cfg = SwdaConfig(w=3, r=1, d_k=2)
+        q = np.zeros((2, 3, 3, 2))
+        with pytest.raises(ShapeError, match="one"):
+            swda_forward_naive(q, q, q, cfg)
+        _, state = swda_forward_with_state(q, q, q, cfg)
+        with pytest.raises(ShapeError, match="one"):
+            swda_backward_naive(q, state)
 
 
 class TestBackward:

@@ -166,6 +166,36 @@ class TestConv2d:
             T.conv2d(np.ones((4, 4, 3)), np.ones((3, 3, 1, 3)), groups=2)
 
 
+class TestConv2dBatchAxis:
+    """[B, H, W, C] input equals a per-image loop of the same op, B times the MACs."""
+
+    # groups=1 (strided), depth-wise, grouped: (Cin, kernel shape, stride, groups)
+    CASES = [(3, (3, 3, 3, 4), 2, 1), (4, (3, 3, 1, 4), 1, 4), (4, (3, 3, 2, 6), 1, 2)]
+
+    @pytest.mark.parametrize("cin, kshape, stride, groups", CASES, ids=["dense", "depthwise", "grouped"])
+    def test_matches_per_image_loop(self, cin, kshape, stride, groups):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 6, 5, cin))
+        kernel = rng.standard_normal(kshape)
+        with mac_counter() as batched_macs:
+            out = T.conv2d(x, kernel, stride, 1, groups)
+        with mac_counter() as single_macs:
+            T.conv2d(x[0], kernel, stride, 1, groups)
+        assert batched_macs.macs == 3 * single_macs.macs
+        per_image = np.stack([T.conv2d(xi, kernel, stride, 1, groups) for xi in x])
+        gout = rng.standard_normal(out.shape)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, groups)
+        loop = [T.conv2d_backward(g, xi, kernel, stride, 1, groups) for g, xi in zip(gout, x)]
+        gx_loop, gk_loop = np.stack([a for a, _ in loop]), sum(b for _, b in loop)
+        if groups == cin:  # depth-wise: slice-accumulate, no BLAS, same arithmetic per image
+            assert np.array_equal(out, per_image) and np.array_equal(gx, gx_loop)
+        else:
+            assert np.abs(out - per_image).max() <= 1e-12
+            assert np.abs(gx - gx_loop).max() <= 1e-12
+        # The kernel gradient sums over the batch in one reduction, not image by image.
+        assert np.abs(gk - gk_loop).max() <= 1e-12 * np.abs(gk_loop).max()
+
+
 class TestLayernorm:
     def test_constant_token_collapses_to_beta(self):
         x = np.array([[5.0, 5.0, 5.0, 5.0]])

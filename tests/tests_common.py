@@ -45,6 +45,10 @@ BROKEN_MANIFESTS = {
     "absolute_file": _first_file_named(None),
     "dotdot_file": _first_file_named(".."),
     "missing_file": _first_file_named("absent.dft1"),
+    "no_dtype": lambda m, outside: json.dumps({k: v for k, v in m.items() if k != "dtype"}),
+    "unknown_dtype": lambda m, outside: json.dumps({**m, "dtype": "f16"}),
+    "dtype_not_a_string": lambda m, outside: json.dumps({**m, "dtype": ["f32"]}),
+    "dtype_disagrees_with_tensors": lambda m, outside: json.dumps({**m, "dtype": "f64"}),
 }
 
 
