@@ -293,13 +293,21 @@ class graph:
         return self.tape.record(x.data.mean(axis=(-3, -2)), (x,), back)
 
     def linear(self, x: Node, weight: Node, bias: Node | None = None) -> Node:
-        """x[..., Cin] @ weight[Cin, Cout] (+ bias) applied tokenwise."""
-        lead = x.data.shape[:-1]
-        flat = self.reshape(x, (-1, x.data.shape[-1]))
-        out = self.matmul(flat, weight)
+        """x[..., Cin] @ weight[Cin, Cout] (+ bias) applied tokenwise, as one node."""
+        flat = x.data.reshape(-1, x.data.shape[-1])
+        out = T.matmul(flat, weight.data)
         if bias is not None:
-            out = self.add_bias(out, bias)
-        return self.reshape(out, lead + (weight.data.shape[-1],))
+            if bias.data.shape != (out.shape[-1],):
+                raise ShapeError(f"bias shape {bias.data.shape} incompatible with {out.shape}")
+            out += bias.data
+
+        def back(g):
+            gf = g.reshape(-1, g.shape[-1])
+            grads = ((gf @ weight.data.T).reshape(x.data.shape), flat.T @ gf)
+            return grads if bias is None else grads + (gf.sum(0),)
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return self.tape.record(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, back)
 
     def softmax_cross_entropy(self, logits: Node, labels) -> Node:
         """Mean over the leading axes of -log softmax(logits)[..., label] for logits [..., K]."""

@@ -23,7 +23,7 @@ from . import dft1
 from .autograd import Node, NoRecordTape, Parameter, graph
 from .errors import ConfigError, FormatError
 from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, transformer_block, trunc_normal
-from .tensor import DTYPES
+from .tensor import DTYPE_NAMES, DTYPES
 
 CONFIG_FORMAT_VERSION = "1"
 
@@ -391,16 +391,20 @@ def load_config(path: str | os.PathLike) -> ModelConfig:
 def save_checkpoint(
     directory: str | os.PathLike, config: ModelConfig, params: dict[str, Parameter]
 ) -> None:
+    dtypes = {p.value.dtype for p in params.values()}
+    if len(dtypes) != 1 or not dtypes <= DTYPE_NAMES.keys():
+        raise FormatError(
+            f"a checkpoint holds one dtype, f32 or f64; the parameters are {sorted(map(str, dtypes))}"
+        )
     os.makedirs(directory, exist_ok=True)
     files = {}
     for name in sorted(params):
         fname = f"{name}.dft1"
         dft1.write_tensor(os.path.join(directory, fname), params[name].value)
         files[name] = fname
-    dtypes = {str(p.value.dtype) for p in params.values()}
     manifest = {
         "format_version": "1",
-        "dtype": "f64" if dtypes == {"float64"} else "f32",
+        "dtype": DTYPE_NAMES[dtypes.pop()],
         "config": config_to_dict(config),
         "files": files,
     }

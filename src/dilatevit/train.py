@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
-from .autograd import Parameter, Tape, accumulate_param_grads, backward, graph, sgd_step, zero_grads
+from .autograd import NoRecordTape, Parameter, Tape, accumulate_param_grads, backward, graph, sgd_step, zero_grads
 from .data import DatasetSpec, make_dataset
 from .model import ModelConfig
 
@@ -45,9 +45,16 @@ def batch_loss(
     return g.tape, g.softmax_cross_entropy(logits, labels)
 
 
-def accuracy(config: ModelConfig, params, images: np.ndarray, labels: np.ndarray) -> float:
-    logits = model_mod.predict(config, params, images)
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+def accuracy(
+    config: ModelConfig, params, images: np.ndarray, labels: np.ndarray, batch_size: int = 16
+) -> float:
+    """Top-1 accuracy from one untaped forward per slice of at most ``batch_size`` images."""
+    hits = 0
+    for s in range(0, len(images), batch_size):
+        g = graph(NoRecordTape())
+        logits = model_mod.forward(g, g.leaf(images[s : s + batch_size]), config, params).data
+        hits += int(np.sum(np.argmax(logits, axis=-1) == labels[s : s + batch_size]))
+    return hits / len(images)
 
 
 def train(
@@ -95,7 +102,7 @@ def train(
         window.append(float(loss.data))
 
         if step % steps_per_epoch == 0 or step == steps:
-            acc = accuracy(config, params, images, labels)
+            acc = accuracy(config, params, images, labels, batch_size)
             result.log.append(
                 TrainLogRow(
                     epoch=(step + steps_per_epoch - 1) // steps_per_epoch,
@@ -106,7 +113,7 @@ def train(
             )
             window = []
 
-    result.final_accuracy = accuracy(config, params, images, labels)
+    result.final_accuracy = accuracy(config, params, images, labels, batch_size)
     if result.log:
         result.final_loss = result.log[-1].loss
     return result

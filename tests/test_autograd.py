@@ -89,6 +89,17 @@ class TestBackwardBasics:
 
         assert np.abs(combined() - separate()).max() < 1e-12
 
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_linear_is_one_node(self, with_bias):
+        g = graph(Tape())
+        x, w = g.leaf(np.ones((2, 3, 4))), g.leaf(np.ones((4, 5)))
+        bias = g.leaf(np.arange(5.0)) if with_bias else None
+        before = len(g.tape.nodes)
+        out = g.linear(x, w, bias)
+        assert len(g.tape.nodes) == before + 1
+        assert out.parents == ((x, w, bias) if with_bias else (x, w))
+        assert np.array_equal(out.data, np.full((2, 3, 5), 4.0) + (np.arange(5.0) if with_bias else 0))
+
     def test_transpose_rejects_axes_that_are_not_a_permutation(self):
         g = graph(Tape())
         with pytest.raises(ShapeError, match="permute"):
@@ -174,6 +185,7 @@ class TestPerOpGradients:
             self._case_batched_swda,
             self._case_batched_pool,
             self._case_batched_cross_entropy,
+            self._case_linear,
         ]
         failures = []
         for i in range(self.CASES):
@@ -290,6 +302,25 @@ class TestPerOpGradients:
         def build():
             g = graph(Tape())
             out = g.linear(g.param(params["x"]), g.param(params["w"]), g.param(params["b"]))
+            return g.tape, weighted_sum_loss(g, out, w)
+
+        return build, params
+
+    def _case_linear(self, rng):
+        """1 to 3 axes in, with or without a bias."""
+        lead = tuple(int(n) for n in rng.integers(1, 4, int(rng.integers(0, 3))))
+        params = {
+            "x": Parameter("x", rng.standard_normal(lead + (4,))),
+            "w": Parameter("w", rng.standard_normal((4, 3))),
+        }
+        if rng.integers(2):
+            params["b"] = Parameter("b", rng.standard_normal(3))
+        w = rng.standard_normal(lead + (3,))
+
+        def build():
+            g = graph(Tape())
+            bias = g.param(params["b"]) if "b" in params else None
+            out = g.linear(g.param(params["x"]), g.param(params["w"]), bias)
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params

@@ -84,6 +84,14 @@ class TestTrainLoop:
         acc = accuracy(config, params, images, labels)
         assert 0.0 <= acc <= 0.6
 
+    def test_accuracy_slices_match_per_image_predictions(self):
+        config = model.toy()
+        params = model.init_params(config, seed=1)
+        images, labels = make_dataset(12, DatasetSpec(classes=4, size=32), seed=1)
+        hits = np.argmax(model.predict(config, params, images), axis=-1) == labels
+        for batch_size in (1, 5, 12, 64):
+            assert accuracy(config, params, images, labels, batch_size) == hits.mean()
+
     def test_short_run_reduces_loss(self):
         config = model.toy()
         result = train(config, steps=24, batch_size=8, seed=0)

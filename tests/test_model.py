@@ -275,6 +275,14 @@ class TestSerialization:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_save_refuses_a_mixed_dtype_tree_before_writing(self, tmp_path):
+        config = model.toy()
+        params = model.init_params(config, seed=0)
+        params["head.fc.bias"].value = params["head.fc.bias"].value.astype(np.float64)
+        with pytest.raises(FormatError, match="one dtype"):
+            model.save_checkpoint(tmp_path, config, params)
+        assert list(tmp_path.iterdir()) == []
+
     def test_load_checkpoint_requires_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             model.load_checkpoint(tmp_path)

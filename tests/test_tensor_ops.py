@@ -1,9 +1,11 @@
 """Tensor primitive contracts: hand cases, independent oracles, properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dilatevit import tensor as T
 from dilatevit.counting import mac_counter
@@ -237,6 +239,76 @@ class TestGelu:
     def test_against_erf_oracle_at_one(self):
         expected = 1.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         assert abs(T.gelu(np.array([1.0]))[0] - expected) < 1e-10
+
+
+def scipy_gelu(x):
+    """The float64 expressions of tensor.gelu and gelu_grad, on scipy.special.erf."""
+    one_plus_erf = (1.0 + erf(x * np.asarray(1.0 / math.sqrt(2.0), dtype=x.dtype))).astype(x.dtype)
+    phi = np.exp(-0.5 * x * x) * np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=x.dtype)
+    return x * np.asarray(0.5, dtype=x.dtype) * one_plus_erf, 0.5 * one_plus_erf + x * phi
+
+
+class TestGeluFloat32:
+    """float32 GELU runs a rational erf in chunks of T.CDF_CHUNK; float64 keeps scipy."""
+
+    EPS = float(np.finfo(np.float32).eps)
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """Values around the chunk size and each one's gelu and gelu_grad computed alone."""
+        x = (np.random.default_rng(13).standard_normal(T.CDF_CHUNK + 1) * 4).astype(np.float32)
+        return x, {f: np.concatenate([f(x[i : i + 1]) for i in range(x.size)]) for f in (T.gelu, T.gelu_grad)}
+
+    def test_within_4_eps_of_the_exact_float64_gelu_on_a_dense_sweep(self):
+        s2 = 4 * math.sqrt(2.0)
+        x = np.concatenate([np.linspace(-30, 30, 600_001), [0.0, -0.0, s2, -s2]]).astype(np.float32)
+        exact, exact_grad = scipy_gelu(x.astype(np.float64))
+        value_err = np.abs(T.gelu(x) - exact) / np.maximum(1.0, np.abs(x))
+        grad_err = np.abs(T.gelu_grad(x) - exact_grad) / np.maximum(1.0, np.abs(exact_grad))
+        assert value_err.max() <= 4 * self.EPS
+        assert grad_err.max() <= 4 * self.EPS
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_boundaries_do_not_change_any_element(self, alone, extra):
+        x, singles = alone
+        n = T.CDF_CHUNK + extra
+        for f, ref in singles.items():
+            assert np.array_equal(f(x[:n]), ref[:n]), f.__name__
+
+    def test_a_non_contiguous_channel_view_matches_elements_alone(self, alone):
+        x, singles = alone
+        shape = (2, 9, 10, 12)
+        index = np.arange(math.prod(shape)).reshape(shape)[..., 3:9]
+        view = x[: math.prod(shape)].reshape(shape)[..., 3:9]
+        assert not view.flags["C_CONTIGUOUS"]
+        for f, ref in singles.items():
+            assert np.array_equal(f(view), ref[index]), f.__name__
+
+    def test_special_values_behave_as_the_scipy_expression(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            for out, ref in zip((T.gelu(x), T.gelu_grad(x)), scipy_gelu(x)):
+                assert out.dtype == np.float32
+                assert np.array_equal(out, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(out), np.signbit(ref))
+            assert np.signbit(T.gelu(x)[1]) and T.gelu(x)[2] == np.inf and np.isnan(T.gelu(x)[4])
+
+    def test_float64_is_the_scipy_expression_bit_for_bit(self):
+        x = np.random.default_rng(14).standard_normal((3, 50, 7)) * 6
+        value, grad = scipy_gelu(x)
+        assert np.array_equal(T.gelu(x), value)
+        assert np.array_equal(T.gelu_grad(x), grad)
+
+    @pytest.mark.parametrize("fn", ["gelu", "gelu_grad"])
+    def test_peak_memory_is_the_output_and_chunk_scratch(self, fn):
+        x = np.random.default_rng(15).standard_normal((3136, 288)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = getattr(T, fn)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
 
 class TestDtypeAndPurity:
