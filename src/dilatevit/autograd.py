@@ -243,34 +243,39 @@ class graph:
 
         return self.tape.record(y, (x,), back)
 
-    def swda(self, q: Node, k: Node, v: Node, cfgs: tuple[_swda.SwdaConfig, ...],
+    def swda(self, qkv: Node, cfgs: tuple[_swda.SwdaConfig, ...],
              attn_sink: list | None = None, layer: str = "") -> Node:
-        """Dilated window attention, head i on channel view [i*d_k, (i+1)*d_k) with cfgs[i]."""
-        d_k = cfgs[0].d_k
-        if q.data.shape[-1] != len(cfgs) * d_k:
-            raise ShapeError(f"{q.data.shape[-1]} channels != {len(cfgs)} heads of d_k {d_k}")
-        if attn_sink is not None and q.data.ndim != 3:
-            raise ContractError(f"an attention sink needs one [H, W, C] map, got {q.data.shape}")
-        out = np.empty_like(q.data)
+        """Dilated window attention on a fused [..., 3C] q|k|v node, C = len(cfgs) * d_k.
+
+        Head i runs cfgs[i] on views of channels [i*d_k, (i+1)*d_k) of each C-wide
+        third and writes them to the same channels of the [..., C] output.
+        """
+        d_k, C = cfgs[0].d_k, len(cfgs) * cfgs[0].d_k
+        if qkv.data.shape[-1] != 3 * C:
+            raise ShapeError(f"{qkv.data.shape[-1]} channels != 3 x {len(cfgs)} heads of d_k {d_k}")
+        if attn_sink is not None and qkv.data.ndim != 3:
+            raise ContractError(f"an attention sink needs one [H, W, 3C] map, got {qkv.data.shape}")
+
+        def channels(i, j=0):  # head i's channels in the j-th C-wide third
+            return (..., slice(j * C + i * d_k, j * C + (i + 1) * d_k))
+
+        out = np.empty(qkv.data.shape[:-1] + (C,), dtype=qkv.data.dtype)
         states = []
         for i, cfg in enumerate(cfgs):
-            c = slice(i * d_k, (i + 1) * d_k)
-            out[..., c], state = _swda.swda_forward_with_state(
-                q.data[..., c], k.data[..., c], v.data[..., c], cfg
-            )
+            q, k, v = (qkv.data[channels(i, j)] for j in range(3))
+            out[channels(i)], state = _swda.swda_forward_with_state(q, k, v, cfg)
             states.append(state)
             if attn_sink is not None:
                 attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy()))
 
         def back(g):
-            grads = tuple(np.empty_like(q.data) for _ in range(3))
+            grad = np.empty_like(qkv.data)
             for i, state in enumerate(states):
-                c = slice(i * d_k, (i + 1) * d_k)
-                for full, part in zip(grads, _swda.swda_backward(g[..., c], state)):
-                    full[..., c] = part
-            return grads
+                for j, part in enumerate(_swda.swda_backward(g[channels(i)], state)):
+                    grad[channels(i, j)] = part
+            return (grad,)
 
-        return self.tape.record(out, (q, k, v), back)
+        return self.tape.record(out, (qkv,), back)
 
     def sum_all(self, x: Node) -> Node:
         return self.tape.record(

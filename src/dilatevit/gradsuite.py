@@ -84,16 +84,13 @@ def _swda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
     r = int(rng.integers(1, 4))
     mode = "zero_pad" if rng.integers(0, 2) == 0 else "masked"
     cfg = SwdaConfig(w=w, r=r, d_k=d, edge_mode=mode)
-    params = {
-        name: Parameter(name, rng.standard_normal((h, w_map, d)))
-        for name in ("q", "k", "v")
-    }
+    params = {"qkv": Parameter("qkv", rng.standard_normal((h, w_map, 3 * d)))}
     loss_w = rng.standard_normal((h, w_map, d))
 
     def build():
         tape = Tape()
         g = graph(tape)
-        out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
+        out = g.swda(g.param(params["qkv"]), (cfg,))
         if corrupt:
             out = _corrupted_identity(g, out)
         return tape, _weighted_sum_loss(g, out, loss_w)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dft1
 from .autograd import Node, NoRecordTape, Parameter, graph
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NumericError
 from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, transformer_block, trunc_normal
 from .tensor import DTYPE_NAMES, DTYPES
 
@@ -288,6 +288,8 @@ def forward(
             f"image shape {image.data.shape} does not match configured "
             f"(..., {s}, {s}, {config.in_channels})"
         )
+    if not np.isfinite(image.data).all():
+        raise NumericError("image holds non-finite values")
     x = tokenize(g, image, config, params)
     for si, stage in enumerate(config.stages, start=1):
         spec = config.block_spec(si - 1)

@@ -117,16 +117,11 @@ def _get(params: dict[str, Parameter], prefix: str, leaf: str, required=True):
     return p
 
 
-def _qkv(g: graph, x: Node, spec: MsdaBlockSpec, params, prefix) -> tuple[Node, Node, Node]:
+def _qkv(g: graph, x: Node, spec: MsdaBlockSpec, params, prefix) -> Node:
+    """The fused [..., 3C] q|k|v projection of x."""
     w = g.param(_get(params, prefix, "qkv.weight"))
     b = _get(params, prefix, "qkv.bias", required=spec.qkv_bias)
-    qkv = g.linear(x, w, g.param(b) if b is not None else None)
-    d = spec.dim
-    return (
-        g.slice_last(qkv, 0, d),
-        g.slice_last(qkv, d, 2 * d),
-        g.slice_last(qkv, 2 * d, 3 * d),
-    )
+    return g.linear(x, w, g.param(b) if b is not None else None)
 
 
 def msda_attention(
@@ -142,9 +137,8 @@ def msda_attention(
         raise ShapeError(f"expected [..., H, W, {spec.dim}] input, got {x.data.shape}")
     if not spec.dilation_rates:
         raise ConfigError("dilated attention requires at least one dilation rate")
-    q, k, v = _qkv(g, x, spec, params, prefix)
     cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
-    out = g.swda(q, k, v, cfgs, attn_sink=attn_sink, layer=prefix)
+    out = g.swda(_qkv(g, x, spec, params, prefix), cfgs, attn_sink=attn_sink, layer=prefix)
     return g.linear(
         out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
     )
@@ -169,7 +163,8 @@ def mhsa_attention(
     d_k, nb = dim // n_heads, len(lead)
     split = lead + (h * w, n_heads, d_k)
     swap = tuple(range(nb)) + (nb + 1, nb, nb + 2)  # [..., N, heads, d_k] <-> [..., heads, N, d_k]
-    q, k, v = _qkv(g, x, spec, params, prefix)
+    qkv = _qkv(g, x, spec, params, prefix)
+    q, k, v = (g.slice_last(qkv, j * dim, (j + 1) * dim) for j in range(3))
     qh = g.transpose(g.reshape(q, split), swap)
     kh = g.transpose(g.reshape(k, split), swap[:nb] + (nb + 1, nb + 2, nb))  # [..., heads, d_k, N]
     vh = g.transpose(g.reshape(v, split), swap)

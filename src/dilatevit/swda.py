@@ -14,9 +14,10 @@ map size. Two edge policies are provided:
 * ``masked``: out-of-bounds taps are removed from the softmax entirely.
 
 Two implementations sit behind one contract: a naive per-query gather loop
-(the reference, one [H, W, d] map) and a blocked one that slices whole
-shifted panels out of padded [..., H, W, d] maps, leading axes being batch,
-and reduces them vectorized. Equivalence is a standing test.
+(the reference, one [H, W, d] map) and a blocked one that loops over the w*w
+taps and reads each as a shifted [..., H, W, d] view of the zero-padded map,
+leading axes being batch, so no pass stacks the taps into a copy.
+Equivalence is a standing test.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class SwdaState:
     k: np.ndarray
     v: np.ndarray
     weights: np.ndarray  # [..., H, W, w*w] softmax output in tap order
-    cfg: SwdaConfig = field(repr=False, default=None)
+    cfg: SwdaConfig = field(repr=False)
 
 
 def _check_qkv(q, k, v, cfg):
@@ -113,45 +114,39 @@ def _check_qkv(q, k, v, cfg):
         raise ShapeError(f"channel extent {q.shape[-1]} != configured d_k {cfg.d_k}")
 
 
-def _gather_panels(x: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
-    """Stack the w*w shifted views of a zero-padded map: [..., taps, H, W, d]."""
+def _tap_windows(x: np.ndarray, cfg: SwdaConfig) -> list[np.ndarray]:
+    """The w*w tap windows of x [..., H, W, d], zero-padded by the window margin.
+
+    Window t is the [..., H, W, d] view of one padded copy whose (i, j) entry
+    is the tap (i + p*r, j + q*r) of tap_offsets(w)[t] = (p, q). The center
+    tap's window is x itself, so writes through the windows of a zero map
+    scatter into taps and the center window crops the pad margin away.
+    """
     H, W = x.shape[-3:-1]
     m = ((cfg.w - 1) // 2) * cfg.r
     xp = pad_hw(x, m)
-    panels = np.empty(x.shape[:-3] + (cfg.taps,) + x.shape[-3:], dtype=x.dtype)
-    for t, (p, q) in enumerate(tap_offsets(cfg.w)):
-        i, j = m + p * cfg.r, m + q * cfg.r
-        panels[..., t, :, :, :] = xp[..., i : i + H, j : j + W, :]
-    return panels
+    return [
+        xp[..., m + p * cfg.r : m + p * cfg.r + H, m + q * cfg.r : m + q * cfg.r + W, :]
+        for p, q in tap_offsets(cfg.w)
+    ]
 
 
 def _valid_mask(H: int, W: int, cfg: SwdaConfig) -> np.ndarray:
     """Boolean [taps, H, W]: tap lies inside the map."""
-    ii = np.arange(H)[:, None]
-    jj = np.arange(W)[None, :]
-    mask = np.empty((cfg.taps, H, W), dtype=bool)
-    for t, (p, q) in enumerate(tap_offsets(cfg.w)):
-        mask[t] = (
-            (ii + p * cfg.r >= 0)
-            & (ii + p * cfg.r < H)
-            & (jj + q * cfg.r >= 0)
-            & (jj + q * cfg.r < W)
-        )
-    return mask
+    return np.stack([win[..., 0] for win in _tap_windows(np.ones((H, W, 1), dtype=bool), cfg)])
 
 
-def _softmax_taps(logits_thw: np.ndarray, mask_thw: np.ndarray | None) -> np.ndarray:
-    """Softmax over the tap axis of [..., taps, H, W] logits, optionally restricted to valid taps.
+def _tap_dots(x: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
+    """[..., taps, H, W]: each query's x dotted with each of its taps of y."""
+    return np.stack([np.einsum("...d,...d->...", x, yw) for yw in _tap_windows(y, cfg)], axis=-3)
 
-    Returns weights in [..., H, W, taps] layout. The center tap is always
-    valid, so every query has a finite maximum and masked taps get exp(-inf) = 0.
-    """
-    if mask_thw is not None:
-        logits_thw = np.where(mask_thw, logits_thw, np.asarray(-np.inf, dtype=logits_thw.dtype))
-    m = np.max(logits_thw, axis=-3, keepdims=True)
-    e = np.exp(logits_thw - m)
-    weights = e / np.sum(e, axis=-3, keepdims=True)
-    return np.ascontiguousarray(np.moveaxis(weights, -3, -1))
+
+def _tap_sum(a: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
+    """[..., H, W, d]: each query's taps of y weighted by a [..., taps, H, W] and summed."""
+    out = np.zeros_like(y)
+    for t, yw in enumerate(_tap_windows(y, cfg)):
+        out += a[..., t, :, :, None] * yw
+    return out
 
 
 def swda_forward(
@@ -176,15 +171,16 @@ def swda_forward_with_state(
     _check_qkv(q, k, v, cfg)
     add_macs(2 * q.size * cfg.taps)  # logits + value reduction, every leading index
 
-    panels_k = _gather_panels(k, cfg)
-    panels_v = _gather_panels(v, cfg)
-    mask = None if cfg.edge_mode == "zero_pad" else _valid_mask(*q.shape[-3:-1], cfg)
+    # Tap-major [..., taps, H, W] until the end: reducing over a short last axis is slow.
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
-
-    logits = np.einsum("...hwd,...thwd->...thw", q, panels_k) * scale
-    weights = _softmax_taps(logits, mask)
-    out = np.einsum("...hwt,...thwd->...hwd", weights, panels_v)
-    return out, SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
+    logits = _tap_dots(q, k, cfg) * scale
+    if cfg.edge_mode == "masked":
+        # Off-map taps get exp(-inf) = 0; the center tap is always on the map.
+        logits[..., ~_valid_mask(*q.shape[-3:-1], cfg)] = -np.inf
+    e = np.exp(logits - np.max(logits, axis=-3, keepdims=True))
+    a = e / np.sum(e, axis=-3, keepdims=True)
+    weights = np.ascontiguousarray(np.moveaxis(a, -3, -1))
+    return _tap_sum(a, v, cfg), SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
 
 
 def swda_forward_naive(
@@ -227,53 +223,42 @@ def swda_forward_naive(
 
 
 def swda_backward(
-    grad_out: np.ndarray, state: SwdaState, cfg: SwdaConfig | None = None
+    grad_out: np.ndarray, state: SwdaState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic adjoint of the forward contract.
 
-    Scatter into grad_K/grad_V runs tap-major over whole shifted panels;
-    out-of-bounds contributions land in the pad margin and are cropped away,
-    which also kills the phantom gradient of zero-padded taps.
+    Gathers read the tap windows of the padded K and V; the scatter into
+    grad_K/grad_V adds through the tap windows of zero padded buffers, so
+    off-map contributions land in the pad margin and are cropped away, which
+    also kills the phantom gradient of zero-padded taps. grad_K and grad_V are
+    the center windows of those buffers: views, not contiguous copies.
     """
     if state is None or state.weights is None:
         raise ContractError("swda_backward requires the saved forward state")
-    cfg = cfg or state.cfg
-    q, k, v, a = state.q, state.k, state.v, state.weights
-    H, W, d = q.shape[-3:]
+    q, k, v, cfg = state.q, state.k, state.v, state.cfg
     if grad_out.shape != q.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != output shape {q.shape}")
+    a = np.ascontiguousarray(np.moveaxis(state.weights, -1, -3))  # tap-major, as in the forward
+    grad_a = _tap_dots(grad_out, v, cfg)
+    # Softmax Jacobian-vector product over the tap axis, times the logit scale.
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
-    m = ((cfg.w - 1) // 2) * cfg.r
-
-    panels_k = _gather_panels(k, cfg)
-    panels_v = _gather_panels(v, cfg)
-
-    grad_a = np.einsum("...hwd,...thwd->...hwt", grad_out, panels_v)
-    # Softmax Jacobian-vector product over the tap axis.
-    inner = np.sum(a * grad_a, axis=-1, keepdims=True)
-    grad_logits = a * (grad_a - inner)
-
-    grad_q = np.einsum("...hwt,...thwd->...hwd", grad_logits, panels_k) * scale
-    grad_kp = np.zeros(q.shape[:-3] + (H + 2 * m, W + 2 * m, d), dtype=q.dtype)
-    grad_vp = np.zeros_like(grad_kp)
-    for t, (p, qq) in enumerate(tap_offsets(cfg.w)):
-        sl_h = slice(m + p * cfg.r, m + p * cfg.r + H)
-        sl_w = slice(m + qq * cfg.r, m + qq * cfg.r + W)
-        grad_kp[..., sl_h, sl_w, :] += grad_logits[..., t, None] * q * scale
-        grad_vp[..., sl_h, sl_w, :] += a[..., t, None] * grad_out
-    grad_k = grad_kp[..., m : m + H, m : m + W, :]
-    grad_v = grad_vp[..., m : m + H, m : m + W, :]
-    return grad_q, np.ascontiguousarray(grad_k), np.ascontiguousarray(grad_v)
+    grad_logits = a * (grad_a - np.sum(a * grad_a, axis=-3, keepdims=True)) * scale
+    grad_q = _tap_sum(grad_logits, k, cfg)
+    grad_k, grad_v = (_tap_windows(np.zeros_like(x), cfg) for x in (k, v))
+    for t in range(cfg.taps):
+        grad_k[t] += grad_logits[..., t, :, :, None] * q
+        grad_v[t] += a[..., t, :, :, None] * grad_out
+    center = cfg.taps // 2
+    return grad_q, grad_k[center], grad_v[center]
 
 
 def swda_backward_naive(
-    grad_out: np.ndarray, state: SwdaState, cfg: SwdaConfig | None = None
+    grad_out: np.ndarray, state: SwdaState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference adjoint on one [H, W, d] map: per-query scatter in ascending query order."""
     if state is None or state.weights is None:
         raise ContractError("swda_backward requires the saved forward state")
-    cfg = cfg or state.cfg
-    q, k, v, a = state.q, state.k, state.v, state.weights
+    q, k, v, a, cfg = state.q, state.k, state.v, state.weights, state.cfg
     if q.ndim != 3:
         raise ShapeError(f"the naive reference takes one [H, W, d] map, got {q.shape}")
     H, W, d = q.shape

@@ -206,7 +206,10 @@ def _check_conv_args(x, kernel, stride, zero_pad, groups):
 
 def pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the H and W axes of x [..., H, W, C] by ``pad`` on each side."""
-    return np.pad(x, ((0, 0),) * (x.ndim - 3) + ((pad, pad), (pad, pad), (0, 0)))
+    h, w = x.shape[-3:-1]
+    out = np.zeros(x.shape[:-3] + (h + 2 * pad, w + 2 * pad, x.shape[-1]), dtype=x.dtype)
+    out[..., pad : pad + h, pad : pad + w, :] = x
+    return out
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:

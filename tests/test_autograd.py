@@ -334,14 +334,12 @@ class TestPerOpGradients:
             d_k=d,
             edge_mode="zero_pad" if rng.integers(0, 2) == 0 else "masked",
         )
-        params = {
-            name: Parameter(name, rng.standard_normal((h, h, d))) for name in ("q", "k", "v")
-        }
+        params = {"qkv": Parameter("qkv", rng.standard_normal((h, h, 3 * d)))}
         w = rng.standard_normal((h, h, d))
 
         def build():
             g = graph(Tape())
-            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
+            out = g.swda(g.param(params["qkv"]), (cfg,))
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params
@@ -419,12 +417,12 @@ class TestPerOpGradients:
     def _case_batched_swda(self, rng):
         cfg = SwdaConfig(w=3, r=int(rng.integers(1, 3)), d_k=2,
                          edge_mode="zero_pad" if rng.integers(0, 2) == 0 else "masked")
-        params = {name: Parameter(name, rng.standard_normal((2, 3, 4, 2))) for name in ("q", "k", "v")}
+        params = {"qkv": Parameter("qkv", rng.standard_normal((2, 3, 4, 6)))}
         w = rng.standard_normal((2, 3, 4, 2))
 
         def build():
             g = graph(Tape())
-            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
+            out = g.swda(g.param(params["qkv"]), (cfg,))
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params
@@ -477,18 +475,16 @@ class TestFiniteDiffHarness:
     def test_swda_edge_queries_under_zero_padding(self):
         rng = np.random.default_rng(5)
         cfg = SwdaConfig(w=3, r=2, d_k=2, edge_mode="zero_pad")
-        params = {
-            name: Parameter(name, rng.standard_normal((3, 3, 2))) for name in ("q", "k", "v")
-        }
+        params = {"qkv": Parameter("qkv", rng.standard_normal((3, 3, 6)))}
         w = np.zeros((3, 3, 2))
         w[0, 0] = 1.0  # loss reads only the corner query, whose window is mostly padded
 
         def build():
             g = graph(Tape())
-            out = g.swda(g.param(params["q"]), g.param(params["k"]), g.param(params["v"]), (cfg,))
+            out = g.swda(g.param(params["qkv"]), (cfg,))
             return g.tape, weighted_sum_loss(g, out, w)
 
-        report = finite_diff_check(build, params, h=1e-5, budget=12, seed=0)
+        report = finite_diff_check(build, params, h=1e-5, budget=36, seed=0)
         assert report.max_rel < 1e-4
 
     def test_detects_nondeterministic_loss(self):

@@ -7,7 +7,8 @@ import pytest
 
 from dilatevit import model
 from dilatevit.autograd import Tape, finite_diff_check, graph
-from dilatevit.errors import ConfigError, FormatError
+from dilatevit.counting import mac_counter
+from dilatevit.errors import ConfigError, FormatError, NumericError
 from dilatevit.profiler import count_model
 from tests_common import BROKEN_MANIFESTS, write_broken_checkpoint
 
@@ -141,6 +142,17 @@ class TestForward:
         g = graph(Tape())
         recorded = model.forward(g, g.leaf(image), config, params).data
         assert np.array_equal(model.predict(config, params, image), recorded)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("pattern", ["DDDD", "DDGG"])
+    def test_non_finite_image_fails_before_the_first_op(self, pattern, bad):
+        config = model.build_from_pattern(pattern, model.toy())
+        params = model.init_params(config, seed=0)
+        image = np.zeros((32, 32, 3), dtype=np.float32)
+        image[5, 7, 2] = bad
+        with mac_counter() as counted, pytest.raises(NumericError, match="image"):
+            model.predict(config, params, image)
+        assert counted.macs == 0
 
     def test_tiny_predict_peak_memory(self):
         cfg = model.tiny()

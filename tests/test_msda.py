@@ -125,7 +125,7 @@ class TestMsdaAttention:
         q, k, v = (rng.standard_normal((7, 6, 12)) for _ in range(3))
         sink = []
         g = graph(Tape())
-        out = g.swda(g.leaf(q), g.leaf(k), g.leaf(v), cfgs, attn_sink=sink, layer="m")
+        out = g.swda(g.leaf(np.concatenate([q, k, v], axis=-1)), cfgs, attn_sink=sink, layer="m")
         assert [(layer, cfg.r) for layer, cfg, _ in sink] == [
             ("m.head0", 1), ("m.head1", 2), ("m.head2", 3)
         ]
@@ -142,7 +142,7 @@ class TestMsdaAttention:
         g = graph(Tape())
         x = g.leaf(np.zeros((3, 3, 12)))
         with pytest.raises(ShapeError, match="12 channels"):
-            g.swda(x, x, x, cfgs)
+            g.swda(x, cfgs)
 
     @pytest.mark.parametrize("kind", ["MSDA", "MHSA"])
     def test_attention_sink_refuses_a_batch_axis(self, kind):

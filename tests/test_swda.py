@@ -1,7 +1,11 @@
 """Windowed dilated attention: tap geometry, oracle equivalence, backward."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import chebyshev_masked_attention, dense_full_attention, dense_window_oracle
 
@@ -10,6 +14,7 @@ from dilatevit.counting import mac_counter
 from dilatevit.errors import ConfigError, ContractError, ShapeError
 from dilatevit.swda import (
     SwdaConfig,
+    SwdaState,
     attention_to_dense,
     dilated_indices,
     receptive_span,
@@ -194,6 +199,32 @@ class TestBlockedVsNaive:
             for a, b in zip(blocked, naive):
                 assert np.abs(a - b).max() < 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        h=st.integers(1, 9),
+        w_map=st.integers(1, 9),
+        win=st.sampled_from([1, 3, 5]),
+        rate=st.integers(1, 6),
+        d=st.integers(1, 4),
+        mode=st.sampled_from(["zero_pad", "masked"]),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_blocked_equals_naive(self, h, w_map, win, rate, d, mode, batch, seed):
+        # With w = 5 and r > 2 the window margin exceeds a 9-pixel map.
+        rng = np.random.default_rng(seed)
+        cfg = SwdaConfig(w=win, r=rate, d_k=d, edge_mode=mode)
+        q, k, v, gout = (rng.standard_normal(batch + (h, w_map, d)) for _ in range(4))
+        out, state = swda_forward_with_state(q, k, v, cfg)
+        grads = swda_backward(gout, state)
+        for b in np.ndindex(batch):
+            naive, wn = swda_forward_naive(q[b], k[b], v[b], cfg, return_weights=True)
+            assert np.abs(out[b] - naive).max() < 1e-10
+            assert np.abs(state.weights[b] - wn).max() < 1e-10
+            naive_grads = swda_backward_naive(gout[b], SwdaState(q[b], k[b], v[b], wn, cfg))
+            for blocked, ref in zip(grads, naive_grads):
+                assert np.abs(blocked[b] - ref).max() < 1e-12
+
 
 class TestBatchAxis:
     @pytest.mark.parametrize("mode", ["zero_pad", "masked"])
@@ -247,7 +278,7 @@ class TestBackward:
 
     def test_missing_state(self):
         with pytest.raises(ContractError):
-            swda_backward(np.zeros((2, 2, 1)), None, SwdaConfig(w=1, r=1, d_k=1))
+            swda_backward(np.zeros((2, 2, 1)), None)
 
     @pytest.mark.parametrize("mode", ["zero_pad", "masked"])
     def test_finite_difference(self, mode):
@@ -277,6 +308,27 @@ class TestBackward:
                 an = grad.reshape(-1)[idx]
                 worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-2))
         assert worst < 1e-4
+
+
+class TestMemory:
+    def test_peaks_stay_within_a_few_maps(self):
+        rng = np.random.default_rng(18)
+        cfg = SwdaConfig(w=3, r=3, d_k=24)
+        q, k, v, gout = (rng.standard_normal((56, 56, 24)).astype(np.float32) for _ in range(4))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, state = swda_forward_with_state(q, k, v, cfg)
+            forward_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            swda_backward(gout, state)
+            backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # Stacking the w*w shifted copies of K and V costs 18 maps on its own.
+        assert forward_peak <= 6 * q.nbytes, forward_peak / q.nbytes
+        assert backward_peak <= 12 * q.nbytes, backward_peak / q.nbytes
 
 
 class TestDeterminism:
