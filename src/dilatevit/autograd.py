@@ -158,9 +158,8 @@ class graph:
             raise ShapeError(
                 f"bias shape {bias.data.shape} incompatible with {a.data.shape}"
             )
-        axes = tuple(range(a.data.ndim - 1))
         return self.tape.record(
-            a.data + bias.data, (a, bias), lambda g: (g, g.sum(axis=axes))
+            a.data + bias.data, (a, bias), lambda g: (g, T.channel_sums(g))
         )
 
     def scale(self, a: Node, c: float) -> Node:
@@ -212,26 +211,14 @@ class graph:
         return self.tape.record(out, (x, kernel), back)
 
     def layernorm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-        mean = np.mean(x.data, axis=-1, keepdims=True)
-        centered = x.data - mean
-        var = np.mean(centered * centered, axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-        xhat = centered * inv
-        out = xhat * gamma.data + beta.data
-        axes = tuple(range(x.data.ndim - 1))
-
-        def back(g):
-            gx_hat = g * gamma.data
-            mean_g = np.mean(gx_hat, axis=-1, keepdims=True)
-            mean_gx = np.mean(gx_hat * xhat, axis=-1, keepdims=True)
-            gx = inv * (gx_hat - mean_g - xhat * mean_gx)
-            return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-        return self.tape.record(out, (x, gamma, beta), back)
+        out, state = T.layernorm_with_state(x.data, gamma.data, beta.data, eps)
+        return self.tape.record(
+            out, (x, gamma, beta), lambda g: T.layernorm_backward(g, state, gamma.data)
+        )
 
     def gelu(self, x: Node) -> Node:
         return self.tape.record(
-            T.gelu(x.data), (x,), lambda g: (g * T.gelu_grad(x.data),)
+            T.gelu(x.data), (x,), lambda g: (T.gelu_grad(x.data, g),)
         )
 
     def softmax_last(self, x: Node) -> Node:
@@ -309,7 +296,7 @@ class graph:
         def back(g):
             gf = g.reshape(-1, g.shape[-1])
             grads = ((gf @ weight.data.T).reshape(x.data.shape), flat.T @ gf)
-            return grads if bias is None else grads + (gf.sum(0),)
+            return grads if bias is None else grads + (T.channel_sums(gf),)
 
         parents = (x, weight) if bias is None else (x, weight, bias)
         return self.tape.record(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, back)

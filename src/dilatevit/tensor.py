@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 from .counting import add_macs
@@ -70,6 +71,41 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def channel_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of a [..., C] over every leading axis, as one GEMV ``ones @ rows``: [C]."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(rows.shape[0], dtype=a.dtype) @ rows
+
+
+def layernorm_with_state(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    eps: float = 1e-5,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """:func:`layernorm` and the state its backward needs: token rows xhat [N, C]
+    normalized to zero mean and unit variance, and their 1/std [N, 1].
+
+    The channel mean is one GEMV against a 1/C vector and the variance one
+    einsum row dot, so no numpy loop runs over a single token's C channels.
+    """
+    if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
+        raise ShapeError(
+            f"layernorm channel mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
+        )
+    if eps <= 0:
+        raise ValueError(f"layernorm eps must be > 0, got {eps}")
+    rows = x.reshape(-1, x.shape[-1])
+    inv_c = np.full(rows.shape[1], 1.0 / rows.shape[1], dtype=x.dtype)
+    xhat = rows - (rows @ inv_c)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) * inv_c[0]
+    inv = (1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype)))[:, None]
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out.reshape(x.shape), (xhat, inv)
+
+
 def layernorm(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -77,17 +113,26 @@ def layernorm(
     eps: float = 1e-5,
 ) -> np.ndarray:
     """Per-token normalization over the last (channel) axis, then affine."""
-    if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
-        raise ShapeError(
-            f"layernorm channel mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
-        )
-    if eps <= 0:
-        raise ValueError(f"layernorm eps must be > 0, got {eps}")
-    mean = np.mean(x, axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    return centered * inv * gamma + beta
+    return layernorm_with_state(x, gamma, beta, eps)[0]
+
+
+def layernorm_backward(
+    grad_out: np.ndarray, state: tuple[np.ndarray, np.ndarray], gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of :func:`layernorm` w.r.t. x, gamma and beta, from its forward state."""
+    xhat, inv = state
+    g = grad_out.reshape(xhat.shape)
+    inv_c = np.full(xhat.shape[1], 1.0 / xhat.shape[1], dtype=xhat.dtype)
+    gx = g * gamma
+    mean_g = (gx @ inv_c)[:, None]
+    mean_gx = (np.einsum("ij,ij->i", gx, xhat) * inv_c[0])[:, None]
+    scratch = g * xhat
+    grad_gamma = channel_sums(scratch)
+    np.multiply(xhat, mean_gx, out=scratch)
+    gx -= mean_g
+    gx -= scratch
+    gx *= inv
+    return gx.reshape(grad_out.shape), grad_gamma, channel_sums(g)
 
 
 # float32 GELU evaluates Phi(x) = (1 + erf(x / sqrt 2)) / 2 with the Eigen/XLA
@@ -126,11 +171,13 @@ def _horner(t2, coefs, out):
         np.add(out, c, out=out)
 
 
-def _cdf_chunks(x: np.ndarray, derivative: bool) -> np.ndarray:
-    """float32 x * Phi(x), or Phi(x) + x * phi(x) if ``derivative``, in cache-sized
-    chunks of in-place ufuncs; the output is the one full-size allocation."""
+def _cdf_chunks(x: np.ndarray, derivative: bool, grad_out: np.ndarray | None = None) -> np.ndarray:
+    """float32 x * Phi(x), or (Phi(x) + x * phi(x)) * grad_out if ``derivative``
+    (grad_out omitted: 1), in cache-sized chunks of in-place ufuncs; the output
+    is the one full-size allocation."""
     out = np.empty(x.shape, dtype=F32)
     flat, oflat = x.reshape(-1), out.reshape(-1)
+    gflat = None if grad_out is None else grad_out.reshape(-1)
     t, t2 = np.empty((2, min(CDF_CHUNK, flat.size)), dtype=F32)
     for s in range(0, flat.size, CDF_CHUNK):
         xs, cdf = flat[s : s + CDF_CHUNK], oflat[s : s + CDF_CHUNK]
@@ -152,6 +199,8 @@ def _cdf_chunks(x: np.ndarray, derivative: bool) -> np.ndarray:
         np.multiply(ts, _INV_SQRT_2PI, out=ts)
         np.multiply(ts, xs, out=ts)
         np.add(cdf, ts, out=cdf)
+        if gflat is not None:
+            np.multiply(cdf, gflat[s : s + CDF_CHUNK], out=cdf)
     return out
 
 
@@ -164,14 +213,17 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return x * half * (1.0 + erf(x * inv_sqrt2)).astype(x.dtype)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of exact GELU: Phi(x) + x * phi(x)."""
+def gelu_grad(x: np.ndarray, grad_out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx of exact GELU, Phi(x) + x * phi(x); times ``grad_out`` when given, which
+    is the backward pass of :func:`gelu` with no second full-size array."""
+    if grad_out is not None and grad_out.shape != x.shape:
+        raise ShapeError(f"gelu_grad: grad_out shape {grad_out.shape} != x shape {x.shape}")
     if x.dtype == F32:
-        return _cdf_chunks(x, derivative=True)
+        return _cdf_chunks(x, derivative=True, grad_out=grad_out)
     inv_sqrt2 = np.asarray(1.0 / math.sqrt(2.0), dtype=x.dtype)
     phi = np.exp(-0.5 * x * x) * np.asarray(1.0 / math.sqrt(2.0 * math.pi), dtype=x.dtype)
     cdf = 0.5 * (1.0 + erf(x * inv_sqrt2)).astype(x.dtype)
-    return cdf + x * phi
+    return cdf + x * phi if grad_out is None else grad_out * (cdf + x * phi)
 
 
 def conv_output_extent(size: int, k: int, stride: int, pad: int) -> int:
@@ -204,27 +256,40 @@ def _check_conv_args(x, kernel, stride, zero_pad, groups):
     return h_out, w_out
 
 
-def pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the H and W axes of x [..., H, W, C] by ``pad`` on each side."""
+def pad_hw(x: np.ndarray, pad: int, pad_w: int | None = None) -> np.ndarray:
+    """Zero-pad the H axis of x [..., H, W, C] by ``pad`` and the W axis by
+    ``pad_w`` (default ``pad``) on each side."""
+    ph, pw = pad, pad if pad_w is None else pad_w
     h, w = x.shape[-3:-1]
-    out = np.zeros(x.shape[:-3] + (h + 2 * pad, w + 2 * pad, x.shape[-1]), dtype=x.dtype)
-    out[..., pad : pad + h, pad : pad + w, :] = x
+    out = np.zeros(x.shape[:-3] + (h + 2 * ph, w + 2 * pw, x.shape[-1]), dtype=x.dtype)
+    out[..., ph : ph + h, pw : pw + w, :] = x
     return out
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold x [..., H,W,C] into patches [..., H', W', kh*kw*C] (tap-major, ascending)."""
-    h_out = conv_output_extent(x.shape[-3], kh, stride, pad)
-    w_out = conv_output_extent(x.shape[-2], kw, stride, pad)
-    lead, c = x.shape[:-3], x.shape[-1]
-    xp = pad_hw(x, pad)
-    cols = np.empty(lead + (h_out, w_out, kh * kw, c), dtype=x.dtype)
+def _taps(xp: np.ndarray, kh: int, kw: int, stride: int):
+    """((a, b), window) for each kernel tap in ascending order: the [..., H', W', C]
+    view of the padded map xp that tap (a, b) reads at ``stride``."""
+    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
+    w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
     for a in range(kh):
         for b in range(kw):
-            cols[..., a * kw + b, :] = xp[
-                ..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :
-            ]
-    return cols.reshape(lead + (h_out, w_out, kh * kw * c))
+            yield (a, b), xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int = 0) -> np.ndarray:
+    """Unfold x [..., H,W,C], zero-padded by ``pad``, into patches [..., H', W', kh*kw*C]
+    (tap-major, ascending), as one copy of a strided view of its windows."""
+    xp = pad_hw(x, pad) if pad else x
+    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
+    w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
+    lead, (sh, sw, sc) = xp.shape[:-3], xp.strides[-3:]
+    win = as_strided(
+        xp,
+        lead + (h_out, w_out, kh, kw, xp.shape[-1]),
+        xp.strides[:-3] + (stride * sh, stride * sw, sh, sw, sc),
+        writeable=False,
+    )
+    return win.reshape(lead + (h_out, w_out, -1))
 
 
 def col2im(
@@ -238,12 +303,36 @@ def col2im(
     lead, h_out, w_out = cols.shape[:-3], cols.shape[-3], cols.shape[-2]
     cols4 = cols.reshape(lead + (h_out, w_out, kh * kw, c))
     xp = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-    for a in range(kh):
-        for b in range(kw):
-            xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :] += cols4[
-                ..., a * kw + b, :
-            ]
+    for (a, b), window in _taps(xp, kh, kw, stride):
+        window += cols4[..., a * kw + b, :]
     return xp[..., pad : pad + h, pad : pad + w, :]
+
+
+def _tap_rows(kernel: np.ndarray, w_out: int) -> np.ndarray:
+    """[kh, kw, w_out, C]: each tap's entry of a depth-wise kernel [kh,kw,1,C]
+    repeated along a row, so its product with a tap window runs w_out*C long
+    instead of C long per pixel."""
+    return np.ascontiguousarray(np.broadcast_to(kernel, kernel.shape[:2] + (w_out, kernel.shape[-1])))
+
+
+def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int, depthwise: bool) -> np.ndarray:
+    """Cross-correlation of a padded map xp [..., Hp,Wp,Cin] with kernel
+    [kh,kw,Cin,Cout], or [kh,kw,1,C] if ``depthwise``; counts no MACs."""
+    kh, kw, _, cout = kernel.shape
+    if not depthwise:
+        cols = im2col(xp, kh, kw, stride)
+        del xp  # the padded map is not needed while the product runs
+        out = cols.reshape(-1, cols.shape[-1]) @ kernel.reshape(-1, cout)
+        return out.reshape(cols.shape[:-1] + (cout,))
+    out = scratch = rows = None
+    for (a, b), window in _taps(xp, kh, kw, stride):
+        if out is None:
+            rows = _tap_rows(kernel, window.shape[-2])
+            out = np.multiply(window, rows[a, b])
+            scratch = np.empty_like(out)
+        else:
+            out += np.multiply(window, rows[a, b], out=scratch)
+    return out
 
 
 def conv2d(
@@ -256,37 +345,22 @@ def conv2d(
     """Cross-correlation of x [..., H,W,Cin] with kernel [kh,kw,Cin/groups,Cout].
 
     ``groups == Cin`` with ``Cout == Cin`` is the depth-wise case and takes a
-    dedicated slice-accumulate path (no im2col materialization).
+    dedicated tap multiply-add path (no im2col materialization).
     """
     h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
     kh, kw, _, cout = kernel.shape
     lead, cin = x.shape[:-3], x.shape[-1]
     macs = math.prod(lead) * h_out * w_out * cout * kh * kw * (cin // groups)
 
-    if groups == 1:
+    if groups == 1 or (groups == cin and cout == cin):
         add_macs(macs)
-        cols = im2col(x, kh, kw, stride, zero_pad)
-        kmat = kernel.reshape(kh * kw * cin, cout)
-        out = cols.reshape(-1, kmat.shape[0]) @ kmat
-        return out.reshape(lead + (h_out, w_out, cout))
-
-    if groups == cin and cout == cin:
-        add_macs(macs)
-        xp = pad_hw(x, zero_pad)
-        out = np.zeros(lead + (h_out, w_out, cout), dtype=x.dtype)
-        for a in range(kh):
-            for b in range(kw):
-                out += (
-                    xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
-                    * kernel[a, b, 0, :]
-                )
-        return out
+        return _correlate(pad_hw(x, zero_pad), kernel, stride, depthwise=groups > 1)
 
     cg_in, cg_out = cin // groups, cout // groups
     out = np.empty(lead + (h_out, w_out, cout), dtype=x.dtype)
     for g in range(groups):  # each groups=1 call counts its own MACs
         out[..., g * cg_out : (g + 1) * cg_out] = conv2d(
-            np.ascontiguousarray(x[..., g * cg_in : (g + 1) * cg_in]),
+            x[..., g * cg_in : (g + 1) * cg_in],
             kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
             stride,
             zero_pad,
@@ -303,46 +377,57 @@ def conv2d_backward(
     zero_pad: int,
     groups: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of :func:`conv2d` w.r.t. input and kernel (summed over leading axes)."""
+    """Gradients of :func:`conv2d` w.r.t. input and kernel (summed over leading axes).
+
+    At stride 1 the input gradient is the correlation of grad_out, padded by
+    k - 1 - zero_pad (cropped where that is negative), with the flipped
+    kernel. Strided convs scatter-add each tap's contribution instead.
+    """
     kh, kw, _, cout = kernel.shape
     h, w, cin = x.shape[-3:]
-    h_out, w_out = grad_out.shape[-3], grad_out.shape[-2]
+    depthwise = groups > 1 and groups == cin and cout == cin
 
-    if groups == 1:
-        cols = im2col(x, kh, kw, stride, zero_pad)
-        gmat = grad_out.reshape(-1, cout)
-        grad_kernel = (cols.reshape(gmat.shape[0], -1).T @ gmat).reshape(kernel.shape)
-        gcols = (gmat @ kernel.reshape(kh * kw * cin, cout).T).reshape(
-            grad_out.shape[:-1] + (kh * kw * cin,)
-        )
-        grad_x = col2im(gcols, h, w, cin, kh, kw, stride, zero_pad)
+    if groups > 1 and not depthwise:
+        cg_in, cg_out = cin // groups, cout // groups
+        grad_x = np.empty_like(x)
+        grad_kernel = np.empty_like(kernel)
+        for g in range(groups):
+            gx, gk = conv2d_backward(
+                grad_out[..., g * cg_out : (g + 1) * cg_out],
+                x[..., g * cg_in : (g + 1) * cg_in],
+                kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
+                stride,
+                zero_pad,
+                groups=1,
+            )
+            grad_x[..., g * cg_in : (g + 1) * cg_in] = gx
+            grad_kernel[:, :, :, g * cg_out : (g + 1) * cg_out] = gk
         return grad_x, grad_kernel
 
-    if groups == cin and cout == cin:
-        xp = pad_hw(x, zero_pad)
-        grad_xp = np.zeros_like(xp)
-        grad_kernel = np.zeros_like(kernel)
-        axes = tuple(range(x.ndim - 1))
-        for a in range(kh):
-            for b in range(kw):
-                sl_h = slice(a, a + stride * h_out, stride)
-                sl_w = slice(b, b + stride * w_out, stride)
-                grad_kernel[a, b, 0, :] = np.sum(xp[..., sl_h, sl_w, :] * grad_out, axis=axes)
-                grad_xp[..., sl_h, sl_w, :] += grad_out * kernel[a, b, 0, :]
+    if depthwise:
+        grad_kernel = np.empty_like(kernel)
+        scratch = np.empty_like(grad_out)
+        for (a, b), window in _taps(pad_hw(x, zero_pad), kh, kw, stride):
+            grad_kernel[a, b, 0] = channel_sums(np.multiply(window, grad_out, out=scratch))
+    else:
+        gmat = grad_out.reshape(-1, cout)
+        cols = im2col(x, kh, kw, stride, zero_pad).reshape(gmat.shape[0], -1)
+        grad_kernel = (cols.T @ gmat).reshape(kernel.shape)
+        del cols
+
+    if stride == 1:
+        h_out, w_out = grad_out.shape[-3], grad_out.shape[-2]
+        ph, pw = kh - 1 - zero_pad, kw - 1 - zero_pad
+        g = grad_out[..., max(-ph, 0) : h_out - max(-ph, 0), max(-pw, 0) : w_out - max(-pw, 0), :]
+        flipped = kernel[::-1, ::-1] if depthwise else kernel[::-1, ::-1].swapaxes(2, 3)
+        return _correlate(pad_hw(g, max(ph, 0), max(pw, 0)), flipped, 1, depthwise), grad_kernel
+
+    if depthwise:
+        grad_xp = np.zeros(x.shape[:-3] + (h + 2 * zero_pad, w + 2 * zero_pad, cin), dtype=x.dtype)
+        rows = _tap_rows(kernel, grad_out.shape[-2])
+        for (a, b), window in _taps(grad_xp, kh, kw, stride):
+            window += np.multiply(grad_out, rows[a, b], out=scratch)
         return grad_xp[..., zero_pad : zero_pad + h, zero_pad : zero_pad + w, :], grad_kernel
 
-    cg_in, cg_out = cin // groups, cout // groups
-    grad_x = np.empty_like(x)
-    grad_kernel = np.empty_like(kernel)
-    for g in range(groups):
-        gx, gk = conv2d_backward(
-            np.ascontiguousarray(grad_out[..., g * cg_out : (g + 1) * cg_out]),
-            np.ascontiguousarray(x[..., g * cg_in : (g + 1) * cg_in]),
-            kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
-            stride,
-            zero_pad,
-            groups=1,
-        )
-        grad_x[..., g * cg_in : (g + 1) * cg_in] = gx
-        grad_kernel[:, :, :, g * cg_out : (g + 1) * cg_out] = gk
-    return grad_x, grad_kernel
+    gcols = (gmat @ kernel.reshape(kh * kw * cin, cout).T).reshape(grad_out.shape[:-1] + (-1,))
+    return col2im(gcols, h, w, cin, kh, kw, stride, zero_pad), grad_kernel

@@ -1,12 +1,16 @@
 """Synthetic data generator and the training loop plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dilatevit import model
-from dilatevit.autograd import accumulate_param_grads, backward, zero_grads
+from dilatevit.autograd import accumulate_param_grads, backward, sgd_step, zero_grads
+from dilatevit.counting import mac_counter
 from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.errors import ConfigError
+from dilatevit.profiler import count_model
 from dilatevit.train import accuracy, batch_loss, train
 
 
@@ -76,6 +80,34 @@ class TestTrainLoop:
         one, _ = batch_loss(config, params, images[:1], labels[:1])
         sixteen, _ = batch_loss(config, params, images, labels)
         assert len(sixteen.nodes) == len(one.nodes)
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_backward_counts_no_macs(self, batch):
+        # Backward kernels multiply with @, never through the counted T.matmul/T.conv2d.
+        config = model.toy()
+        params = model.init_params(config, seed=0)
+        images, labels = make_dataset(batch, DatasetSpec(classes=4, size=32), seed=0)
+        with mac_counter() as counter:
+            tape, loss = batch_loss(config, params, images, labels)
+            backward(tape, loss)
+        assert counter.macs == batch * count_model(config).total_macs
+
+    def test_training_step_peak_memory(self):
+        config = model.toy()
+        params = model.init_params(config, seed=0)
+        images, labels = make_dataset(16, DatasetSpec(classes=4, size=32, noise=0.1), seed=0)
+        tracemalloc.start()
+        try:
+            tape, loss = batch_loss(config, params, images, labels)
+            zero_grads(params)
+            accumulate_param_grads(tape, backward(tape, loss))
+            sgd_step(params, lr=0.01, weight_decay=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The step peaks near 10 MB; 12 MB catches a backward that keeps an
+        # extra zero-dilated or unfolded copy of a large map alive.
+        assert peak <= 12e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_accuracy_at_init_is_near_chance(self):
         config = model.toy()

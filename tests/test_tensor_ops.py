@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from dilatevit import tensor as T
@@ -43,6 +45,23 @@ def direct_loop_conv2d(x, kernel, stride, pad):
                             acc += xp[i * stride + a, j * stride + b, ci] * kernel[a, b, ci, co]
                 out[i, j, co] = acc
     return out
+
+
+def direct_loop_conv2d_backward(grad_out, x, kernel, stride, pad):
+    """Adjoint of :func:`direct_loop_conv2d`: (grad_x, grad_kernel) by the same six loops."""
+    kh, kw, cin, cout = kernel.shape
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    grad_xp, grad_kernel = np.zeros_like(xp), np.zeros_like(kernel)
+    for i in range(grad_out.shape[0]):
+        for j in range(grad_out.shape[1]):
+            for co in range(cout):
+                for a in range(kh):
+                    for b in range(kw):
+                        p, q = i * stride + a, j * stride + b
+                        for ci in range(cin):
+                            grad_xp[p, q, ci] += grad_out[i, j, co] * kernel[a, b, ci, co]
+                            grad_kernel[a, b, ci, co] += grad_out[i, j, co] * xp[p, q, ci]
+    return grad_xp[pad : pad + x.shape[0], pad : pad + x.shape[1]], grad_kernel
 
 
 class TestMatmul:
@@ -166,6 +185,48 @@ class TestConv2d:
     def test_invalid_groups_raises(self):
         with pytest.raises(ShapeError):
             T.conv2d(np.ones((4, 4, 3)), np.ones((3, 3, 1, 3)), groups=2)
+
+
+class TestConv2dProperty:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        kh=st.sampled_from([1, 3, 5]),
+        kw=st.sampled_from([1, 3, 5]),
+        stride=st.integers(1, 2),
+        data=st.data(),
+        channels=st.integers(1, 3),
+        cout=st.integers(1, 3),
+        depthwise=st.booleans(),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_loops_and_their_adjoint(
+        self, h, w, kh, kw, stride, data, channels, cout, depthwise, batch, seed
+    ):
+        # Past k - 1 the stride-1 input gradient crops grad_out instead of padding it;
+        # a kh x kw kernel pads or crops H and W by different amounts.
+        pad = data.draw(st.integers(0, max(kh, kw)), label="pad")
+        assume(h + 2 * pad >= kh and w + 2 * pad >= kw)
+        rng = np.random.default_rng(seed)
+        cout, groups = (channels, channels) if depthwise else (cout, 1)
+        x = rng.standard_normal(batch + (h, w, channels))
+        kernel = rng.standard_normal((kh, kw, channels // groups, cout))
+        out = T.conv2d(x, kernel, stride, pad, groups)
+        gout = rng.standard_normal(out.shape)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, pad, groups)
+        # Depth-wise: channel c is a one-channel conv with kernel[..., c].
+        parts = [slice(c, c + 1) for c in range(channels)] if depthwise else [slice(None)]
+        gk_ref = np.zeros_like(kernel)
+        for b in np.ndindex(batch):
+            for c in parts:
+                ref = direct_loop_conv2d(x[b][..., c], kernel[..., c], stride, pad)
+                assert np.abs(out[b][..., c] - ref).max() <= 1e-12
+                gx_ref, gk_part = direct_loop_conv2d_backward(gout[b][..., c], x[b][..., c], kernel[..., c], stride, pad)
+                assert np.abs(gx[b][..., c] - gx_ref).max() <= 1e-12
+                gk_ref[..., c] += gk_part
+        assert np.abs(gk - gk_ref).max() <= 1e-12
 
 
 class TestConv2dBatchAxis:
@@ -299,16 +360,21 @@ class TestGeluFloat32:
         assert np.array_equal(T.gelu(x), value)
         assert np.array_equal(T.gelu_grad(x), grad)
 
-    @pytest.mark.parametrize("fn", ["gelu", "gelu_grad"])
+    @pytest.mark.parametrize("fn", ["gelu", "gelu_grad", "gelu_backward"])
     def test_peak_memory_is_the_output_and_chunk_scratch(self, fn):
-        x = np.random.default_rng(15).standard_normal((3136, 288)).astype(np.float32)
+        x, g = np.random.default_rng(15).standard_normal((2, 3136, 288)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = getattr(T, fn)(x)
+            out = T.gelu_grad(x, g) if fn == "gelu_backward" else getattr(T, fn)(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * out.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_incoming_gradient_folds_in_bit_for_bit(self, dtype):
+        x, g = (np.random.default_rng(16).standard_normal((2, 3, T.CDF_CHUNK + 5)) * 4).astype(dtype)
+        assert np.array_equal(T.gelu_grad(x, g), g * T.gelu_grad(x))
 
 
 class TestDtypeAndPurity:
