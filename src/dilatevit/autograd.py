@@ -4,12 +4,14 @@ Nodes are appended in creation order, which is already a topological order,
 so backward is a single reverse sweep. Each op stores a closure that maps the
 incoming gradient to per-parent gradients; gradient accumulation follows node
 order, so two backward passes from the same forward state are bit-identical.
+The sweep frees each inner node's gradient once it has been pushed to the
+parents, so its result holds leaf and parameter gradients only.
 A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,34 +23,45 @@ from .errors import ContractError, DeterminismError, ShapeError
 class Node:
     """One recorded value: the forward array plus how to push gradients back."""
 
-    __slots__ = ("data", "id", "parents", "backward_fn")
+    __slots__ = ("data", "id", "parents", "backward_fn", "needs_grad")
 
     def __init__(self, data, node_id, parents=(), backward_fn=None):
         self.data = data
         self.id = node_id
         self.parents = parents
         self.backward_fn = backward_fn
+        self.needs_grad = True  # False only on leaves whose gradient no caller reads
 
     @property
     def shape(self):
         return self.data.shape
 
 
-@dataclass
 class Parameter:
-    """A named trainable tensor with a persistent gradient buffer."""
+    """A named trainable tensor with a persistent gradient buffer.
 
-    name: str
-    value: np.ndarray
-    grad: np.ndarray = field(default=None)
+    The buffer is allocated, as zeros, the first time ``grad`` is read, so
+    paths that only run inference hold the value alone.
+    """
 
-    def __post_init__(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
+        self.name, self.value, self._grad = name, value, None
+        if grad is not None:
+            self.grad = grad
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray) -> None:
+        if grad.shape != self.value.shape:
             raise ShapeError(
-                f"parameter {self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
+                f"parameter {self.name}: grad shape {grad.shape} != value shape {self.value.shape}"
             )
+        self._grad = grad
 
 
 class Tape:
@@ -63,8 +76,10 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, array) -> Node:
-        return self.record(np.asarray(array))
+    def leaf(self, array, needs_grad: bool = True) -> Node:
+        node = self.record(np.asarray(array))
+        node.needs_grad = needs_grad
+        return node
 
     def param(self, parameter: Parameter) -> Node:
         node = self.record(parameter.value)
@@ -84,15 +99,16 @@ class NoRecordTape(Tape):
 
 
 def backward(tape: Tape, loss: Node) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every reachable node, keyed by node id."""
+    """Gradients of a scalar loss w.r.t. every reachable leaf and parameter node, keyed
+    by node id. Each inner node's gradient is dropped once it has reached the parents."""
     if isinstance(tape, NoRecordTape):
         raise ContractError("backward needs a recording Tape, not a NoRecordTape")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.get(node.id)
-        if g is None or node.backward_fn is None:
+        g = None if node.backward_fn is None else grads.pop(node.id, None)
+        if g is None:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             if pg is None:
@@ -141,8 +157,9 @@ class graph:
     def __init__(self, tape: Tape):
         self.tape = tape
 
-    def leaf(self, array) -> Node:
-        return self.tape.leaf(array)
+    def leaf(self, array, needs_grad: bool = True) -> Node:
+        """An input node; with needs_grad=False, conv2d skips its input gradient."""
+        return self.tape.leaf(array, needs_grad)
 
     def param(self, parameter: Parameter) -> Node:
         return self.tape.param(parameter)
@@ -206,7 +223,7 @@ class graph:
         out = T.conv2d(x.data, kernel.data, stride, zero_pad, groups)
 
         def back(g):
-            return T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups)
+            return T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups, x.needs_grad)
 
         return self.tape.record(out, (x, kernel), back)
 

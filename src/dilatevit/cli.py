@@ -298,6 +298,7 @@ def _maps_from_checkpoint(args) -> list[tuple[str, metrics.AttentionMap]]:
     sink: list = []
     g = graph(NoRecordTape())
     model_mod.forward(g, g.leaf(images[0]), config, params, attn_sink=sink)
+    del params  # the statistics read only the sunk weights
     maps = []
     for layer, cfg, weights in sink:
         if cfg is not None:

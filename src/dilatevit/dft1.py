@@ -40,14 +40,17 @@ def write_tensor(path: str | os.PathLike, arr: np.ndarray) -> None:
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
+    """The tensor in one file, as a writable array over the one buffer the file is read into."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob) :]  # a file that shrank since fstat reads as truncated
     return decode(blob)
 
 
-def decode(blob: bytes) -> np.ndarray:
+def decode(blob: bytes | bytearray) -> np.ndarray:
+    """Parse DFT1 bytes; the result views ``blob`` (writable only if blob is) when no byte swap is needed."""
     if len(blob) < 4 or blob[:4] != MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}", offset=0)
+        raise FormatError(f"bad magic {bytes(blob[:4])!r}, expected {MAGIC!r}", offset=0)
     if len(blob) < 6:
         raise FormatError("truncated header", offset=len(blob))
     code, rank = blob[4], blob[5]
@@ -76,6 +79,6 @@ def decode(blob: bytes) -> np.ndarray:
         )
     if len(blob) > need:
         raise FormatError(f"{len(blob) - need} trailing bytes after the payload", offset=need)
-    data = np.frombuffer(blob[header_end:need], dtype=dtype).reshape(shape)
+    data = np.ndarray(shape, dtype, buffer=blob, offset=header_end)  # a view: no payload copy
     native = np.dtype(np.float32) if code == 0 else np.dtype(np.float64)
     return np.ascontiguousarray(data.astype(native, copy=False))

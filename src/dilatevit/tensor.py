@@ -376,12 +376,14 @@ def conv2d_backward(
     stride: int,
     zero_pad: int,
     groups: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of :func:`conv2d` w.r.t. input and kernel (summed over leading axes).
 
     At stride 1 the input gradient is the correlation of grad_out, padded by
     k - 1 - zero_pad (cropped where that is negative), with the flipped
-    kernel. Strided convs scatter-add each tap's contribution instead.
+    kernel. Strided convs scatter-add each tap's contribution instead. With
+    ``input_grad=False`` the input gradient is skipped and returned as None.
     """
     kh, kw, _, cout = kernel.shape
     h, w, cin = x.shape[-3:]
@@ -389,20 +391,13 @@ def conv2d_backward(
 
     if groups > 1 and not depthwise:
         cg_in, cg_out = cin // groups, cout // groups
-        grad_x = np.empty_like(x)
-        grad_kernel = np.empty_like(kernel)
-        for g in range(groups):
-            gx, gk = conv2d_backward(
-                grad_out[..., g * cg_out : (g + 1) * cg_out],
-                x[..., g * cg_in : (g + 1) * cg_in],
-                kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
-                stride,
-                zero_pad,
-                groups=1,
-            )
-            grad_x[..., g * cg_in : (g + 1) * cg_in] = gx
-            grad_kernel[:, :, :, g * cg_out : (g + 1) * cg_out] = gk
-        return grad_x, grad_kernel
+        parts = [  # one groups=1 backward per group, joined along the channel axes
+            conv2d_backward(grad_out[..., g * cg_out : (g + 1) * cg_out], x[..., g * cg_in : (g + 1) * cg_in],
+                            kernel[..., g * cg_out : (g + 1) * cg_out], stride, zero_pad, 1, input_grad)
+            for g in range(groups)
+        ]
+        grad_x = np.concatenate([gx for gx, _ in parts], axis=-1) if input_grad else None
+        return grad_x, np.concatenate([gk for _, gk in parts], axis=-1)
 
     if depthwise:
         grad_kernel = np.empty_like(kernel)
@@ -414,6 +409,8 @@ def conv2d_backward(
         cols = im2col(x, kh, kw, stride, zero_pad).reshape(gmat.shape[0], -1)
         grad_kernel = (cols.T @ gmat).reshape(kernel.shape)
         del cols
+    if not input_grad:
+        return None, grad_kernel
 
     if stride == 1:
         h_out, w_out = grad_out.shape[-3], grad_out.shape[-2]

@@ -1,8 +1,11 @@
 """Tape mechanics, per-op gradient checks, the FD harness, SGD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dilatevit import model
 from dilatevit.autograd import (
     NoRecordTape,
     Parameter,
@@ -114,6 +117,61 @@ class TestBackwardBasics:
         assert g.tape.nodes == [] and g.tape.param_nodes == {}
         with pytest.raises(ContractError, match="recording"):
             backward(g.tape, loss)
+
+
+def keep_every_gradient(tape, loss):
+    """The reverse sweep that keeps every reached node's gradient: the reference for backward."""
+    grads = {loss.id: np.ones_like(loss.data)}
+    for node in reversed(tape.nodes):
+        g = grads.get(node.id)
+        if g is None or node.backward_fn is None:
+            continue
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            if pg is not None:
+                acc = grads.get(parent.id)
+                grads[parent.id] = pg if acc is None else acc + pg
+    return grads
+
+
+class TestMemory:
+    def test_backward_returns_leaf_and_parameter_gradients_only(self):
+        config = model.toy()
+        params = model.init_params(config, seed=2, dtype=np.float64)
+        images = np.random.default_rng(3).standard_normal((2, 32, 32, 3))
+        g = graph(Tape())
+        image = g.leaf(images)
+        loss = g.softmax_cross_entropy(model.forward(g, image, config, params), np.array([1, 3]))
+        every = keep_every_gradient(g.tape, loss)
+        kept = backward(g.tape, loss)
+        leaves = {node.id for node in g.tape.nodes if node.backward_fn is None}
+        assert set(kept) == set(every) & leaves
+        assert image.id in kept and set(g.tape.param_nodes) <= set(kept)
+        for node_id, grad in kept.items():
+            assert np.array_equal(grad, every[node_id])
+
+    def test_fresh_parameter_allocates_its_gradient_on_first_read(self):
+        value = np.ones((256, 256))
+        tracemalloc.start()
+        try:
+            p = Parameter("p", value)
+            made = tracemalloc.get_traced_memory()[0]
+            grad = p.grad
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert made < value.nbytes // 16, f"{made} bytes before any read"
+        assert read - made >= value.nbytes
+        assert grad.shape == value.shape and grad.dtype == value.dtype and not grad.any()
+        grad[...] = 2.0  # writable, and the same buffer on every read
+        assert p.grad is grad and np.all(p.grad == 2.0)
+
+    def test_gradient_assignment_keeps_the_shape_check(self):
+        p = Parameter("p", np.ones(3))
+        with pytest.raises(ShapeError, match="grad shape"):
+            p.grad = np.zeros(4)
+        with pytest.raises(ShapeError, match="grad shape"):
+            Parameter("q", np.ones(3), np.zeros(2))
+        assert np.array_equal(Parameter("r", np.ones(3), np.full(3, 5.0)).grad, np.full(3, 5.0))
 
 
 class TestBatchAxis:

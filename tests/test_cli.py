@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -374,6 +375,22 @@ class TestAttnstats:
         n_heads = sum(stage.depth * stage.n_heads for stage in config.stages)
         assert len(per_layer) == n_heads
         assert set(per_layer.values()) == {len(radii.split(",")) + 3}
+
+    def test_checkpoint_peak_memory(self, tmp_path, capsys):
+        config = model.toy()
+        params = model.init_params(config, seed=0)
+        model.save_checkpoint(tmp_path / "ckpt", config, params)
+        weight_bytes = sum(p.value.nbytes for p in params.values())
+        del params
+        tracemalloc.start()
+        try:
+            assert run(["attnstats", "--checkpoint", str(tmp_path / "ckpt"), "--threads", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.4x the weights here; 1.8x still catches a gradient buffer per loaded
+        # weight or weights held through the metric pass (2.4x with both).
+        assert peak <= 1.8 * weight_bytes, f"peak {peak / weight_bytes:.2f}x the weights"
 
     @pytest.mark.parametrize("how", sorted(BROKEN_MANIFESTS))
     def test_broken_checkpoint_exits_1_without_traceback(self, tmp_path, capsys, how):

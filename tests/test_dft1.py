@@ -1,10 +1,17 @@
 """DFT1 binary tensor format: roundtrips and malformed-input handling."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatevit import dft1
 from dilatevit.errors import FormatError
+
+UINT_OF = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -79,3 +86,33 @@ def test_rejects_trailing_bytes_at_the_end_of_the_payload(tmp_path):
     end = len(path.read_bytes())
     with pytest.raises(FormatError, match=f"trailing bytes.*offset {end}"):
         dft1.decode(path.read_bytes() + b"garbage")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_file_roundtrip_is_bit_exact_and_damage_is_a_format_error(dtype, shape, seed, data):
+    # Arbitrary bit patterns: NaN payloads, infinities, subnormals and -0.0 included.
+    uint = UINT_OF[np.dtype(dtype)]
+    bits = np.random.default_rng(seed).integers(0, np.iinfo(uint).max, size=shape, dtype=uint, endpoint=True)
+    arr = bits.view(dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.dft1")
+        dft1.write_tensor(path, arr)
+        back = dft1.read_tensor(path)
+        assert back.dtype == dtype and back.shape == shape
+        assert np.array_equal(back.view(uint), bits)
+        assert back.flags.writeable and back.flags.c_contiguous and back.dtype.isnative
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        extra = data.draw(st.binary(min_size=1, max_size=16), label="extra")
+        for damaged in (blob[:cut], blob + extra):
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            with pytest.raises(FormatError):
+                dft1.read_tensor(path)

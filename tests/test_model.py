@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dilatevit import model
-from dilatevit.autograd import Tape, finite_diff_check, graph
+from dilatevit.autograd import Tape, finite_diff_check, graph, sgd_step
 from dilatevit.counting import mac_counter
 from dilatevit.errors import ConfigError, FormatError, NumericError
 from dilatevit.profiler import count_model
@@ -294,6 +294,33 @@ class TestSerialization:
         with pytest.raises(FormatError, match="one dtype"):
             model.save_checkpoint(tmp_path, config, params)
         assert list(tmp_path.iterdir()) == []
+
+    def test_loaded_checkpoint_holds_one_copy_of_its_weights(self, tmp_path):
+        config = model.toy()
+        params = model.init_params(config, seed=0)
+        model.save_checkpoint(tmp_path, config, params)
+        weight_bytes = sum(p.value.nbytes for p in params.values())
+        del params
+        tracemalloc.start()
+        try:
+            model.load_checkpoint(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One buffer per file, the array a view of it, no gradient buffer: 1.09x
+        # here; a copied payload or an eager gradient buffer makes it 2x.
+        assert peak <= 1.15 * weight_bytes, f"peak {peak / weight_bytes:.3f}x the weights"
+
+    def test_loaded_checkpoint_trains_further(self, tmp_path, toy_setup):
+        config, params, image = toy_setup
+        model.save_checkpoint(tmp_path, config, params)
+        _, loaded = model.load_checkpoint(tmp_path)
+        for p in loaded.values():
+            p.grad[...] = 0.5
+        sgd_step(loaded, lr=0.1)
+        for name, p in loaded.items():
+            assert p.value.flags.writeable and p.value.flags.c_contiguous
+            assert np.array_equal(p.value, params[name].value - np.float32(0.1) * np.float32(0.5)), name
 
     def test_load_checkpoint_requires_manifest(self, tmp_path):
         with pytest.raises(FormatError):

@@ -258,6 +258,18 @@ class TestConv2dBatchAxis:
         # The kernel gradient sums over the batch in one reduction, not image by image.
         assert np.abs(gk - gk_loop).max() <= 1e-12 * np.abs(gk_loop).max()
 
+    @pytest.mark.parametrize("cin, kshape, _, groups", CASES, ids=["dense", "depthwise", "grouped"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_skipped_input_gradient_leaves_the_kernel_gradient(self, cin, kshape, _, groups, stride):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 6, 6, cin)).astype(np.float32)
+        kernel = rng.standard_normal(kshape).astype(np.float32)
+        gout = rng.standard_normal(T.conv2d(x, kernel, stride, 1, groups).shape).astype(np.float32)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, groups)
+        none, gk_only = T.conv2d_backward(gout, x, kernel, stride, 1, groups, input_grad=False)
+        assert gx is not None and none is None
+        assert np.array_equal(gk, gk_only)
+
 
 class TestLayernorm:
     def test_constant_token_collapses_to_beta(self):
