@@ -4,8 +4,7 @@ Nodes are appended in creation order, which is already a topological order,
 so backward is a single reverse sweep. Each op stores a closure that maps the
 incoming gradient to per-parent gradients; gradient accumulation follows node
 order, so two backward passes from the same forward state are bit-identical.
-The sweep frees each inner node's gradient once it has been pushed to the
-parents, so its result holds leaf and parameter gradients only.
+The sweep frees inner gradients as it goes and returns leaf and parameter ones.
 A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 """
 
@@ -23,14 +22,13 @@ from .errors import ContractError, DeterminismError, ShapeError
 class Node:
     """One recorded value: the forward array plus how to push gradients back."""
 
-    __slots__ = ("data", "id", "parents", "backward_fn", "needs_grad")
+    __slots__ = ("data", "id", "parents", "backward_fn")
 
     def __init__(self, data, node_id, parents=(), backward_fn=None):
         self.data = data
         self.id = node_id
         self.parents = parents
         self.backward_fn = backward_fn
-        self.needs_grad = True  # False only on leaves whose gradient no caller reads
 
     @property
     def shape(self):
@@ -38,11 +36,7 @@ class Node:
 
 
 class Parameter:
-    """A named trainable tensor with a persistent gradient buffer.
-
-    The buffer is allocated, as zeros, the first time ``grad`` is read, so
-    paths that only run inference hold the value alone.
-    """
+    """A named trainable tensor whose gradient buffer is allocated, as zeros, on first read."""
 
     def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
         self.name, self.value, self._grad = name, value, None
@@ -76,10 +70,8 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, array, needs_grad: bool = True) -> Node:
-        node = self.record(np.asarray(array))
-        node.needs_grad = needs_grad
-        return node
+    def leaf(self, array) -> Node:
+        return self.record(np.asarray(array))
 
     def param(self, parameter: Parameter) -> Node:
         node = self.record(parameter.value)
@@ -99,8 +91,7 @@ class NoRecordTape(Tape):
 
 
 def backward(tape: Tape, loss: Node) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every reachable leaf and parameter node, keyed
-    by node id. Each inner node's gradient is dropped once it has reached the parents."""
+    """Gradients of a scalar loss w.r.t. reachable leaves and parameters; inner ones are freed."""
     if isinstance(tape, NoRecordTape):
         raise ContractError("backward needs a recording Tape, not a NoRecordTape")
     if loss.data.size != 1:
@@ -157,9 +148,8 @@ class graph:
     def __init__(self, tape: Tape):
         self.tape = tape
 
-    def leaf(self, array, needs_grad: bool = True) -> Node:
-        """An input node; with needs_grad=False, conv2d skips its input gradient."""
-        return self.tape.leaf(array, needs_grad)
+    def leaf(self, array) -> Node:
+        return self.tape.leaf(array)
 
     def param(self, parameter: Parameter) -> Node:
         return self.tape.param(parameter)
@@ -221,9 +211,10 @@ class graph:
 
     def conv2d(self, x: Node, kernel: Node, stride=1, zero_pad=0, groups=1) -> Node:
         out = T.conv2d(x.data, kernel.data, stride, zero_pad, groups)
+        input_grad = x.backward_fn is not None or x.id in self.tape.param_nodes  # not the image
 
         def back(g):
-            return T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups, x.needs_grad)
+            return T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups, input_grad)
 
         return self.tape.record(out, (x, kernel), back)
 

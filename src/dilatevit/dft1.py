@@ -23,6 +23,7 @@ from .errors import FormatError, ShapeError
 MAGIC = b"DFT1"
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODES_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_LEAD = 2  # read_tensor's buffer offset: puts the payload (at 6 + 8*rank) 8-byte aligned
 
 
 def write_tensor(path: str | os.PathLike, arr: np.ndarray) -> None:
@@ -42,13 +43,14 @@ def write_tensor(path: str | os.PathLike, arr: np.ndarray) -> None:
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
     """The tensor in one file, as a writable array over the one buffer the file is read into."""
     with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        del blob[fh.readinto(blob) :]  # a file that shrank since fstat reads as truncated
-    return decode(blob)
+        blob = bytearray(_LEAD + os.fstat(fh.fileno()).st_size)
+        del blob[_LEAD + fh.readinto(memoryview(blob)[_LEAD:]) :]  # a file that shrank is truncated
+        blob += fh.read()  # bytes fstat did not count: a pipe's, or a file's that grew
+    return decode(memoryview(blob)[_LEAD:])
 
 
-def decode(blob: bytes | bytearray) -> np.ndarray:
-    """Parse DFT1 bytes; the result views ``blob`` (writable only if blob is) when no byte swap is needed."""
+def decode(blob: bytes | bytearray | memoryview) -> np.ndarray:
+    """Parse DFT1 bytes into a view of ``blob``, or an aligned copy when the payload needs one."""
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise FormatError(f"bad magic {bytes(blob[:4])!r}, expected {MAGIC!r}", offset=0)
     if len(blob) < 6:
@@ -81,4 +83,4 @@ def decode(blob: bytes | bytearray) -> np.ndarray:
         raise FormatError(f"{len(blob) - need} trailing bytes after the payload", offset=need)
     data = np.ndarray(shape, dtype, buffer=blob, offset=header_end)  # a view: no payload copy
     native = np.dtype(np.float32) if code == 0 else np.dtype(np.float64)
-    return np.ascontiguousarray(data.astype(native, copy=False))
+    return np.require(data.astype(native, copy=False), requirements=("C", "A"))

@@ -391,13 +391,22 @@ def conv2d_backward(
 
     if groups > 1 and not depthwise:
         cg_in, cg_out = cin // groups, cout // groups
-        parts = [  # one groups=1 backward per group, joined along the channel axes
-            conv2d_backward(grad_out[..., g * cg_out : (g + 1) * cg_out], x[..., g * cg_in : (g + 1) * cg_in],
-                            kernel[..., g * cg_out : (g + 1) * cg_out], stride, zero_pad, 1, input_grad)
-            for g in range(groups)
-        ]
-        grad_x = np.concatenate([gx for gx, _ in parts], axis=-1) if input_grad else None
-        return grad_x, np.concatenate([gk for _, gk in parts], axis=-1)
+        grad_x = np.empty_like(x) if input_grad else None
+        grad_kernel = np.empty_like(kernel)
+        for g in range(groups):
+            gx, gk = conv2d_backward(
+                grad_out[..., g * cg_out : (g + 1) * cg_out],
+                x[..., g * cg_in : (g + 1) * cg_in],
+                kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
+                stride,
+                zero_pad,
+                groups=1,
+                input_grad=input_grad,
+            )
+            if input_grad:
+                grad_x[..., g * cg_in : (g + 1) * cg_in] = gx
+            grad_kernel[:, :, :, g * cg_out : (g + 1) * cg_out] = gk
+        return grad_x, grad_kernel
 
     if depthwise:
         grad_kernel = np.empty_like(kernel)

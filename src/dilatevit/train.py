@@ -41,7 +41,7 @@ def batch_loss(
 ):
     """Mean cross-entropy of one forward over the [B, S, S, C] batch; returns (tape, loss node)."""
     g = graph(Tape())
-    logits = model_mod.forward(g, g.leaf(images, needs_grad=False), config, params)
+    logits = model_mod.forward(g, g.leaf(images), config, params)
     return g.tape, g.softmax_cross_entropy(logits, labels)
 
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from dilatevit import model
-from dilatevit.autograd import Tape, accumulate_param_grads, backward, graph, sgd_step, zero_grads
+from dilatevit.autograd import (
+    Parameter,
+    Tape,
+    accumulate_param_grads,
+    backward,
+    graph,
+    sgd_step,
+    zero_grads,
+)
 from dilatevit.counting import mac_counter
 from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.errors import ConfigError
@@ -115,20 +123,21 @@ class TestTrainLoop:
         params = model.init_params(config, seed=0)
         images, labels = make_dataset(16, DatasetSpec(classes=4, size=32, noise=0.1), seed=0)
 
-        def grads(needs_grad):
+        def grads(as_param):
+            # conv2d computes its input gradient for a parameter and skips it for a plain leaf.
             g = graph(Tape())
-            image = g.leaf(images, needs_grad=needs_grad)
+            image = g.param(Parameter("image", images)) if as_param else g.leaf(images)
             loss = g.softmax_cross_entropy(model.forward(g, image, config, params), labels)
             return image.id, g.tape.param_nodes, backward(g.tape, loss)
 
         image_id, param_nodes, full = grads(True)
         _, _, skipped = grads(False)
-        assert image_id in full and image_id not in skipped
-        assert set(skipped) == set(param_nodes)
-        for node_id in param_nodes:
+        assert full[image_id].shape == images.shape and image_id not in skipped
+        assert set(skipped) == set(param_nodes) - {image_id}
+        for node_id in skipped:
             assert np.array_equal(full[node_id], skipped[node_id]), param_nodes[node_id].name
         tape, loss = batch_loss(config, params, images, labels)
-        assert set(backward(tape, loss)) == set(tape.param_nodes)  # batch_loss opts out
+        assert set(backward(tape, loss)) == set(tape.param_nodes)  # no image gradient
 
     def test_accuracy_at_init_is_near_chance(self):
         config = model.toy()

@@ -106,7 +106,8 @@ def test_file_roundtrip_is_bit_exact_and_damage_is_a_format_error(dtype, shape, 
         back = dft1.read_tensor(path)
         assert back.dtype == dtype and back.shape == shape
         assert np.array_equal(back.view(uint), bits)
-        assert back.flags.writeable and back.flags.c_contiguous and back.dtype.isnative
+        assert back.flags.writeable and back.flags.c_contiguous and back.flags.aligned
+        assert back.dtype.isnative
         with open(path, "rb") as fh:
             blob = fh.read()
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
@@ -116,3 +117,19 @@ def test_file_roundtrip_is_bit_exact_and_damage_is_a_format_error(dtype, shape, 
                 fh.write(damaged)
             with pytest.raises(FormatError):
                 dft1.read_tensor(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reads_through_a_pipe(dtype):
+    arr = np.arange(24, dtype=dtype).reshape(2, 3, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.dft1")
+        dft1.write_tensor(path, arr)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(blob)  # far below the pipe's buffer, so this does not block
+        back = dft1.read_tensor(f"/dev/fd/{reader.fileno()}")
+    assert np.array_equal(back, arr) and back.flags.writeable and back.flags.aligned

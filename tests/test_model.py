@@ -303,13 +303,15 @@ class TestSerialization:
         del params
         tracemalloc.start()
         try:
-            model.load_checkpoint(tmp_path)
+            _, loaded = model.load_checkpoint(tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # One buffer per file, the array a view of it, no gradient buffer: 1.09x
         # here; a copied payload or an eager gradient buffer makes it 2x.
         assert peak <= 1.15 * weight_bytes, f"peak {peak / weight_bytes:.3f}x the weights"
+        # An unaligned view would be copied by numpy before every product.
+        assert all(p.value.flags.aligned for p in loaded.values())
 
     def test_loaded_checkpoint_trains_further(self, tmp_path, toy_setup):
         config, params, image = toy_setup
