@@ -40,6 +40,9 @@ class AttentionMap:
         if np.any(self.weights < 0):
             raise ValidationError("attention weights must be nonnegative")
         sums = self.weights.sum(axis=1)
+        # A NaN or infinite weight makes its row sum non-finite; NaN fails every comparison.
+        if not np.isfinite(sums).all():
+            raise ValidationError("attention weights must be finite")
         worst = np.abs(sums - 1.0).max()
         if worst > ROW_SUM_TOL:
             raise ValidationError(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -393,26 +395,40 @@ def load_config(path: str | os.PathLike) -> ModelConfig:
 def save_checkpoint(
     directory: str | os.PathLike, config: ModelConfig, params: dict[str, Parameter]
 ) -> None:
+    """Write into a temporary sibling directory, then rename it into place, so a
+    failed save leaves the old checkpoint whole; only a checkpoint is replaced."""
     dtypes = {p.value.dtype for p in params.values()}
     if len(dtypes) != 1 or not dtypes <= DTYPE_NAMES.keys():
         raise FormatError(
             f"a checkpoint holds one dtype, f32 or f64; the parameters are {sorted(map(str, dtypes))}"
         )
-    os.makedirs(directory, exist_ok=True)
-    files = {}
-    for name in sorted(params):
-        fname = f"{name}.dft1"
-        dft1.write_tensor(os.path.join(directory, fname), params[name].value)
-        files[name] = fname
-    manifest = {
-        "format_version": "1",
-        "dtype": DTYPE_NAMES[dtypes.pop()],
-        "config": config_to_dict(config),
-        "files": files,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    directory = os.path.abspath(directory)
+    old = os.listdir(directory) if os.path.exists(directory) else []  # NotADirectoryError for a file
+    if any(f != "manifest.json" and not f.endswith(".dft1") for f in old):
+        raise FormatError(f"{directory} holds files no checkpoint writes; not replacing it")
+    os.makedirs(os.path.dirname(directory), exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{os.path.basename(directory)}.", dir=os.path.dirname(directory))
+    try:
+        files = {}
+        for name in sorted(params):
+            fname = f"{name}.dft1"
+            dft1.write_tensor(os.path.join(staging, fname), params[name].value)
+            files[name] = fname
+        manifest = {
+            "format_version": "1",
+            "dtype": DTYPE_NAMES[dtypes.pop()],
+            "config": config_to_dict(config),
+            "files": files,
+        }
+        with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if os.path.exists(directory):  # aside until the new checkpoint is in place
+            os.rename(directory, staging + ".old")
+        os.rename(staging, directory)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)  # left only by a failed save
+    shutil.rmtree(staging + ".old", ignore_errors=True)
 
 
 def load_checkpoint(

@@ -186,25 +186,19 @@ def transformer_block(
     kind: str = "MSDA",
     attn_sink: list | None = None,
 ) -> Node:
-    """CPE + pre-norm attention + pre-norm MLP, all residual."""
+    """CPE + pre-norm attention + pre-norm MLP, all residual. Temporaries are
+    dropped once consumed, so a NoRecordTape frees them before the MLP runs."""
     if kind not in ("MSDA", "MHSA"):
         raise ConfigError(f"block kind must be 'MSDA' or 'MHSA', got {kind!r}")
-    cpe = g.conv2d(
-        x,
-        g.param(_get(params, prefix, "cpe.weight")),
-        stride=1,
-        zero_pad=1,
-        groups=spec.dim,
-    )
-    cpe = g.add_bias(cpe, g.param(_get(params, prefix, "cpe.bias")))
-    x = g.add(cpe, x)
 
-    normed = g.layernorm(
-        x,
-        g.param(_get(params, prefix, "norm1.gamma")),
-        g.param(_get(params, prefix, "norm1.beta")),
-        eps=LN_EPS,
-    )
+    def p(leaf: str) -> Node:
+        return g.param(_get(params, prefix, leaf))
+
+    cpe = g.add_bias(g.conv2d(x, p("cpe.weight"), stride=1, zero_pad=1, groups=spec.dim), p("cpe.bias"))
+    x = g.add(cpe, x)
+    del cpe
+
+    normed = g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS)
     if kind == "MSDA":
         attn = msda_attention(g, normed, spec, params, prefix, attn_sink=attn_sink)
     else:
@@ -212,22 +206,12 @@ def transformer_block(
             g, normed, spec.n_heads, params, prefix, spec=spec, attn_sink=attn_sink
         )
     y = g.add(attn, x)
+    del normed, attn, x
 
-    normed2 = g.layernorm(
-        y,
-        g.param(_get(params, prefix, "norm2.gamma")),
-        g.param(_get(params, prefix, "norm2.beta")),
-        eps=LN_EPS,
-    )
-    hidden = g.linear(
-        normed2,
-        g.param(_get(params, prefix, "mlp.fc1.weight")),
-        g.param(_get(params, prefix, "mlp.fc1.bias")),
-    )
+    normed2 = g.layernorm(y, p("norm2.gamma"), p("norm2.beta"), eps=LN_EPS)
+    hidden = g.linear(normed2, p("mlp.fc1.weight"), p("mlp.fc1.bias"))
+    del normed2
     hidden = g.gelu(hidden)
-    mlp = g.linear(
-        hidden,
-        g.param(_get(params, prefix, "mlp.fc2.weight")),
-        g.param(_get(params, prefix, "mlp.fc2.bias")),
-    )
+    mlp = g.linear(hidden, p("mlp.fc2.weight"), p("mlp.fc2.bias"))
+    del hidden
     return g.add(mlp, y)

@@ -63,12 +63,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (max-subtraction)."""
+    """Numerically stable softmax along ``axis`` (max-subtraction), in one output-sized buffer."""
     if not np.isfinite(x).all():
         raise NumericError("softmax requires finite inputs")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def channel_sums(a: np.ndarray) -> np.ndarray:
@@ -160,6 +161,8 @@ _INV_SQRT2, _INV_SQRT_2PI, _FOUR, _MINUS_FOUR, _HALF, _MINUS_HALF = _f32(
 # float32 elements per pass: the x and output slices and two scratch rows
 # (512 KB) stay in a core's L2 cache, and 27 ufunc calls cover 32 k elements.
 CDF_CHUNK = 1 << 15
+# Bytes of im2col columns a dense conv unfolds at once: a core's L2 cache (2 MB).
+IM2COL_BLOCK_BYTES = 1 << 21
 
 
 def _horner(t2, coefs, out):
@@ -317,13 +320,28 @@ def _tap_rows(kernel: np.ndarray, w_out: int) -> np.ndarray:
 
 def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int, depthwise: bool) -> np.ndarray:
     """Cross-correlation of a padded map xp [..., Hp,Wp,Cin] with kernel
-    [kh,kw,Cin,Cout], or [kh,kw,1,C] if ``depthwise``; counts no MACs."""
+    [kh,kw,Cin,Cout], or [kh,kw,1,C] if ``depthwise``; counts no MACs. Dense
+    columns over IM2COL_BLOCK_BYTES are unfolded and multiplied a block of one
+    image's output rows at a time, so only the GEMM's M extent changes."""
     kh, kw, _, cout = kernel.shape
     if not depthwise:
-        cols = im2col(xp, kh, kw, stride)
-        del xp  # the padded map is not needed while the product runs
-        out = cols.reshape(-1, cols.shape[-1]) @ kernel.reshape(-1, cout)
-        return out.reshape(cols.shape[:-1] + (cout,))
+        h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
+        w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
+        row_bytes = w_out * kh * kw * xp.shape[-1] * xp.itemsize  # one image's columns for one output row
+        if math.prod(xp.shape[:-3]) * h_out * row_bytes <= IM2COL_BLOCK_BYTES:
+            cols = im2col(xp, kh, kw, stride)
+            del xp  # the padded map is not needed while the product runs
+            out = cols.reshape(-1, cols.shape[-1]) @ kernel.reshape(-1, cout)
+            return out.reshape(cols.shape[:-1] + (cout,))
+        out = np.empty(xp.shape[:-3] + (h_out, w_out, cout), dtype=xp.dtype)
+        kmat, step = kernel.reshape(-1, cout), max(1, IM2COL_BLOCK_BYTES // row_bytes)
+        for img, dst in zip(xp.reshape((-1,) + xp.shape[-3:]), out.reshape((-1, h_out, w_out, cout))):
+            for r in range(0, h_out, step):
+                rows = dst[r : r + step]
+                cols = im2col(img[r * stride : (r + len(rows) - 1) * stride + kh], kh, kw, stride)
+                np.matmul(cols.reshape(-1, kmat.shape[0]), kmat, out=rows.reshape(-1, cout))
+                del cols  # one block's columns alive at a time
+        return out
     out = scratch = rows = None
     for (a, b), window in _taps(xp, kh, kw, stride):
         if out is None:
@@ -345,7 +363,8 @@ def conv2d(
     """Cross-correlation of x [..., H,W,Cin] with kernel [kh,kw,Cin/groups,Cout].
 
     ``groups == Cin`` with ``Cout == Cin`` is the depth-wise case and takes a
-    dedicated tap multiply-add path (no im2col materialization).
+    dedicated tap multiply-add path (no im2col materialization). A dense conv
+    unfolds at most IM2COL_BLOCK_BYTES of columns at once, whatever the map size.
     """
     h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
     kh, kw, _, cout = kernel.shape

@@ -1,7 +1,9 @@
-"""The benchmark's training workload runs end to end and passes its own output checks.
+"""The benchmark's workloads run end to end and pass their own output checks.
 
-It fills every fresh parameter's ``.grad`` before its gradient check, so this
-guards the gradient-buffer contract the benchmark relies on.
+``train_toy_b16`` fills every fresh parameter's ``.grad`` before its gradient
+check, so it guards the gradient-buffer contract the benchmark relies on.
+``infer_tiny224`` checks tiny@224 logits against the benchmark's own float64
+forward, so it guards the row-blocked convolution at the sizes that block.
 """
 
 import json
@@ -12,10 +14,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_train_toy_b16_workload_is_correct():
-    argv = [sys.executable, "perfbench/run.py", "--workload", "train_toy_b16",
+def run_workload(workload):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "0", "--seconds", "0.5", "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, proc.stderr[-4000:]
     assert proc.returncode == 0
+
+
+def test_train_toy_b16_workload_is_correct():
+    run_workload("train_toy_b16")
+
+
+def test_infer_tiny224_workload_is_correct():
+    run_workload("infer_tiny224")

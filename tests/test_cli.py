@@ -339,6 +339,15 @@ class TestAttnstats:
         assert run(["attnstats", "--input", str(path)]) == 1
         assert "byte offset" in capsys.readouterr().err
 
+    def test_non_finite_map_exits_1(self, tmp_path, capsys):
+        weights = np.eye(4, dtype=np.float32)
+        weights[2, 3] = np.nan
+        path = tmp_path / "nan.dft1"
+        dft1.write_tensor(path, weights)
+        assert run(["attnstats", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and "nan" not in captured.out
+
     def test_checkpoint_maps(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert (

@@ -209,3 +209,18 @@ class TestValidation:
         rows /= rows.sum(axis=1, keepdims=True)
         rows[0, 0] += 5e-5  # still within 1e-4
         metrics.from_dense(rows, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_dense_weights(self, bad):
+        # NaN passes both the sign and the row-sum comparison, so it needs its own check.
+        weights = np.eye(4)
+        weights[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            metrics.from_dense(weights, 2, 2)
+
+    def test_rejects_non_finite_tap_weights(self):
+        cfg = SwdaConfig(w=3, r=1, d_k=2, edge_mode="masked")
+        weights = swda_weights(4, 4, cfg)
+        weights[1, 1, 4] = np.nan  # the centre tap, always on the map
+        with pytest.raises(ValidationError, match="finite"):
+            metrics.from_swda_weights(weights, cfg)

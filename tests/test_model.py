@@ -164,8 +164,11 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A recording tape holds every intermediate of the pass: 219 MB.
-        assert peak < 60e6, f"peak {peak / 1e6:.1f} MB"
+        # A recording tape holds every intermediate of the pass: 219 MB. Unblocked
+        # im2col held a 16.3 MB [12544, 324] column buffer for tokenizer conv2 and
+        # peaked at 19.9 MB; row-blocked columns and released block temporaries
+        # leave the stage-1 MLP's two hidden maps on top: 9.3 MB.
+        assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_batched_forward_matches_per_image_forwards(self, toy_setup):
         config = toy_setup[0]
@@ -294,6 +297,39 @@ class TestSerialization:
         with pytest.raises(FormatError, match="one dtype"):
             model.save_checkpoint(tmp_path, config, params)
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_resave_leaves_the_old_checkpoint_whole(self, tmp_path, monkeypatch):
+        config = model.toy()
+        ckpt = tmp_path / "ckpt"
+        model.save_checkpoint(ckpt, config, model.init_params(config, seed=0))
+        written = []
+        write_tensor = model.dft1.write_tensor
+
+        def failing_write(path, arr):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(path)
+            write_tensor(path, arr)
+
+        monkeypatch.setattr(model.dft1, "write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            model.save_checkpoint(ckpt, config, model.init_params(config, seed=1))
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # no staging directory left
+        _, loaded = model.load_checkpoint(ckpt)
+        for name, p in model.init_params(config, seed=0).items():
+            assert np.array_equal(loaded[name].value, p.value), name
+
+    def test_resave_replaces_a_checkpoint_but_no_other_directory(self, tmp_path, toy_setup):
+        config, params, _ = toy_setup
+        model.save_checkpoint(tmp_path / "ckpt", config, model.init_params(config, seed=1))
+        model.save_checkpoint(tmp_path / "ckpt", config, params)
+        _, loaded = model.load_checkpoint(tmp_path / "ckpt")
+        assert all(np.array_equal(loaded[k].value, p.value) for k, p in params.items())
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        (tmp_path / "ckpt" / "notes.txt").write_text("keep me")
+        with pytest.raises(FormatError, match="no checkpoint writes"):
+            model.save_checkpoint(tmp_path / "ckpt", config, params)
+        assert (tmp_path / "ckpt" / "notes.txt").read_text() == "keep me"
 
     def test_loaded_checkpoint_holds_one_copy_of_its_weights(self, tmp_path):
         config = model.toy()

@@ -114,6 +114,15 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_buffer_equals_the_out_of_place_formula_and_keeps_its_input(self, dtype):
+        x = (np.random.default_rng(14).standard_normal((3, 50, 49)) * 4).astype(dtype)
+        before = x.copy()
+        out = T.softmax(x)
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        assert np.array_equal(out, e / np.sum(e, axis=-1, keepdims=True))
+        assert np.array_equal(x, before)
+
     def test_uniform_on_equal_logits(self):
         out = T.softmax(np.zeros(3))
         assert np.allclose(out, 1.0 / 3.0)
@@ -269,6 +278,48 @@ class TestConv2dBatchAxis:
         none, gk_only = T.conv2d_backward(gout, x, kernel, stride, 1, groups, input_grad=False)
         assert gx is not None and none is None
         assert np.array_equal(gk, gk_only)
+
+
+class TestConv2dRowBlocks:
+    """A dense conv whose columns exceed T.IM2COL_BLOCK_BYTES unfolds and multiplies
+    a block of output rows of one image at a time; the stride-1 input gradient
+    runs through the same correlation."""
+
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("rows_per_block", [1, 2])  # 2 leaves a partial last block of 9 or 5 rows
+    def test_blocked_matches_direct_loops_and_one_block(self, monkeypatch, batch, stride, rows_per_block):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(batch + (9, 7, 3))
+        kernel = rng.standard_normal((3, 3, 3, 4))
+        out_one = T.conv2d(x, kernel, stride, 1)
+        gout = rng.standard_normal(out_one.shape)
+        gx_one, gk_one = T.conv2d_backward(gout, x, kernel, stride, 1, 1)
+        h_out, w_out = out_one.shape[-3:-1]
+        monkeypatch.setattr(T, "IM2COL_BLOCK_BYTES", rows_per_block * w_out * kernel[..., 0].size * x.itemsize)
+        unfolded = []  # output rows of each unfolding
+        im2col = T.im2col
+
+        def counting_im2col(*args):
+            cols = im2col(*args)
+            unfolded.append(cols.shape[-3])
+            return cols
+
+        monkeypatch.setattr(T, "im2col", counting_im2col)
+        out = T.conv2d(x, kernel, stride, 1)
+        images = math.prod(batch)
+        assert len(unfolded) == images * math.ceil(h_out / rows_per_block)
+        assert sum(unfolded) == images * h_out and max(unfolded) == rows_per_block
+        unfolded.clear()
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, 1)
+        if stride == 1:  # the kernel gradient's one unfold, then the input gradient row by row (36 > 27 taps x Cin)
+            assert unfolded == [h_out] + [1] * images * x.shape[-3]
+        assert np.abs(out - out_one).max() <= 1e-12 and np.abs(gx - gx_one).max() <= 1e-12
+        assert np.array_equal(gk, gk_one)  # the kernel gradient unfolds x in one piece
+        for b in np.ndindex(batch):
+            assert np.abs(out[b] - direct_loop_conv2d(x[b], kernel, stride, 1)).max() <= 1e-12
+            gx_ref, _ = direct_loop_conv2d_backward(gout[b], x[b], kernel, stride, 1)
+            assert np.abs(gx[b] - gx_ref).max() <= 1e-12
 
 
 class TestLayernorm:
