@@ -11,12 +11,22 @@ A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from . import swda as _swda
 from . import tensor as T
 from .errors import ContractError, DeterminismError, ShapeError
+
+
+class AttentionSink(Protocol):
+    """Receives each attention head's weights as its op computes them: a list keeps
+    them, a consumer can reduce each one and drop it."""
+
+    def append(self, head: tuple[str, _swda.SwdaConfig | None, np.ndarray]) -> None:
+        """``(layer, cfg, weights)``: a windowed head's tap-order ``[H, W, w*w]`` weights
+        with its config, or a global head's ``[N, N]`` weights with ``cfg=None``."""
 
 
 class Node:
@@ -239,11 +249,13 @@ class graph:
         return self.tape.record(y, (x,), back)
 
     def swda(self, qkv: Node, cfgs: tuple[_swda.SwdaConfig, ...],
-             attn_sink: list | None = None, layer: str = "") -> Node:
+             attn_sink: AttentionSink | None = None, layer: str = "") -> Node:
         """Dilated window attention on a fused [..., 3C] q|k|v node, C = len(cfgs) * d_k.
 
         Head i runs cfgs[i] on views of channels [i*d_k, (i+1)*d_k) of each C-wide
-        third and writes them to the same channels of the [..., C] output.
+        third and writes them to the same channels of the [..., C] output. An
+        ``attn_sink`` gets ``append((f"{layer}.head{i}", cfgs[i], weights))`` as each
+        head runs, with a copy of its ``[H, W, w*w]`` weights.
         """
         d_k, C = cfgs[0].d_k, len(cfgs) * cfgs[0].d_k
         if qkv.data.shape[-1] != 3 * C:

@@ -286,8 +286,37 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _maps_from_checkpoint(args) -> list[tuple[str, metrics.AttentionMap]]:
-    config, params = model_mod.load_checkpoint(args.checkpoint)
+class _StatRows:
+    """The attnstats CSV, one attention map at a time. As a forward's attention
+    sink it turns each head into its map and its rows as the head appears, so
+    no map outlives its rows."""
+
+    def __init__(self, radii: list[int], threshold: float):
+        self.radii, self.threshold = radii, threshold
+        self.lines = ["layer,radius_or_threshold,metric,value"]
+
+    def append(self, head) -> None:
+        layer, cfg, weights = head
+        if cfg is not None:
+            self.add(layer, metrics.from_swda_weights(weights, cfg))
+        else:
+            side = int(round(weights.shape[0] ** 0.5))
+            self.add(layer, metrics.from_dense(weights.astype(np.float64), side, side))
+
+    def add(self, layer: str, amap: metrics.AttentionMap) -> None:
+        for radius in self.radii:
+            _, mean = metrics.locality_mass(amap, radius)
+            self.lines.append(f"{layer},{radius},locality_mass,{mean:.10f}")
+        stats = metrics.sparsity_profile(amap, self.threshold)
+        t = self.threshold
+        self.lines.append(f"{layer},{t},active_keys,{stats.mean_active_keys:.10f}")
+        self.lines.append(f"{layer},{t},participation_ratio,{stats.participation_ratio:.10f}")
+        self.lines.append(f"{layer},{t},entropy_nats,{stats.entropy_nats:.10f}")
+
+
+def _checkpoint_rows(args, rows: _StatRows) -> None:
+    """One probe image through the checkpoint, each weight read as its layer runs."""
+    config, tensors = model_mod.open_checkpoint(args.checkpoint)
     # One probe image needs no more classes than the synthetic palette has colors.
     classes = min(config.num_classes, MAX_CLASSES)
     spec = DatasetSpec(classes=classes, size=config.input_size, noise=0.1)
@@ -295,22 +324,11 @@ def _maps_from_checkpoint(args) -> list[tuple[str, metrics.AttentionMap]]:
 
     from .autograd import NoRecordTape, graph
 
-    sink: list = []
     g = graph(NoRecordTape())
-    model_mod.forward(g, g.leaf(images[0]), config, params, attn_sink=sink)
-    del params  # the statistics read only the sunk weights
-    maps = []
-    for layer, cfg, weights in sink:
-        if cfg is not None:
-            maps.append((layer, metrics.from_swda_weights(weights, cfg)))
-        else:
-            n = weights.shape[0]
-            side = int(round(n**0.5))
-            maps.append((layer, metrics.from_dense(weights.astype(np.float64), side, side)))
-    return maps
+    model_mod.forward(g, g.leaf(images[0]), config, tensors, attn_sink=rows)
 
 
-def _map_from_file(args) -> list[tuple[str, metrics.AttentionMap]]:
+def _file_rows(args, rows: _StatRows) -> None:
     arr = dft1.read_tensor(args.input)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DilateVitError(
@@ -325,26 +343,18 @@ def _map_from_file(args) -> list[tuple[str, metrics.AttentionMap]]:
                 f"cannot infer grid for {arr.shape[0]} keys; pass --grid H,W"
             )
         h = w = side
-    return [(os.path.basename(args.input), metrics.from_dense(arr, h, w))]
+    rows.add(os.path.basename(args.input), metrics.from_dense(arr, h, w))
 
 
 def cmd_attnstats(args) -> int:
     if not args.input and not args.checkpoint:
         raise DilateVitError("need --input FILE.dft1 or --checkpoint DIR")
-    named_maps = _map_from_file(args) if args.input else _maps_from_checkpoint(args)
-    radii = [int(r) for r in args.radii.split(",")]
-    lines = ["layer,radius_or_threshold,metric,value"]
-    for layer, amap in named_maps:
-        for radius in radii:
-            _, mean = metrics.locality_mass(amap, radius)
-            lines.append(f"{layer},{radius},locality_mass,{mean:.10f}")
-        stats = metrics.sparsity_profile(amap, args.threshold)
-        lines.append(f"{layer},{args.threshold},active_keys,{stats.mean_active_keys:.10f}")
-        lines.append(
-            f"{layer},{args.threshold},participation_ratio,{stats.participation_ratio:.10f}"
-        )
-        lines.append(f"{layer},{args.threshold},entropy_nats,{stats.entropy_nats:.10f}")
-    _write_or_print("\n".join(lines), args.out)
+    rows = _StatRows([int(r) for r in args.radii.split(",")], args.threshold)
+    if args.input:
+        _file_rows(args, rows)
+    else:
+        _checkpoint_rows(args, rows)
+    _write_or_print("\n".join(rows.lines), args.out)
     return EXIT_OK
 
 

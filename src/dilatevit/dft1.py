@@ -10,6 +10,7 @@ Layout, all little-endian:
 
 Readers reject wrong magic, unknown dtype codes, zero extents, truncated
 payloads and trailing bytes, reporting the byte offset of the failure.
+``read_header`` makes the same checks from a file's header and size alone.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 MAGIC = b"DFT1"
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPE_CODES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}  # stored little-endian
 _CODES_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_MAX_HEADER = 6 + 8 * 255  # magic, dtype code, rank and the largest extent table
 _LEAD = 2  # read_tensor's buffer offset: puts the payload (at 6 + 8*rank) 8-byte aligned
 
 
@@ -49,23 +51,40 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     return decode(memoryview(blob)[_LEAD:])
 
 
+def read_header(path: str | os.PathLike) -> tuple[np.dtype, tuple[int, ...]]:
+    """The dtype and shape of a regular file, its size checked against them; no payload is read."""
+    with open(path, "rb") as fh:
+        head = fh.read(_MAX_HEADER)
+        size = max(len(head), os.fstat(fh.fileno()).st_size)
+    dtype, shape, _ = _parse_header(head, size)
+    return dtype, shape
+
+
 def decode(blob: bytes | bytearray | memoryview) -> np.ndarray:
     """Parse DFT1 bytes into a view of ``blob``, or an aligned copy when the payload needs one."""
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise FormatError(f"bad magic {bytes(blob[:4])!r}, expected {MAGIC!r}", offset=0)
-    if len(blob) < 6:
-        raise FormatError("truncated header", offset=len(blob))
-    code, rank = blob[4], blob[5]
+    dtype, shape, header_end = _parse_header(blob, len(blob))
+    data = np.ndarray(shape, dtype.newbyteorder("<"), buffer=blob, offset=header_end)  # a view: no payload copy
+    return np.require(data.astype(dtype, copy=False), requirements=("C", "A"))
+
+
+def _parse_header(head, size: int) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Check the header at the start of ``head`` and a total size of ``size`` bytes:
+    (native dtype, shape, payload offset)."""
+    if len(head) < 4 or head[:4] != MAGIC:
+        raise FormatError(f"bad magic {bytes(head[:4])!r}, expected {MAGIC!r}", offset=0)
+    if len(head) < 6:
+        raise FormatError("truncated header", offset=len(head))
+    code, rank = head[4], head[5]
     if code not in _DTYPE_CODES:
         raise FormatError(f"unknown dtype code {code}", offset=4)
     header_end = 6 + 8 * rank
-    if len(blob) < header_end:
+    if len(head) < header_end:
         raise FormatError(
-            f"truncated extent table: need {header_end} bytes, have {len(blob)}",
-            offset=len(blob),
+            f"truncated extent table: need {header_end} bytes, have {len(head)}",
+            offset=len(head),
         )
     shape = tuple(
-        int.from_bytes(blob[6 + 8 * i : 14 + 8 * i], "little") for i in range(rank)
+        int.from_bytes(head[6 + 8 * i : 14 + 8 * i], "little") for i in range(rank)
     )
     for i, extent in enumerate(shape):
         if extent < 1:
@@ -75,12 +94,8 @@ def decode(blob: bytes | bytearray | memoryview) -> np.ndarray:
     for extent in shape:
         count *= extent
     need = header_end + count * dtype.itemsize
-    if len(blob) < need:
-        raise FormatError(
-            f"truncated payload: need {need} bytes, have {len(blob)}", offset=len(blob)
-        )
-    if len(blob) > need:
-        raise FormatError(f"{len(blob) - need} trailing bytes after the payload", offset=need)
-    data = np.ndarray(shape, dtype, buffer=blob, offset=header_end)  # a view: no payload copy
-    native = np.dtype(np.float32) if code == 0 else np.dtype(np.float64)
-    return np.require(data.astype(native, copy=False), requirements=("C", "A"))
+    if size < need:
+        raise FormatError(f"truncated payload: need {need} bytes, have {size}", offset=size)
+    if size > need:
+        raise FormatError(f"{size - need} trailing bytes after the payload", offset=need)
+    return dtype, shape, header_end

@@ -14,20 +14,29 @@ checker all agree on naming.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import shutil
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dft1
-from .autograd import Node, NoRecordTape, Parameter, graph
+from .autograd import AttentionSink, Node, NoRecordTape, Parameter, graph
 from .errors import ConfigError, FormatError, NumericError
 from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, transformer_block, trunc_normal
 from .tensor import DTYPE_NAMES, DTYPES
 
 CONFIG_FORMAT_VERSION = "1"
+
+
+def _integers(what: str, *values) -> None:
+    """ConfigError unless every value is an integer; a JSON float or bool is not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ConfigError(f"{what} must be integers, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,12 @@ class StageSpec:
     def __post_init__(self):
         if self.kind not in ("D", "G"):
             raise ConfigError(f"stage kind must be 'D' or 'G', got {self.kind!r}")
+        _integers("stage depth, dim, n_heads, kernel_w and dilation rates",
+                  self.depth, self.dim, self.n_heads, self.kernel_w, *self.dilation_rates)
         if self.depth < 1:
             raise ConfigError(f"stage depth must be >= 1, got {self.depth}")
+        if self.n_heads < 1:
+            raise ConfigError(f"stage n_heads must be >= 1, got {self.n_heads}")
         if self.dim < 1 or self.dim % self.n_heads != 0:
             raise ConfigError(
                 f"stage dim {self.dim} must be positive and divisible by n_heads {self.n_heads}"
@@ -77,6 +90,11 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.stages) != 4:
             raise ConfigError(f"expected 4 stages, got {len(self.stages)}")
+        sizes = (self.input_size, self.in_channels, self.num_classes, self.mlp_ratio)
+        _integers("input_size, in_channels, num_classes, mlp_ratio and tokenizer_channels",
+                  *sizes, *self.tokenizer_channels)
+        if min(sizes) < 1:
+            raise ConfigError(f"input_size, in_channels, num_classes and mlp_ratio must be >= 1, got {sizes}")
         if self.input_size % 32 != 0:
             raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
         if not self.tokenizer_channels:
@@ -219,20 +237,25 @@ def parameter_count(params: dict[str, Parameter]) -> int:
     return sum(p.value.size for p in params.values())
 
 
+def _check_names(expected, names) -> None:
+    """ConfigError naming the first missing parameter, else the first unexpected one."""
+    for name in sorted(expected):
+        if name not in names:
+            raise ConfigError(f"missing parameter: {name}")
+    for name in sorted(names):
+        if name not in expected:
+            raise ConfigError(f"unexpected parameter: {name}")
+
+
 def validate_params(config: ModelConfig, params: dict[str, Parameter]) -> None:
     """Check the tree matches the config; report the first offending path."""
     expected = parameter_shapes(config)
+    _check_names(expected, params)
     for name in sorted(expected):
-        got = params.get(name)
-        if got is None:
-            raise ConfigError(f"missing parameter: {name}")
-        if got.value.shape != expected[name]:
+        if params[name].value.shape != expected[name]:
             raise ConfigError(
-                f"parameter {name} has shape {got.value.shape}, expected {expected[name]}"
+                f"parameter {name} has shape {params[name].value.shape}, expected {expected[name]}"
             )
-    for name in sorted(params):
-        if name not in expected:
-            raise ConfigError(f"unexpected parameter: {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +303,12 @@ def forward(
     g: graph,
     image: Node,
     config: ModelConfig,
-    params: dict[str, Parameter],
-    attn_sink: list | None = None,
+    params: Mapping[str, Parameter],
+    attn_sink: AttentionSink | None = None,
 ) -> Node:
-    """Logits [..., K] for an image node [..., S, S, in_channels]; leading axes are batch."""
+    """Logits [..., K] for an image node [..., S, S, in_channels]; leading axes are batch.
+    ``params`` is looked up once per tensor, as its layer runs; ``attn_sink`` gets every
+    head's attention weights as they appear (see ``graph.swda``)."""
     s = config.input_size
     if image.data.shape[-3:] != (s, s, config.in_channels):
         raise ConfigError(
@@ -357,6 +382,8 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config is a JSON object, got {type(d).__name__}")
     version = d.get("format_version", CONFIG_FORMAT_VERSION)
     if version != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config format version {version!r}")
@@ -385,6 +412,8 @@ def config_from_dict(d: dict) -> ModelConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}") from exc
+    except TypeError as exc:  # a stage that is no object, or a list that is no list
+        raise ConfigError(f"config is malformed: {exc}") from exc
 
 
 def load_config(path: str | os.PathLike) -> ModelConfig:
@@ -431,9 +460,40 @@ def save_checkpoint(
     shutil.rmtree(staging + ".old", ignore_errors=True)
 
 
-def load_checkpoint(
-    directory: str | os.PathLike,
-) -> tuple[ModelConfig, dict[str, Parameter]]:
+class CheckpointTensors(Mapping):
+    """A checkpoint's parameters by name, read-only. Each lookup reads and decodes
+    that tensor's file, checks its dtype and shape again and keeps nothing."""
+
+    def __init__(self, directory: str, files: dict[str, str], dtype: str, shapes: dict):
+        self._directory, self._files, self._dtype, self._shapes = directory, files, dtype, shapes
+
+    def path(self, name: str) -> str:
+        return os.path.join(self._directory, self._files[name])
+
+    def check(self, name: str, dtype: np.dtype, shape: tuple[int, ...]) -> None:
+        if dtype != DTYPES[self._dtype]:
+            raise FormatError(f"tensor {name} is {dtype}, the manifest says {self._dtype}")
+        if shape != self._shapes[name]:
+            raise FormatError(f"tensor {name} has shape {shape}, the config expects {self._shapes[name]}")
+
+    def __getitem__(self, name: str) -> Parameter:
+        value = dft1.read_tensor(self.path(name))
+        self.check(name, value.dtype, value.shape)
+        return Parameter(name, value)
+
+    def __contains__(self, name) -> bool:
+        return name in self._files
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+
+def open_checkpoint(directory: str | os.PathLike) -> tuple[ModelConfig, CheckpointTensors]:
+    """The config and a lazy view of the tensors. Every file's header and size are
+    checked against the manifest dtype and the config's shapes; no payload is read."""
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
         raise FormatError(f"no manifest.json in checkpoint directory {directory}")
@@ -453,19 +513,24 @@ def load_checkpoint(
             raise FormatError(f"{manifest_path} needs a {key!r} object")
     if manifest.get("dtype") not in ("f32", "f64"):
         raise FormatError(f"{manifest_path}: dtype must be 'f32' or 'f64', got {manifest.get('dtype')!r}")
-    dtype = DTYPES[manifest["dtype"]]
     config = config_from_dict(manifest["config"])
-    params = {}
-    for name, fname in manifest["files"].items():
+    shapes = parameter_shapes(config)
+    files = manifest["files"]
+    _check_names(shapes, files)
+    tensors = CheckpointTensors(os.fspath(directory), files, manifest["dtype"], shapes)
+    for name, fname in files.items():
         # Tensors live in the checkpoint directory itself, never elsewhere.
         if not isinstance(fname, str) or fname in ("", ".", "..") or set(fname) & set("/\\\0"):
             raise FormatError(f"tensor {name}: {fname!r} is not a plain file name")
-        path = os.path.join(directory, fname)
-        if not os.path.isfile(path):
+        if not os.path.isfile(tensors.path(name)):
             raise FormatError(f"tensor {name}: no file {fname!r} in {directory}")
-        value = dft1.read_tensor(path)
-        if value.dtype != dtype:
-            raise FormatError(f"tensor {name} is {value.dtype}, the manifest says {manifest['dtype']}")
-        params[name] = Parameter(name, value)
-    validate_params(config, params)
-    return config, params
+        tensors.check(name, *dft1.read_header(tensors.path(name)))
+    return config, tensors
+
+
+def load_checkpoint(
+    directory: str | os.PathLike,
+) -> tuple[ModelConfig, dict[str, Parameter]]:
+    """The config and every tensor of ``open_checkpoint``, read."""
+    config, tensors = open_checkpoint(directory)
+    return config, dict(tensors.items())

@@ -17,12 +17,13 @@ a multiple of the number of rates so every rate is used equally often.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .autograd import Node, Parameter, graph
+from .autograd import AttentionSink, Node, Parameter, graph
 from .errors import ConfigError, ContractError, ShapeError
 from .swda import SwdaConfig
 
@@ -110,7 +111,7 @@ def block_param_shapes(spec: MsdaBlockSpec, prefix: str) -> dict[str, tuple[int,
     return shapes
 
 
-def _get(params: dict[str, Parameter], prefix: str, leaf: str, required=True):
+def _get(params: Mapping[str, Parameter], prefix: str, leaf: str, required=True):
     p = params.get(f"{prefix}.{leaf}")
     if p is None and required:
         raise ConfigError(f"missing parameter {prefix}.{leaf}")
@@ -128,11 +129,11 @@ def msda_attention(
     g: graph,
     x: Node,
     spec: MsdaBlockSpec,
-    params: dict[str, Parameter],
+    params: Mapping[str, Parameter],
     prefix: str,
-    attn_sink: list | None = None,
+    attn_sink: AttentionSink | None = None,
 ) -> Node:
-    """Windowed dilated attention with one dilation rate per head."""
+    """Windowed dilated attention with one dilation rate per head; ``attn_sink`` as in ``graph.swda``."""
     if x.data.ndim < 3 or x.data.shape[-1] != spec.dim:
         raise ShapeError(f"expected [..., H, W, {spec.dim}] input, got {x.data.shape}")
     if not spec.dilation_rates:
@@ -148,12 +149,14 @@ def mhsa_attention(
     g: graph,
     x: Node,
     n_heads: int,
-    params: dict[str, Parameter],
+    params: Mapping[str, Parameter],
     prefix: str,
     spec: MsdaBlockSpec | None = None,
-    attn_sink: list | None = None,
+    attn_sink: AttentionSink | None = None,
 ) -> Node:
-    """Global multi-head self-attention over all H*W tokens of each [..., H, W, C] map."""
+    """Global multi-head self-attention over all H*W tokens of each [..., H, W, C] map.
+    An ``attn_sink`` gets ``append((f"{prefix}.head{i}", None, weights))`` per head, with
+    a copy of its [H*W, H*W] weights."""
     lead, (h, w, dim) = x.data.shape[:-3], x.data.shape[-3:]
     if dim % n_heads != 0:
         raise ShapeError(f"dim {dim} not divisible by n_heads {n_heads}")
@@ -170,7 +173,8 @@ def mhsa_attention(
     vh = g.transpose(g.reshape(v, split), swap)
     attn = g.softmax_last(g.scale(g.matmul(qh, kh), 1.0 / math.sqrt(d_k)))
     if attn_sink is not None:
-        attn_sink.extend((f"{prefix}.head{i}", None, a.copy()) for i, a in enumerate(attn.data))
+        for i, a in enumerate(attn.data):
+            attn_sink.append((f"{prefix}.head{i}", None, a.copy()))
     out = g.reshape(g.transpose(g.matmul(attn, vh), swap), x.data.shape)
     return g.linear(
         out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
@@ -181,10 +185,10 @@ def transformer_block(
     g: graph,
     x: Node,
     spec: MsdaBlockSpec,
-    params: dict[str, Parameter],
+    params: Mapping[str, Parameter],
     prefix: str,
     kind: str = "MSDA",
-    attn_sink: list | None = None,
+    attn_sink: AttentionSink | None = None,
 ) -> Node:
     """CPE + pre-norm attention + pre-norm MLP, all residual. Temporaries are
     dropped once consumed, so a NoRecordTape frees them before the MLP runs."""

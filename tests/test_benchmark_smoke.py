@@ -4,6 +4,8 @@
 check, so it guards the gradient-buffer contract the benchmark relies on.
 ``infer_tiny224`` checks tiny@224 logits against the benchmark's own float64
 forward, so it guards the row-blocked convolution at the sizes that block.
+``attnstats_tiny224`` recomputes every windowed head's CSV rows in tap space
+from weights it captures itself, so it guards the streamed statistics.
 """
 
 import json
@@ -29,3 +31,7 @@ def test_train_toy_b16_workload_is_correct():
 
 def test_infer_tiny224_workload_is_correct():
     run_workload("infer_tiny224")
+
+
+def test_attnstats_tiny224_workload_is_correct():
+    run_workload("attnstats_tiny224")

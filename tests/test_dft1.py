@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,7 @@ def test_file_roundtrip_is_bit_exact_and_damage_is_a_format_error(dtype, shape, 
         assert np.array_equal(back.view(uint), bits)
         assert back.flags.writeable and back.flags.c_contiguous and back.flags.aligned
         assert back.dtype.isnative
+        assert dft1.read_header(path) == (back.dtype, shape)
         with open(path, "rb") as fh:
             blob = fh.read()
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
@@ -115,8 +117,23 @@ def test_file_roundtrip_is_bit_exact_and_damage_is_a_format_error(dtype, shape, 
         for damaged in (blob[:cut], blob + extra):
             with open(path, "wb") as fh:
                 fh.write(damaged)
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError) as from_payload:
                 dft1.read_tensor(path)
+            with pytest.raises(FormatError) as from_header:
+                dft1.read_header(path)
+            assert str(from_header.value) == str(from_payload.value)
+
+
+def test_header_reader_reads_no_payload(tmp_path):
+    path = tmp_path / "big.dft1"
+    dft1.write_tensor(path, np.zeros((512, 512), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        assert dft1.read_header(path) == (np.dtype(np.float32), (512, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"reading a 1 MB file's header peaked at {peak} bytes"
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

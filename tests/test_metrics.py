@@ -80,6 +80,23 @@ class TestLocalityMass:
             metrics.locality_mass(identity_map(2, 2), -1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mask_products_equal_masked_copies_bit_for_bit(dtype):
+    """The metrics multiply by 0/1 masks and take log(w + (w == 0)); summed, both
+    equal the masked copies they replaced, zero weights included."""
+    rng = np.random.default_rng(4)
+    rows = softmax(rng.standard_normal((36, 36)) * 3.0)
+    rows[rows < 0.01] = 0.0
+    rows = (rows / rows.sum(axis=1, keepdims=True)).astype(dtype)
+    amap = metrics.from_dense(rows, 6, 6)
+    for radius in range(4):
+        masked = np.sum(np.where(amap.dist <= radius, rows, 0.0), axis=1)
+        assert np.array_equal(metrics.locality_mass(amap, radius)[0], masked)
+    logs = np.where(rows > 0, np.log(np.where(rows > 0, rows, 1.0)), 0.0)
+    entropy = float((-np.sum(rows * logs, axis=1)).mean())
+    assert metrics.sparsity_profile(amap, 0.05).entropy_nats == entropy
+
+
 class TestSparsityProfile:
     def test_one_hot_rows(self):
         stats = metrics.sparsity_profile(identity_map(3, 3), 0.5)

@@ -1,16 +1,26 @@
 """Model assembly: shape chain, patterns, params, checkpoints, determinism."""
 
+import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dilatevit import model
-from dilatevit.autograd import Tape, finite_diff_check, graph, sgd_step
+from dilatevit import dft1, model
+from dilatevit.autograd import NoRecordTape, Tape, finite_diff_check, graph, sgd_step
 from dilatevit.counting import mac_counter
-from dilatevit.errors import ConfigError, FormatError, NumericError
+from dilatevit.errors import ConfigError, DilateVitError, FormatError, NumericError
 from dilatevit.profiler import count_model
-from tests_common import BROKEN_MANIFESTS, write_broken_checkpoint
+from tests_common import (
+    BROKEN_MANIFESTS,
+    DAMAGED_TENSORS,
+    STAGE4_TENSOR,
+    write_broken_checkpoint,
+    write_damaged_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +61,37 @@ class TestPresets:
     def test_input_size_must_divide_32(self):
         with pytest.raises(ConfigError):
             model.toy(input_size=48)
+
+
+def _toy_config_dict(edit):
+    d = model.config_to_dict(model.toy())
+    edit(d)
+    return d
+
+
+# Config dicts that once passed, or failed with something other than a ConfigError.
+MALFORMED_CONFIGS = {
+    "zero_heads": lambda d: d["stages"][0].update(n_heads=0),  # was ZeroDivisionError
+    "negative_heads": lambda d: d["stages"][3].update(n_heads=-4),  # was accepted
+    "float_depth": lambda d: d["stages"][1].update(depth=1.0),  # was accepted
+    "float_rate": lambda d: d["stages"][0].update(dilation_rates=[1, 2.0]),  # was accepted
+    "bool_dim": lambda d: d["stages"][2].update(dim=True),  # was accepted
+    "negative_input_size": lambda d: d.update(input_size=-32),  # was accepted
+    "zero_classes": lambda d: d.update(num_classes=0),  # was accepted
+    "stage_not_an_object": lambda d: d["stages"].__setitem__(2, 7),  # was TypeError
+    "rates_not_a_list": lambda d: d["stages"][0].update(dilation_rates=2),  # was TypeError
+}
+
+
+@pytest.mark.parametrize("how", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_is_a_config_error(how):
+    with pytest.raises(ConfigError):
+        model.config_from_dict(_toy_config_dict(MALFORMED_CONFIGS[how]))
+
+
+def test_config_that_is_not_an_object_is_a_config_error():
+    with pytest.raises(ConfigError):
+        model.config_from_dict([model.config_to_dict(model.toy())])  # was AttributeError
 
 
 class TestPatterns:
@@ -368,3 +409,113 @@ class TestSerialization:
     def test_broken_manifest_is_a_format_error(self, tmp_path, how):
         with pytest.raises(FormatError):
             model.load_checkpoint(write_broken_checkpoint(tmp_path, how))
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("lazy") / "ckpt"
+    config = model.toy()
+    model.save_checkpoint(ckpt, config, model.init_params(config, seed=0))
+    return str(ckpt)
+
+
+def _counting_reads(monkeypatch):
+    """Wrap dft1.read_tensor; the returned list collects the base name of every file read."""
+    reads, read_tensor = [], dft1.read_tensor
+
+    def counted(path):
+        reads.append(os.path.basename(path))
+        return read_tensor(path)
+
+    monkeypatch.setattr(dft1, "read_tensor", counted)
+    return reads
+
+
+class TestOpenCheckpoint:
+    def test_open_reads_no_payload_and_each_lookup_reads_one_file(self, toy_checkpoint, monkeypatch):
+        reads = _counting_reads(monkeypatch)
+        config, tensors = model.open_checkpoint(toy_checkpoint)
+        assert reads == [] and config == model.toy()
+        assert sorted(tensors) == sorted(model.parameter_shapes(config)) and len(tensors) == len(model.parameter_shapes(config))
+        assert STAGE4_TENSOR in tensors and "stage9.block0.cpe.bias" not in tensors and reads == []
+        assert tensors.get("stage9.block0.cpe.bias") is None and reads == []
+        first, second = tensors[STAGE4_TENSOR], tensors[STAGE4_TENSOR]
+        assert reads == [f"{STAGE4_TENSOR}.dft1"] * 2 and first is not second
+        assert np.array_equal(first.value, second.value)
+
+    def test_load_is_the_open_view_fully_read(self, toy_checkpoint, toy_setup):
+        _, params, image = toy_setup
+        config, tensors = model.open_checkpoint(toy_checkpoint)
+        _, loaded = model.load_checkpoint(toy_checkpoint)
+        assert list(loaded) == list(tensors)
+        assert all(np.array_equal(loaded[k].value, params[k].value) for k in params)
+        g = graph(NoRecordTape())
+        lazy = model.forward(g, g.leaf(image), config, tensors).data
+        assert np.array_equal(lazy, model.predict(config, loaded, image))
+
+    @pytest.mark.parametrize("how", sorted(DAMAGED_TENSORS))
+    def test_damaged_tensor_fails_at_open_without_reading_a_payload(self, tmp_path, monkeypatch, how):
+        ckpt = write_damaged_checkpoint(tmp_path, how)
+        reads = _counting_reads(monkeypatch)
+        with pytest.raises(FormatError):
+            model.open_checkpoint(ckpt)
+        with pytest.raises(FormatError):
+            model.load_checkpoint(ckpt)
+        assert reads == []
+
+    @pytest.mark.parametrize("how", ["wrong_dtype", "wrong_shape"])
+    def test_each_read_checks_dtype_and_shape_again(self, tmp_path, how):
+        ckpt = os.path.join(tmp_path, "ckpt")
+        config = model.toy()
+        model.save_checkpoint(ckpt, config, model.init_params(config, seed=0))
+        _, tensors = model.open_checkpoint(ckpt)
+        DAMAGED_TENSORS[how](os.path.join(ckpt, f"{STAGE4_TENSOR}.dft1"))
+        with pytest.raises(FormatError, match=STAGE4_TENSOR):
+            tensors[STAGE4_TENSOR]
+        assert tensors["head.fc.bias"].value.shape == (config.num_classes,)
+
+    def test_manifest_naming_a_tensor_the_config_lacks_is_a_config_error(self, tmp_path):
+        ckpt = write_broken_checkpoint(tmp_path, "not_json")  # any toy checkpoint; the manifest is rewritten
+        config = model.toy()
+        files = {name: f"{name}.dft1" for name in model.parameter_shapes(config)}
+        manifest = {"format_version": "1", "dtype": "f32", "config": model.config_to_dict(config)}
+        for edit, match in (({"extra.weight": "head.fc.bias.dft1"}, "unexpected parameter: extra.weight"),
+                            ({"head.fc.bias": None}, "missing parameter: head.fc.bias")):
+            with open(os.path.join(ckpt, "manifest.json"), "w", encoding="utf-8") as fh:
+                json.dump({**manifest, "files": {k: v for k, v in {**files, **edit}.items() if v}}, fh)
+            with pytest.raises(ConfigError, match=match):
+                model.open_checkpoint(ckpt)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_only_raises_library_errors(self, toy_checkpoint, data):
+        """Byte mutations or a truncation of one file, through open, a lazy forward and load."""
+        names = sorted(os.listdir(toy_checkpoint))
+        path = os.path.join(toy_checkpoint, data.draw(st.sampled_from(names), label="file"))
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+        else:
+            damaged = bytearray(blob)
+            byte = st.one_of(st.integers(0, 255), st.sampled_from(b'-0123456789.e"'))
+            for at, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), byte), min_size=1, max_size=4), label="edits"):
+                damaged[at] = value
+        try:
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            try:
+                config, tensors = model.open_checkpoint(toy_checkpoint)
+                image = np.full((config.input_size, config.input_size, config.in_channels), 0.5, np.float32)
+                g = graph(NoRecordTape())
+                with np.errstate(all="ignore"):  # a mutated payload may hold NaN or huge weights
+                    model.forward(g, g.leaf(image), config, tensors)
+            except DilateVitError:
+                pass
+            try:
+                model.load_checkpoint(toy_checkpoint)
+            except DilateVitError:
+                pass
+        finally:
+            with open(path, "wb") as fh:
+                fh.write(blob)

@@ -6,7 +6,7 @@ import shutil
 
 import numpy as np
 
-from dilatevit import model
+from dilatevit import dft1, model
 from dilatevit.autograd import Parameter
 from dilatevit.msda import MsdaBlockSpec, block_param_shapes
 
@@ -65,4 +65,32 @@ def write_broken_checkpoint(root, how: str) -> str:
     shutil.copyfile(os.path.join(ckpt_dir, manifest["files"][sorted(manifest["files"])[0]]), outside)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(BROKEN_MANIFESTS[how](manifest, outside))
+    return ckpt_dir
+
+
+STAGE4_TENSOR = "stage4.block0.mlp.fc1.weight"
+
+
+def _rewrite(path, edit):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(blob))
+
+
+# How each damaged tensor file is made from a valid one: damage(path) rewrites it.
+DAMAGED_TENSORS = {
+    "truncated": lambda path: _rewrite(path, lambda blob: blob[:-5]),
+    "trailing_bytes": lambda path: _rewrite(path, lambda blob: blob + b"\0" * 8),
+    "wrong_dtype": lambda path: dft1.write_tensor(path, dft1.read_tensor(path).astype(np.float64)),
+    "wrong_shape": lambda path: dft1.write_tensor(path, dft1.read_tensor(path).T),
+}
+
+
+def write_damaged_checkpoint(root, how: str) -> str:
+    """A toy checkpoint under root/ckpt whose STAGE4_TENSOR file is damaged as DAMAGED_TENSORS[how]."""
+    ckpt_dir = os.path.join(root, "ckpt")
+    config = model.toy()
+    model.save_checkpoint(ckpt_dir, config, model.init_params(config, seed=0))
+    DAMAGED_TENSORS[how](os.path.join(ckpt_dir, f"{STAGE4_TENSOR}.dft1"))
     return ckpt_dir
