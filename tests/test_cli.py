@@ -1,7 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
 import json
-import os
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +11,7 @@ from dilatevit import cli, dft1, model
 from tests_common import (
     BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
+    counting_reads,
     write_broken_checkpoint,
     write_damaged_checkpoint,
 )
@@ -412,13 +412,7 @@ class TestAttnstats:
     def test_checkpoint_reads_each_tensor_once(self, tmp_path, monkeypatch, capsys):
         config = model.toy()
         model.save_checkpoint(tmp_path / "ckpt", config, model.init_params(config, seed=0))
-        reads, read_tensor = [], dft1.read_tensor
-
-        def counted(path):
-            reads.append(os.path.basename(path))
-            return read_tensor(path)
-
-        monkeypatch.setattr(dft1, "read_tensor", counted)
+        reads = counting_reads(monkeypatch)
         assert run(["attnstats", "--checkpoint", str(tmp_path / "ckpt")]) == 0
         with open(tmp_path / "ckpt" / "manifest.json", encoding="utf-8") as fh:
             files = json.load(fh)["files"].values()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilatevit import dft1, model
+from dilatevit import model
 from dilatevit.autograd import NoRecordTape, Tape, finite_diff_check, graph, sgd_step
 from dilatevit.counting import mac_counter
 from dilatevit.errors import ConfigError, DilateVitError, FormatError, NumericError
@@ -18,6 +18,7 @@ from tests_common import (
     BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
     STAGE4_TENSOR,
+    counting_reads,
     write_broken_checkpoint,
     write_damaged_checkpoint,
 )
@@ -419,21 +420,9 @@ def toy_checkpoint(tmp_path_factory):
     return str(ckpt)
 
 
-def _counting_reads(monkeypatch):
-    """Wrap dft1.read_tensor; the returned list collects the base name of every file read."""
-    reads, read_tensor = [], dft1.read_tensor
-
-    def counted(path):
-        reads.append(os.path.basename(path))
-        return read_tensor(path)
-
-    monkeypatch.setattr(dft1, "read_tensor", counted)
-    return reads
-
-
 class TestOpenCheckpoint:
     def test_open_reads_no_payload_and_each_lookup_reads_one_file(self, toy_checkpoint, monkeypatch):
-        reads = _counting_reads(monkeypatch)
+        reads = counting_reads(monkeypatch)
         config, tensors = model.open_checkpoint(toy_checkpoint)
         assert reads == [] and config == model.toy()
         assert sorted(tensors) == sorted(model.parameter_shapes(config)) and len(tensors) == len(model.parameter_shapes(config))
@@ -456,7 +445,7 @@ class TestOpenCheckpoint:
     @pytest.mark.parametrize("how", sorted(DAMAGED_TENSORS))
     def test_damaged_tensor_fails_at_open_without_reading_a_payload(self, tmp_path, monkeypatch, how):
         ckpt = write_damaged_checkpoint(tmp_path, how)
-        reads = _counting_reads(monkeypatch)
+        reads = counting_reads(monkeypatch)
         with pytest.raises(FormatError):
             model.open_checkpoint(ckpt)
         with pytest.raises(FormatError):
@@ -475,8 +464,9 @@ class TestOpenCheckpoint:
         assert tensors["head.fc.bias"].value.shape == (config.num_classes,)
 
     def test_manifest_naming_a_tensor_the_config_lacks_is_a_config_error(self, tmp_path):
-        ckpt = write_broken_checkpoint(tmp_path, "not_json")  # any toy checkpoint; the manifest is rewritten
+        ckpt = os.path.join(tmp_path, "ckpt")
         config = model.toy()
+        model.save_checkpoint(ckpt, config, model.init_params(config, seed=0))
         files = {name: f"{name}.dft1" for name in model.parameter_shapes(config)}
         manifest = {"format_version": "1", "dtype": "f32", "config": model.config_to_dict(config)}
         for edit, match in (({"extra.weight": "head.fc.bias.dft1"}, "unexpected parameter: extra.weight"),

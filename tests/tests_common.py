@@ -94,3 +94,15 @@ def write_damaged_checkpoint(root, how: str) -> str:
     model.save_checkpoint(ckpt_dir, config, model.init_params(config, seed=0))
     DAMAGED_TENSORS[how](os.path.join(ckpt_dir, f"{STAGE4_TENSOR}.dft1"))
     return ckpt_dir
+
+
+def counting_reads(monkeypatch) -> list[str]:
+    """Wrap dft1.read_tensor; the returned list collects the base name of every file read."""
+    reads, read_tensor = [], dft1.read_tensor
+
+    def counted(path):
+        reads.append(os.path.basename(path))
+        return read_tensor(path)
+
+    monkeypatch.setattr(dft1, "read_tensor", counted)
+    return reads
