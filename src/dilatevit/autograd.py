@@ -10,6 +10,7 @@ A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -179,44 +180,11 @@ class graph:
             a.data + bias.data, (a, bias), lambda g: (g, T.channel_sums(g))
         )
 
-    def scale(self, a: Node, c: float) -> Node:
-        cc = np.asarray(c, dtype=a.data.dtype)
-        return self.tape.record(a.data * cc, (a,), lambda g: (g * cc,))
-
     def mul(self, a: Node, b: Node) -> Node:
         if a.data.shape != b.data.shape:
             raise ShapeError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
         return self.tape.record(
             a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data)
-        )
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        out = T.matmul(a.data, b.data)
-        return self.tape.record(
-            out, (a, b), lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
-        )
-
-    def transpose(self, a: Node, axes) -> Node:
-        """Permute the axes of a into a contiguous copy."""
-        if sorted(axes) != list(range(a.data.ndim)):
-            raise ShapeError(f"transpose axes {axes} do not permute the axes of {a.data.shape}")
-        out, inverse = np.ascontiguousarray(a.data.transpose(axes)), np.argsort(axes)
-        return self.tape.record(out, (a,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
-
-    def reshape(self, a: Node, shape) -> Node:
-        old = a.data.shape
-        return self.tape.record(
-            a.data.reshape(shape), (a,), lambda g: (g.reshape(old),)
-        )
-
-    def slice_last(self, a: Node, start: int, stop: int) -> Node:
-        def back(g):
-            full = np.zeros_like(a.data)
-            full[..., start:stop] = g
-            return (full,)
-
-        return self.tape.record(
-            np.ascontiguousarray(a.data[..., start:stop]), (a,), back
         )
 
     def conv2d(self, x: Node, kernel: Node, stride=1, zero_pad=0, groups=1) -> Node:
@@ -238,15 +206,6 @@ class graph:
         return self.tape.record(
             T.gelu(x.data), (x,), lambda g: (T.gelu_grad(x.data, g),)
         )
-
-    def softmax_last(self, x: Node) -> Node:
-        y = T.softmax(x.data, axis=-1)
-
-        def back(g):
-            inner = np.sum(y * g, axis=-1, keepdims=True)
-            return (y * (g - inner),)
-
-        return self.tape.record(y, (x,), back)
 
     def swda(self, qkv: Node, cfgs: tuple[_swda.SwdaConfig, ...],
              attn_sink: AttentionSink | None = None, layer: str = "") -> Node:
@@ -283,6 +242,49 @@ class graph:
             return (grad,)
 
         return self.tape.record(out, (qkv,), back)
+
+    def mhsa(self, qkv: Node, n_heads: int, attn_sink: AttentionSink | None = None,
+             layer: str = "") -> Node:
+        """Global attention over all N = H*W tokens of a fused [..., H, W, 3C] q|k|v node.
+
+        Head i reads channels [i*d_k, (i+1)*d_k) of each C-wide third, d_k = C / n_heads,
+        and writes the same channels of the [..., H, W, C] output. An ``attn_sink`` gets
+        ``append((f"{layer}.head{i}", None, weights))`` per head, with a copy of its
+        ``[N, N]`` weights.
+        """
+        if qkv.data.ndim < 3 or qkv.data.shape[-1] % (3 * n_heads):
+            raise ShapeError(f"mhsa needs [..., H, W, 3C] with C a multiple of {n_heads} heads, got {qkv.data.shape}")
+        lead, (h, w, c3) = qkv.data.shape[:-3], qkv.data.shape[-3:]
+        if attn_sink is not None and lead:
+            raise ContractError(f"an attention sink needs one [H, W, 3C] map, got {qkv.data.shape}")
+        n, d_k = h * w, c3 // (3 * n_heads)
+        parts = qkv.data.reshape(lead + (n, 3, n_heads, d_k))  # token, q|k|v, head, channel
+        q, v = (np.ascontiguousarray(parts[..., j, :, :].swapaxes(-3, -2)) for j in (0, 2))  # [..., heads, N, d_k]
+        k = np.ascontiguousarray(np.moveaxis(parts[..., 1, :, :], -3, -1))  # [..., heads, d_k, N]
+        scale = np.asarray(1.0 / math.sqrt(d_k), dtype=qkv.data.dtype)
+        logits = T.matmul(q, k)
+        logits *= scale
+        attn = T.softmax(logits)
+        del logits
+        if attn_sink is not None:
+            for i, weights in enumerate(attn):
+                attn_sink.append((f"{layer}.head{i}", None, weights.copy()))
+        out = np.ascontiguousarray(T.matmul(attn, v).swapaxes(-3, -2))
+
+        def back(g):
+            g_out = np.ascontiguousarray(g.reshape(lead + (n, n_heads, d_k)).swapaxes(-3, -2))
+            g_attn = g_out @ v.swapaxes(-1, -2)
+            g_v = attn.swapaxes(-1, -2) @ g_out
+            g_logits = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
+            g_logits *= scale
+            grad = np.empty(qkv.data.shape, dtype=qkv.data.dtype)
+            g_parts = grad.reshape(parts.shape)
+            g_parts[..., 0, :, :] = (g_logits @ k.swapaxes(-1, -2)).swapaxes(-3, -2)
+            g_parts[..., 1, :, :] = np.moveaxis(q.swapaxes(-1, -2) @ g_logits, -1, -3)
+            g_parts[..., 2, :, :] = g_v.swapaxes(-3, -2)
+            return (grad,)
+
+        return self.tape.record(out.reshape(lead + (h, w, c3 // 3)), (qkv,), back)
 
     def sum_all(self, x: Node) -> Node:
         return self.tape.record(

@@ -215,7 +215,7 @@ def cmd_bench(args) -> int:
 
         def run_mhsa():
             g = graph(Tape())
-            mhsa_attention(g, g.leaf(x), 1, params, "m", spec=spec)
+            mhsa_attention(g, g.leaf(x), spec, params, "m")
 
         ns = _time_median_ns(run_mhsa, args.reps, args.warmup)
         rows.append(("mhsa", size, size, 0, 0, dim, ns, ns / (size * size)))

@@ -476,8 +476,18 @@ class CheckpointTensors(Mapping):
         if shape != self._shapes[name]:
             raise FormatError(f"tensor {name} has shape {shape}, the config expects {self._shapes[name]}")
 
+    def read(self, name: str, reader):
+        """``reader(path)`` on the tensor's file; a FormatError it raises gets the
+        tensor and file named in front and keeps its byte offset."""
+        try:
+            return reader(self.path(name))
+        except FormatError as exc:
+            named = FormatError(f"tensor {name} ({self.path(name)}): {exc}")
+            named.offset = exc.offset
+            raise named from exc
+
     def __getitem__(self, name: str) -> Parameter:
-        value = dft1.read_tensor(self.path(name))
+        value = self.read(name, dft1.read_tensor)
         self.check(name, value.dtype, value.shape)
         return Parameter(name, value)
 
@@ -524,7 +534,7 @@ def open_checkpoint(directory: str | os.PathLike) -> tuple[ModelConfig, Checkpoi
             raise FormatError(f"tensor {name}: {fname!r} is not a plain file name")
         if not os.path.isfile(tensors.path(name)):
             raise FormatError(f"tensor {name}: no file {fname!r} in {directory}")
-        tensors.check(name, *dft1.read_header(tensors.path(name)))
+        tensors.check(name, *tensors.read(name, dft1.read_header))
     return config, tensors
 
 

@@ -8,7 +8,8 @@ conditional position encoding, then attention and MLP branches with
 residual connections.
 
 The same block shell also hosts ordinary global multi-head self-attention,
-selected per stage by kind 'D' (dilated) or 'G' (global).
+selected per stage by kind 'D' (dilated) or 'G' (global). It is one graph
+op too, whose heads read the same fused q|k|v projection as channel views.
 
 Head i receives dilation rate rates[i % len(rates)]; the head count must be
 a multiple of the number of rates so every rate is used equally often.
@@ -16,7 +17,6 @@ a multiple of the number of rates so every rate is used equally often.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .autograd import AttentionSink, Node, Parameter, graph
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .swda import SwdaConfig
 
 LN_EPS = 1e-5
@@ -125,6 +125,18 @@ def _qkv(g: graph, x: Node, spec: MsdaBlockSpec, params, prefix) -> Node:
     return g.linear(x, w, g.param(b) if b is not None else None)
 
 
+def _project(g: graph, heads: Node, params: Mapping[str, Parameter], prefix: str) -> Node:
+    """The output projection of the merged [..., C] heads."""
+    return g.linear(
+        heads, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
+    )
+
+
+def _check_input(x: Node, spec: MsdaBlockSpec) -> None:
+    if x.data.ndim < 3 or x.data.shape[-1] != spec.dim:
+        raise ShapeError(f"expected [..., H, W, {spec.dim}] input, got {x.data.shape}")
+
+
 def msda_attention(
     g: graph,
     x: Node,
@@ -134,51 +146,27 @@ def msda_attention(
     attn_sink: AttentionSink | None = None,
 ) -> Node:
     """Windowed dilated attention with one dilation rate per head; ``attn_sink`` as in ``graph.swda``."""
-    if x.data.ndim < 3 or x.data.shape[-1] != spec.dim:
-        raise ShapeError(f"expected [..., H, W, {spec.dim}] input, got {x.data.shape}")
+    _check_input(x, spec)
     if not spec.dilation_rates:
         raise ConfigError("dilated attention requires at least one dilation rate")
     cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
-    out = g.swda(_qkv(g, x, spec, params, prefix), cfgs, attn_sink=attn_sink, layer=prefix)
-    return g.linear(
-        out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
-    )
+    heads = g.swda(_qkv(g, x, spec, params, prefix), cfgs, attn_sink=attn_sink, layer=prefix)
+    return _project(g, heads, params, prefix)
 
 
 def mhsa_attention(
     g: graph,
     x: Node,
-    n_heads: int,
+    spec: MsdaBlockSpec,
     params: Mapping[str, Parameter],
     prefix: str,
-    spec: MsdaBlockSpec | None = None,
     attn_sink: AttentionSink | None = None,
 ) -> Node:
-    """Global multi-head self-attention over all H*W tokens of each [..., H, W, C] map.
-    An ``attn_sink`` gets ``append((f"{prefix}.head{i}", None, weights))`` per head, with
-    a copy of its [H*W, H*W] weights."""
-    lead, (h, w, dim) = x.data.shape[:-3], x.data.shape[-3:]
-    if dim % n_heads != 0:
-        raise ShapeError(f"dim {dim} not divisible by n_heads {n_heads}")
-    if attn_sink is not None and lead:
-        raise ContractError(f"an attention sink needs one [H, W, C] map, got {x.data.shape}")
-    spec = spec or MsdaBlockSpec(dim=dim, n_heads=n_heads, dilation_rates=(1,))
-    d_k, nb = dim // n_heads, len(lead)
-    split = lead + (h * w, n_heads, d_k)
-    swap = tuple(range(nb)) + (nb + 1, nb, nb + 2)  # [..., N, heads, d_k] <-> [..., heads, N, d_k]
-    qkv = _qkv(g, x, spec, params, prefix)
-    q, k, v = (g.slice_last(qkv, j * dim, (j + 1) * dim) for j in range(3))
-    qh = g.transpose(g.reshape(q, split), swap)
-    kh = g.transpose(g.reshape(k, split), swap[:nb] + (nb + 1, nb + 2, nb))  # [..., heads, d_k, N]
-    vh = g.transpose(g.reshape(v, split), swap)
-    attn = g.softmax_last(g.scale(g.matmul(qh, kh), 1.0 / math.sqrt(d_k)))
-    if attn_sink is not None:
-        for i, a in enumerate(attn.data):
-            attn_sink.append((f"{prefix}.head{i}", None, a.copy()))
-    out = g.reshape(g.transpose(g.matmul(attn, vh), swap), x.data.shape)
-    return g.linear(
-        out, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
-    )
+    """Global attention of spec.n_heads heads over all H*W tokens of each [..., H, W, C]
+    map; the dilation rates are not read. ``attn_sink`` as in ``graph.mhsa``."""
+    _check_input(x, spec)
+    heads = g.mhsa(_qkv(g, x, spec, params, prefix), spec.n_heads, attn_sink=attn_sink, layer=prefix)
+    return _project(g, heads, params, prefix)
 
 
 def transformer_block(
@@ -206,9 +194,7 @@ def transformer_block(
     if kind == "MSDA":
         attn = msda_attention(g, normed, spec, params, prefix, attn_sink=attn_sink)
     else:
-        attn = mhsa_attention(
-            g, normed, spec.n_heads, params, prefix, spec=spec, attn_sink=attn_sink
-        )
+        attn = mhsa_attention(g, normed, spec, params, prefix, attn_sink=attn_sink)
     y = g.add(attn, x)
     del normed, attn, x
 

@@ -46,10 +46,6 @@ def as_tensor(x, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def dtype_name(arr: np.ndarray) -> str:
-    return DTYPE_NAMES[arr.dtype]
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[..., m, n] = sum_k a[..., m, k] * b[..., k, n] on matrices or equal stacks, unbroadcast."""
     if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
@@ -236,17 +232,13 @@ def conv_output_extent(size: int, k: int, stride: int, pad: int) -> int:
 def _check_conv_args(x, kernel, stride, zero_pad, groups):
     if x.ndim < 3 or kernel.ndim != 4:
         raise ShapeError(
-            f"conv2d expects x [..., H,W,Cin] and kernel [kh,kw,Cin/groups,Cout], got {x.shape} and {kernel.shape}"
+            f"conv2d expects x [..., H,W,Cin] and kernel [kh,kw,Cin,Cout] or [kh,kw,1,Cin], got {x.shape} and {kernel.shape}"
         )
-    kh, kw, kc, cout = kernel.shape
-    cin = x.shape[-1]
-    if cin % groups != 0 or cout % groups != 0:
+    (kh, kw, kc, cout), cin = kernel.shape, x.shape[-1]
+    if not (groups == 1 and kc == cin or groups == cin == cout and kc == 1):
         raise ShapeError(
-            f"conv2d channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}"
-        )
-    if kc != cin // groups:
-        raise ShapeError(
-            f"conv2d kernel input channels {kc} != Cin/groups = {cin}//{groups}"
+            f"conv2d is dense (groups=1, kernel [kh,kw,Cin,Cout]) or depth-wise (groups=Cin=Cout, "
+            f"kernel [kh,kw,1,Cin]), got Cin={cin}, kernel {kernel.shape}, groups={groups}"
         )
     if stride < 1 or zero_pad < 0:
         raise ValueError(f"conv2d stride must be >= 1 and pad >= 0, got {stride}, {zero_pad}")
@@ -360,32 +352,17 @@ def conv2d(
     zero_pad: int = 0,
     groups: int = 1,
 ) -> np.ndarray:
-    """Cross-correlation of x [..., H,W,Cin] with kernel [kh,kw,Cin/groups,Cout].
+    """Cross-correlation of x [..., H,W,Cin] with a dense kernel [kh,kw,Cin,Cout]
+    (``groups=1``) or a depth-wise one [kh,kw,1,C] (``groups == Cin == Cout``).
 
-    ``groups == Cin`` with ``Cout == Cin`` is the depth-wise case and takes a
-    dedicated tap multiply-add path (no im2col materialization). A dense conv
-    unfolds at most IM2COL_BLOCK_BYTES of columns at once, whatever the map size.
+    The depth-wise case takes a dedicated tap multiply-add path (no im2col
+    materialization). A dense conv unfolds at most IM2COL_BLOCK_BYTES of
+    columns at once, whatever the map size.
     """
     h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
-    kh, kw, _, cout = kernel.shape
-    lead, cin = x.shape[:-3], x.shape[-1]
-    macs = math.prod(lead) * h_out * w_out * cout * kh * kw * (cin // groups)
-
-    if groups == 1 or (groups == cin and cout == cin):
-        add_macs(macs)
-        return _correlate(pad_hw(x, zero_pad), kernel, stride, depthwise=groups > 1)
-
-    cg_in, cg_out = cin // groups, cout // groups
-    out = np.empty(lead + (h_out, w_out, cout), dtype=x.dtype)
-    for g in range(groups):  # each groups=1 call counts its own MACs
-        out[..., g * cg_out : (g + 1) * cg_out] = conv2d(
-            x[..., g * cg_in : (g + 1) * cg_in],
-            kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
-            stride,
-            zero_pad,
-            groups=1,
-        )
-    return out
+    kh, kw, kc, cout = kernel.shape
+    add_macs(math.prod(x.shape[:-3]) * h_out * w_out * cout * kh * kw * kc)
+    return _correlate(pad_hw(x, zero_pad), kernel, stride, depthwise=groups > 1)
 
 
 def conv2d_backward(
@@ -406,26 +383,7 @@ def conv2d_backward(
     """
     kh, kw, _, cout = kernel.shape
     h, w, cin = x.shape[-3:]
-    depthwise = groups > 1 and groups == cin and cout == cin
-
-    if groups > 1 and not depthwise:
-        cg_in, cg_out = cin // groups, cout // groups
-        grad_x = np.empty_like(x) if input_grad else None
-        grad_kernel = np.empty_like(kernel)
-        for g in range(groups):
-            gx, gk = conv2d_backward(
-                grad_out[..., g * cg_out : (g + 1) * cg_out],
-                x[..., g * cg_in : (g + 1) * cg_in],
-                kernel[:, :, :, g * cg_out : (g + 1) * cg_out],
-                stride,
-                zero_pad,
-                groups=1,
-                input_grad=input_grad,
-            )
-            if input_grad:
-                grad_x[..., g * cg_in : (g + 1) * cg_in] = gx
-            grad_kernel[:, :, :, g * cg_out : (g + 1) * cg_out] = gk
-        return grad_x, grad_kernel
+    depthwise = groups > 1
 
     if depthwise:
         grad_kernel = np.empty_like(kernel)

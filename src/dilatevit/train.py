@@ -63,17 +63,15 @@ def train(
     batch_size: int = 16,
     lr: float = 0.01,
     weight_decay: float = 1e-4,
-    lr_decay: bool = True,
-    dataset: DatasetSpec | None = None,
-    dataset_count: int = 64,
     seed: int = 0,
     images: np.ndarray | None = None,
     labels: np.ndarray | None = None,
     dtype=np.float32,
 ) -> TrainResult:
-    dataset = dataset or DatasetSpec(classes=config.num_classes, size=config.input_size)
+    """``steps`` SGD steps at a learning rate decayed linearly from ``lr`` towards 0,
+    on ``images``/``labels`` or, if none are given, 64 blobs drawn from ``seed``."""
     if images is None:
-        images, labels = make_dataset(dataset_count, dataset, seed=seed)
+        images, labels = make_dataset(64, DatasetSpec(classes=config.num_classes, size=config.input_size), seed=seed)
     images = images.astype(dtype, copy=False)
     params = model_mod.init_params(config, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 1)
@@ -97,8 +95,7 @@ def train(
         # layernorm makes the loss scale-invariant in the weights, so early
         # gradients are large relative to the small init; a decayed small
         # step keeps plain SGD from destroying the weights late in the run.
-        step_lr = lr * (1.0 - (step - 1) / steps) if lr_decay else lr
-        sgd_step(params, lr=step_lr, weight_decay=weight_decay)
+        sgd_step(params, lr=lr * (1.0 - (step - 1) / steps), weight_decay=weight_decay)
         window.append(float(loss.data))
 
         if step % steps_per_epoch == 0 or step == steps:

@@ -177,7 +177,7 @@ def test_criterion_05_msda_mhsa_bridge():
         g1 = graph(Tape())
         dilated = msda_attention(g1, g1.leaf(x), spec, params, "b")
         g2 = graph(Tape())
-        dense = mhsa_attention(g2, g2.leaf(x), n_heads, params, "b", spec=spec)
+        dense = mhsa_attention(g2, g2.leaf(x), spec, params, "b")
         worst = max(worst, float(np.abs(dilated.data - dense.data).max()))
     ok = worst < 1e-6
     report("5", ok, f"50 span-covering configs, worst |diff| {worst:.2e} (f32)")
@@ -249,7 +249,7 @@ def test_criterion_07_scaling():
 
         def run(x=x):
             g = graph(Tape())
-            mhsa_attention(g, g.leaf(x), 1, params, "m", spec=spec)
+            mhsa_attention(g, g.leaf(x), spec, params, "m")
 
         mhsa_runs[size] = run
     mhsa_ns = _round_robin_medians(mhsa_runs)

@@ -33,7 +33,7 @@ class TestBackwardBasics:
         g = graph(Tape())
         x_val = np.array([1.5, -2.0, 0.5])
         x = g.leaf(x_val)
-        loss = g.scale(g.sum_all(g.mul(x, x)), 0.5)
+        loss = g.sum_all(g.mul(g.mul(x, x), g.leaf(np.full(3, 0.5))))
         grads = backward(g.tape, loss)
         assert np.allclose(grads[x.id], x_val, atol=1e-12)
 
@@ -60,7 +60,7 @@ class TestBackwardBasics:
         g = graph(Tape())
         a = g.leaf(rng.standard_normal((4, 4)))
         b = g.leaf(rng.standard_normal((4, 4)))
-        loss = g.sum_all(g.gelu(g.matmul(a, b)))
+        loss = g.sum_all(g.gelu(g.linear(a, b)))
         g1 = backward(g.tape, loss)
         g2 = backward(g.tape, loss)
         assert np.array_equal(g1[a.id], g2[a.id])
@@ -103,10 +103,16 @@ class TestBackwardBasics:
         assert out.parents == ((x, w, bias) if with_bias else (x, w))
         assert np.array_equal(out.data, np.full((2, 3, 5), 4.0) + (np.arange(5.0) if with_bias else 0))
 
-    def test_transpose_rejects_axes_that_are_not_a_permutation(self):
+    def test_mhsa_is_one_node(self):
         g = graph(Tape())
-        with pytest.raises(ShapeError, match="permute"):
-            g.transpose(g.leaf(np.zeros((2, 3, 4))), (0, 1, 1))
+        v = np.arange(2 * 3 * 4 * 4, dtype=float).reshape(2, 3, 4, 4)
+        qkv = g.leaf(np.concatenate([np.zeros((2, 3, 4, 8)), v], axis=-1))
+        before = len(g.tape.nodes)
+        out = g.mhsa(qkv, 2)
+        assert len(g.tape.nodes) == before + 1 and out.parents == (qkv,)
+        # q = k = 0: every token weighs every token equally, so each head returns the mean of v.
+        expected = np.broadcast_to(v.mean(axis=(1, 2), keepdims=True), v.shape)
+        assert np.allclose(out.data, expected, rtol=1e-12, atol=0)
 
     def test_no_record_tape_keeps_nothing_and_refuses_backward(self):
         p = Parameter("p", np.arange(3.0))
@@ -223,29 +229,30 @@ class TestPerOpGradients:
 
     CASES = 200
 
-    def test_random_op_sweep(self):
-        rng = np.random.default_rng(2)
-        builders = [
-            self._case_matmul,
+    def builders(self):
+        return [
+            self._case_add,
+            self._case_add_bias,
             self._case_conv,
             self._case_depthwise_conv,
-            self._case_grouped_conv,
             self._case_layernorm,
             self._case_gelu,
-            self._case_softmax,
             self._case_linear_bias,
             self._case_swda,
-            self._case_slice,
-            self._case_batched_matmul,
-            self._case_transpose,
+            self._case_mhsa,
             self._case_pool,
             self._case_cross_entropy,
             self._case_batched_conv,
             self._case_batched_swda,
+            self._case_batched_mhsa,
             self._case_batched_pool,
             self._case_batched_cross_entropy,
             self._case_linear,
         ]
+
+    def test_random_op_sweep(self):
+        rng = np.random.default_rng(2)
+        builders = self.builders()
         failures = []
         for i in range(self.CASES):
             case_rng = np.random.default_rng(rng.integers(0, 2**63))
@@ -255,18 +262,45 @@ class TestPerOpGradients:
                 failures.append((i, builders[i % len(builders)].__name__, report.max_rel))
         assert not failures, f"gradient mismatches: {failures}"
 
+    def test_every_graph_op_has_a_case(self, monkeypatch):
+        """Each public graph op except leaf and param is recorded by some case of the sweep."""
+        ops = {name for name, fn in vars(graph).items() if callable(fn) and not name.startswith("_")}
+        ops -= {"leaf", "param"}
+        seen = set()
+        for name in ops:
+            def recorded(*args, _name=name, _op=getattr(graph, name), **kwargs):
+                seen.add(_name)
+                return _op(*args, **kwargs)
+
+            monkeypatch.setattr(graph, name, recorded)
+        for builder in self.builders():
+            builder(np.random.default_rng(0))[0]()
+        assert ops <= seen, f"graph ops without a finite-difference case: {sorted(ops - seen)}"
+
     # -- case builders ------------------------------------------------------
 
-    def _case_matmul(self, rng):
-        params = {
-            "a": Parameter("a", rng.standard_normal((3, 4))),
-            "b": Parameter("b", rng.standard_normal((4, 2))),
-        }
-        w = rng.standard_normal((3, 2))
+    def _case_add(self, rng):
+        params = {name: Parameter(name, rng.standard_normal((2, 3, 4))) for name in ("a", "b")}
+        w = rng.standard_normal((2, 3, 4))
 
         def build():
             g = graph(Tape())
-            out = g.matmul(g.param(params["a"]), g.param(params["b"]))
+            out = g.add(g.gelu(g.param(params["a"])), g.param(params["b"]))
+            return g.tape, weighted_sum_loss(g, out, w)
+
+        return build, params
+
+    def _case_add_bias(self, rng):
+        lead = tuple(int(n) for n in rng.integers(1, 4, int(rng.integers(1, 4))))
+        params = {
+            "x": Parameter("x", rng.standard_normal(lead + (4,))),
+            "b": Parameter("b", rng.standard_normal(4)),
+        }
+        w = rng.standard_normal(lead + (4,))
+
+        def build():
+            g = graph(Tape())
+            out = g.gelu(g.add_bias(g.param(params["x"]), g.param(params["b"])))
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params
@@ -301,20 +335,6 @@ class TestPerOpGradients:
 
         return build, params
 
-    def _case_grouped_conv(self, rng):
-        params = {
-            "x": Parameter("x", rng.standard_normal((4, 4, 4))),
-            "k": Parameter("k", rng.standard_normal((3, 3, 2, 6))),
-        }
-        w = rng.standard_normal((4, 4, 6))
-
-        def build():
-            g = graph(Tape())
-            out = g.conv2d(g.param(params["x"]), g.param(params["k"]), stride=1, zero_pad=1, groups=2)
-            return g.tape, weighted_sum_loss(g, out, w)
-
-        return build, params
-
     def _case_layernorm(self, rng):
         params = {
             "x": Parameter("x", rng.standard_normal((3, 6))),
@@ -337,16 +357,6 @@ class TestPerOpGradients:
         def build():
             g = graph(Tape())
             return g.tape, weighted_sum_loss(g, g.gelu(g.param(params["x"])), w)
-
-        return build, params
-
-    def _case_softmax(self, rng):
-        params = {"x": Parameter("x", rng.standard_normal((3, 5)))}
-        w = rng.standard_normal((3, 5))
-
-        def build():
-            g = graph(Tape())
-            return g.tape, weighted_sum_loss(g, g.softmax_last(g.param(params["x"])), w)
 
         return build, params
 
@@ -403,40 +413,22 @@ class TestPerOpGradients:
 
         return build, params
 
-    def _case_slice(self, rng):
-        params = {"a": Parameter("a", rng.standard_normal((3, 6)))}
-        w = rng.standard_normal((3, 3))
+    def _case_mhsa(self, rng, lead=()):
+        """1 to 3 heads of width 1 or 2 over a map of 1 to 9 tokens."""
+        heads, d_k = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        h, w_map = (int(n) for n in rng.integers(1, 4, 2))
+        params = {"qkv": Parameter("qkv", rng.standard_normal(lead + (h, w_map, 3 * heads * d_k)))}
+        w = rng.standard_normal(lead + (h, w_map, heads * d_k))
 
         def build():
             g = graph(Tape())
-            return g.tape, weighted_sum_loss(g, g.slice_last(g.param(params["a"]), 1, 4), w)
-
-        return build, params
-
-    def _case_batched_matmul(self, rng):
-        params = {
-            "a": Parameter("a", rng.standard_normal((2, 3, 4))),
-            "b": Parameter("b", rng.standard_normal((2, 4, 5))),
-        }
-        w = rng.standard_normal((2, 3, 5))
-
-        def build():
-            g = graph(Tape())
-            out = g.matmul(g.param(params["a"]), g.param(params["b"]))
+            out = g.mhsa(g.param(params["qkv"]), heads)
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params
 
-    def _case_transpose(self, rng):
-        params = {"x": Parameter("x", rng.standard_normal((2, 3, 4)))}
-        axes = tuple(int(a) for a in rng.permutation(3))
-        w = rng.standard_normal(tuple((2, 3, 4)[a] for a in axes))
-
-        def build():
-            g = graph(Tape())
-            return g.tape, weighted_sum_loss(g, g.transpose(g.param(params["x"]), axes), w)
-
-        return build, params
+    def _case_batched_mhsa(self, rng):
+        return self._case_mhsa(rng, lead=(2,))
 
     def _case_pool(self, rng):
         params = {"x": Parameter("x", rng.standard_normal((3, 4, 5)))}
@@ -459,7 +451,7 @@ class TestPerOpGradients:
         return build, params
 
     def _case_batched_conv(self, rng):
-        cin, cout, groups = [(2, 3, 1), (3, 3, 3), (4, 6, 2)][int(rng.integers(0, 3))]
+        cin, cout, groups = [(2, 3, 1), (3, 3, 3)][int(rng.integers(0, 2))]
         params = {
             "x": Parameter("x", rng.standard_normal((2, 4, 4, cin))),
             "k": Parameter("k", rng.standard_normal((3, 3, cin // groups, cout))),
@@ -554,7 +546,7 @@ class TestFiniteDiffHarness:
             state["calls"] += 1
             g = graph(Tape())
             x = g.param(p)
-            noisy = g.scale(x, 1.0 + 0.01 * state["calls"])
+            noisy = g.mul(x, g.leaf(np.full(2, 1.0 + 0.01 * state["calls"])))
             return g.tape, g.sum_all(noisy)
 
         with pytest.raises(DeterminismError):

@@ -11,6 +11,7 @@ from dilatevit import cli, dft1, model
 from tests_common import (
     BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
+    STAGE4_TENSOR,
     counting_reads,
     write_broken_checkpoint,
     write_damaged_checkpoint,
@@ -423,7 +424,8 @@ class TestAttnstats:
         forwards = []
         monkeypatch.setattr(model, "forward", lambda *args, **kwargs: forwards.append(args))
         assert run(["attnstats", "--checkpoint", write_damaged_checkpoint(tmp_path, how)]) == 1
-        assert capsys.readouterr().err.startswith("error: ") and forwards == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and STAGE4_TENSOR in err and forwards == []
 
     @pytest.mark.parametrize("how", sorted(BROKEN_MANIFESTS))
     def test_broken_checkpoint_exits_1_without_traceback(self, tmp_path, capsys, how):

@@ -452,7 +452,14 @@ class TestOpenCheckpoint:
             model.load_checkpoint(ckpt)
         assert reads == []
 
-    @pytest.mark.parametrize("how", ["wrong_dtype", "wrong_shape"])
+    def test_format_error_names_the_tensor_and_keeps_the_offset(self, tmp_path):
+        ckpt = write_damaged_checkpoint(tmp_path, "truncated")
+        size = os.path.getsize(os.path.join(ckpt, f"{STAGE4_TENSOR}.dft1"))
+        with pytest.raises(FormatError, match=rf"^tensor {STAGE4_TENSOR} \(.*{STAGE4_TENSOR}\.dft1\): truncated") as info:
+            model.open_checkpoint(ckpt)
+        assert info.value.offset == size and str(info.value).endswith(f"(at byte offset {size})")
+
+    @pytest.mark.parametrize("how", ["wrong_dtype", "wrong_shape", "truncated"])
     def test_each_read_checks_dtype_and_shape_again(self, tmp_path, how):
         ckpt = os.path.join(tmp_path, "ckpt")
         config = model.toy()

@@ -144,17 +144,21 @@ class TestMsdaAttention:
         with pytest.raises(ShapeError, match="12 channels"):
             g.swda(x, cfgs)
 
+    def test_mhsa_rejects_channels_that_do_not_fill_the_heads(self):
+        g = graph(Tape())
+        with pytest.raises(ShapeError, match="2 heads"):
+            g.mhsa(g.leaf(np.zeros((3, 3, 9))), 2)
+
     @pytest.mark.parametrize("kind", ["MSDA", "MHSA"])
     def test_attention_sink_refuses_a_batch_axis(self, kind):
         spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=(1,))
         params = identity_qkv_params(spec, "m")
         g = graph(Tape())
-        x = g.leaf(np.zeros((2, 3, 3, 4)))
         with pytest.raises(ContractError, match="sink"):
             if kind == "MSDA":
-                msda_attention(g, x, spec, params, "m", attn_sink=[])
+                msda_attention(g, g.leaf(np.zeros((2, 3, 3, 4))), spec, params, "m", attn_sink=[])
             else:
-                mhsa_attention(g, x, 1, params, "m", spec=spec, attn_sink=[])
+                g.mhsa(g.leaf(np.zeros((2, 3, 3, 12))), 1, attn_sink=[])
 
     def test_requires_rates(self):
         spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=())
@@ -173,7 +177,7 @@ class TestMhsaAttention:
         params = make_block_params(spec, "m", rng)
         x = rng.standard_normal((1, 1, 6))
         g = graph(Tape())
-        out = mhsa_attention(g, g.leaf(x), 2, params, "m", spec=spec)
+        out = mhsa_attention(g, g.leaf(x), spec, params, "m")
         qkv = x.reshape(1, 6) @ params["m.qkv.weight"].value + params["m.qkv.bias"].value
         v = qkv[:, 12:]
         expected = v @ params["m.proj.weight"].value + params["m.proj.bias"].value
@@ -188,7 +192,7 @@ class TestMhsaAttention:
 
         def run(arr):
             g = graph(Tape())
-            return mhsa_attention(g, g.leaf(arr), 2, params, "m", spec=spec).data
+            return mhsa_attention(g, g.leaf(arr), spec, params, "m").data
 
         base = run(x).reshape(9, 8)
         permuted = run(x.reshape(9, 8)[perm].reshape(3, 3, 8)).reshape(9, 8)
@@ -200,7 +204,7 @@ class TestMhsaAttention:
         params = make_block_params(spec, "m", rng)
         x = rng.standard_normal((3, 3, 8))
         g = graph(Tape())
-        out = mhsa_attention(g, g.leaf(x), 2, params, "m", spec=spec)
+        out = mhsa_attention(g, g.leaf(x), spec, params, "m")
 
         qkv = x.reshape(9, 8) @ params["m.qkv.weight"].value + params["m.qkv.bias"].value
         q, k, v = qkv[:, :8], qkv[:, 8:16], qkv[:, 16:]

@@ -5,7 +5,7 @@ import pytest
 
 from dilatevit import runtime
 from dilatevit.counting import add_macs, mac_counter
-from dilatevit.tensor import conv2d, matmul
+from dilatevit.tensor import matmul
 
 
 class TestRowBlocks:
@@ -33,9 +33,3 @@ class TestMacCounter:
             add_macs(1)
         assert inner.macs == 7
         assert outer.macs == 11
-
-    def test_grouped_conv_counts_each_group_once(self):
-        # groups=2 over 4 channels: each output sees 2 input channels, not 4
-        with mac_counter() as c:
-            conv2d(np.ones((8, 8, 4)), np.ones((3, 3, 2, 4)), 1, 1, groups=2)
-        assert c.macs == 8 * 8 * 4 * 3 * 3 * 2

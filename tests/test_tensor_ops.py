@@ -191,9 +191,15 @@ class TestConv2d:
             out = T.conv2d(x, kernel, stride=1, zero_pad=(k - 1) // 2)
             assert out.shape == (7, 9, 3)
 
-    def test_invalid_groups_raises(self):
-        with pytest.raises(ShapeError):
-            T.conv2d(np.ones((4, 4, 3)), np.ones((3, 3, 1, 3)), groups=2)
+    @pytest.mark.parametrize("cin, kshape, groups", [
+        (3, (3, 3, 1, 3), 2),
+        (4, (3, 3, 2, 6), 2),
+        (4, (3, 3, 1, 6), 4),
+        (4, (3, 3, 1, 4), 1),
+    ], ids=["indivisible", "grouped", "depthwise_cout_differs", "dense_with_depthwise_kernel"])
+    def test_invalid_groups_raises(self, cin, kshape, groups):
+        with pytest.raises(ShapeError, match="dense .* or depth-wise"):
+            T.conv2d(np.ones((4, 4, cin)), np.ones(kshape), groups=groups)
 
 
 class TestConv2dProperty:
@@ -241,10 +247,10 @@ class TestConv2dProperty:
 class TestConv2dBatchAxis:
     """[B, H, W, C] input equals a per-image loop of the same op, B times the MACs."""
 
-    # groups=1 (strided), depth-wise, grouped: (Cin, kernel shape, stride, groups)
-    CASES = [(3, (3, 3, 3, 4), 2, 1), (4, (3, 3, 1, 4), 1, 4), (4, (3, 3, 2, 6), 1, 2)]
+    # groups=1 (strided), depth-wise: (Cin, kernel shape, stride, groups)
+    CASES = [(3, (3, 3, 3, 4), 2, 1), (4, (3, 3, 1, 4), 1, 4)]
 
-    @pytest.mark.parametrize("cin, kshape, stride, groups", CASES, ids=["dense", "depthwise", "grouped"])
+    @pytest.mark.parametrize("cin, kshape, stride, groups", CASES, ids=["dense", "depthwise"])
     def test_matches_per_image_loop(self, cin, kshape, stride, groups):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 6, 5, cin))
@@ -267,7 +273,7 @@ class TestConv2dBatchAxis:
         # The kernel gradient sums over the batch in one reduction, not image by image.
         assert np.abs(gk - gk_loop).max() <= 1e-12 * np.abs(gk_loop).max()
 
-    @pytest.mark.parametrize("cin, kshape, _, groups", CASES, ids=["dense", "depthwise", "grouped"])
+    @pytest.mark.parametrize("cin, kshape, _, groups", CASES, ids=["dense", "depthwise"])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_skipped_input_gradient_leaves_the_kernel_gradient(self, cin, kshape, _, groups, stride):
         rng = np.random.default_rng(9)
