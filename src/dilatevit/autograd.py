@@ -11,6 +11,7 @@ A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -286,6 +287,56 @@ class graph:
 
         return self.tape.record(out.reshape(lead + (h, w, c3 // 3)), (qkv,), back)
 
+    def mlp(self, x: Node, weight: Callable[[str], Node]) -> Node:
+        """fc2(gelu(fc1(x))) applied tokenwise to x [..., C], as one node. ``weight(name)``
+        gives the nodes "fc1.weight" [C, D], "fc1.bias" [D], "fc2.weight" [D, C'] and
+        "fc2.bias" [C'], and is asked for fc2 only once fc1 has run.
+
+        Token rows run in blocks whose [rows, D] hidden map fits T.MLP_BLOCK_BYTES, and each
+        block's fc2 product is written into one [..., C'] output. When all rows fit one
+        block, fc1's nodes are dropped before fc2's are looked up, so a lazy weight mapping
+        never holds both. A recording tape keeps only the fc1 pre-activation; the backward
+        recomputes GELU from it.
+        """
+        flat = x.data.reshape(-1, x.data.shape[-1])
+        fc1 = _dense_layer(weight, "fc1")
+        rows, hidden = flat.shape[0], fc1[0].data.shape[1]
+        step = max(1, T.MLP_BLOCK_BYTES // (hidden * flat.itemsize))
+        recording = not isinstance(self.tape, NoRecordTape)
+        pre = np.empty((rows, hidden), dtype=flat.dtype) if recording else None
+
+        def activation(r):
+            """GELU of fc1 on rows [r, r + step); a recording tape keeps the pre-activation."""
+            h = T.matmul(flat[r : r + step], fc1[0].data, out=None if pre is None else pre[r : r + step])
+            h += fc1[1].data
+            return T.gelu(h)
+
+        act = activation(0)
+        parents = (x, *fc1) if recording else ()
+        if step >= rows:
+            del fc1  # no block is left, so a NoRecordTape frees fc1's weight before fc2's is read
+        fc2 = _dense_layer(weight, "fc2")
+        parents += fc2
+        out = np.empty((rows, fc2[0].data.shape[1]), dtype=flat.dtype)
+        for r in range(0, rows, step):
+            if r:
+                act = activation(r)
+            block = out[r : r + step]
+            T.matmul(act, fc2[0].data, out=block)
+            block += fc2[1].data
+
+        def back(g):
+            w1, w2 = parents[1].data, parents[3].data
+            gf = g.reshape(-1, g.shape[-1])
+            act = T.gelu(pre)
+            grad_w2 = act.T @ gf
+            del act
+            grad_h = T.gelu_grad(pre, gf @ w2.T)
+            return ((grad_h @ w1.T).reshape(x.data.shape), flat.T @ grad_h, T.channel_sums(grad_h),
+                    grad_w2, T.channel_sums(gf))
+
+        return self.tape.record(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, back)
+
     def sum_all(self, x: Node) -> Node:
         return self.tape.record(
             np.asarray(x.data.sum()),
@@ -339,6 +390,14 @@ class graph:
             return (gz * (g / idx.size),)
 
         return self.tape.record(loss, (logits,), back)
+
+
+def _dense_layer(weight: Callable[[str], Node], name: str) -> tuple[Node, Node]:
+    """The (weight [Cin, Cout], bias [Cout]) nodes of layer ``name``."""
+    w, b = weight(f"{name}.weight"), weight(f"{name}.bias")
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"{name}: weight {w.data.shape} and bias {b.data.shape} are not [Cin, Cout] and [Cout]")
+    return w, b
 
 
 # ---------------------------------------------------------------------------

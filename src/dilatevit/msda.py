@@ -150,7 +150,10 @@ def msda_attention(
     if not spec.dilation_rates:
         raise ConfigError("dilated attention requires at least one dilation rate")
     cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
-    heads = g.swda(_qkv(g, x, spec, params, prefix), cfgs, attn_sink=attn_sink, layer=prefix)
+    qkv = _qkv(g, x, spec, params, prefix)
+    del x  # a NoRecordTape frees a normed input that the caller did not keep
+    heads = g.swda(qkv, cfgs, attn_sink=attn_sink, layer=prefix)
+    del qkv
     return _project(g, heads, params, prefix)
 
 
@@ -165,7 +168,10 @@ def mhsa_attention(
     """Global attention of spec.n_heads heads over all H*W tokens of each [..., H, W, C]
     map; the dilation rates are not read. ``attn_sink`` as in ``graph.mhsa``."""
     _check_input(x, spec)
-    heads = g.mhsa(_qkv(g, x, spec, params, prefix), spec.n_heads, attn_sink=attn_sink, layer=prefix)
+    qkv = _qkv(g, x, spec, params, prefix)
+    del x  # as in msda_attention
+    heads = g.mhsa(qkv, spec.n_heads, attn_sink=attn_sink, layer=prefix)
+    del qkv
     return _project(g, heads, params, prefix)
 
 
@@ -179,7 +185,9 @@ def transformer_block(
     attn_sink: AttentionSink | None = None,
 ) -> Node:
     """CPE + pre-norm attention + pre-norm MLP, all residual. Temporaries are
-    dropped once consumed, so a NoRecordTape frees them before the MLP runs."""
+    dropped once consumed: on a NoRecordTape norm1's output is freed once the
+    fused q|k|v exists, and the MLP is one ``graph.mlp`` node that holds its
+    hidden map one block of token rows at a time."""
     if kind not in ("MSDA", "MHSA"):
         raise ConfigError(f"block kind must be 'MSDA' or 'MHSA', got {kind!r}")
 
@@ -190,18 +198,13 @@ def transformer_block(
     x = g.add(cpe, x)
     del cpe
 
-    normed = g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS)
-    if kind == "MSDA":
-        attn = msda_attention(g, normed, spec, params, prefix, attn_sink=attn_sink)
-    else:
-        attn = mhsa_attention(g, normed, spec, params, prefix, attn_sink=attn_sink)
+    attention = msda_attention if kind == "MSDA" else mhsa_attention
+    attn = attention(g, g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS), spec, params, prefix,
+                     attn_sink=attn_sink)
     y = g.add(attn, x)
-    del normed, attn, x
+    del attn, x
 
-    normed2 = g.layernorm(y, p("norm2.gamma"), p("norm2.beta"), eps=LN_EPS)
-    hidden = g.linear(normed2, p("mlp.fc1.weight"), p("mlp.fc1.bias"))
-    del normed2
-    hidden = g.gelu(hidden)
-    mlp = g.linear(hidden, p("mlp.fc2.weight"), p("mlp.fc2.bias"))
-    del hidden
+    normed = g.layernorm(y, p("norm2.gamma"), p("norm2.beta"), eps=LN_EPS)
+    mlp = g.mlp(normed, lambda leaf: p(f"mlp.{leaf}"))
+    del normed
     return g.add(mlp, y)

@@ -46,8 +46,9 @@ def as_tensor(x, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[..., m, n] = sum_k a[..., m, k] * b[..., k, n] on matrices or equal stacks, unbroadcast."""
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """c[..., m, n] = sum_k a[..., m, k] * b[..., k, n] on matrices or equal stacks, unbroadcast;
+    written into ``out`` when given."""
     if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul expects matrices or equal stacks, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -55,7 +56,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
     add_macs(math.prod(a.shape) * b.shape[-1])
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -159,6 +160,11 @@ _INV_SQRT2, _INV_SQRT_2PI, _FOUR, _MINUS_FOUR, _HALF, _MINUS_HALF = _f32(
 CDF_CHUNK = 1 << 15
 # Bytes of im2col columns a dense conv unfolds at once: a core's L2 cache (2 MB).
 IM2COL_BLOCK_BYTES = 1 << 21
+# Bytes of one block's MLP hidden map (512 KB): its pre-activation, its GELU
+# output and the GELU scratch together stay under IM2COL_BLOCK_BYTES, and a
+# tiny@224 predict's stage-1 MLP peaks 2 MB below its tokenizer (a 2 MB cap
+# made that MLP the predict peak).
+MLP_BLOCK_BYTES = IM2COL_BLOCK_BYTES // 4
 
 
 def _horner(t2, coefs, out):
@@ -310,6 +316,28 @@ def _tap_rows(kernel: np.ndarray, w_out: int) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(kernel, kernel.shape[:2] + (w_out, kernel.shape[-1])))
 
 
+def _column_step(xp: np.ndarray, kh: int, kw: int, stride: int) -> int | None:
+    """Output rows per block of one image's im2col columns under IM2COL_BLOCK_BYTES,
+    or None when the columns of the whole padded map xp [..., Hp,Wp,C] fit at once."""
+    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
+    w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
+    row_bytes = w_out * kh * kw * xp.shape[-1] * xp.itemsize  # one image's columns for one output row
+    if math.prod(xp.shape[:-3]) * h_out * row_bytes <= IM2COL_BLOCK_BYTES:
+        return None
+    return max(1, IM2COL_BLOCK_BYTES // row_bytes)
+
+
+def _column_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, step: int):
+    """(image, rows, cols) for each block of ``step`` output rows of each image of the
+    padded map xp: the flat leading index, the slice of output rows and their im2col
+    columns [rows, W', kh*kw*C]. Drop cols before the next block to keep one alive."""
+    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
+    for i, img in enumerate(xp.reshape((-1,) + xp.shape[-3:])):
+        for r in range(0, h_out, step):
+            n = min(step, h_out - r)
+            yield i, slice(r, r + n), im2col(img[r * stride : (r + n - 1) * stride + kh], kh, kw, stride)
+
+
 def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int, depthwise: bool) -> np.ndarray:
     """Cross-correlation of a padded map xp [..., Hp,Wp,Cin] with kernel
     [kh,kw,Cin,Cout], or [kh,kw,1,C] if ``depthwise``; counts no MACs. Dense
@@ -317,22 +345,19 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int, depthwise: bool)
     image's output rows at a time, so only the GEMM's M extent changes."""
     kh, kw, _, cout = kernel.shape
     if not depthwise:
-        h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
-        w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
-        row_bytes = w_out * kh * kw * xp.shape[-1] * xp.itemsize  # one image's columns for one output row
-        if math.prod(xp.shape[:-3]) * h_out * row_bytes <= IM2COL_BLOCK_BYTES:
+        step = _column_step(xp, kh, kw, stride)
+        if step is None:
             cols = im2col(xp, kh, kw, stride)
             del xp  # the padded map is not needed while the product runs
             out = cols.reshape(-1, cols.shape[-1]) @ kernel.reshape(-1, cout)
             return out.reshape(cols.shape[:-1] + (cout,))
+        h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
+        w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
         out = np.empty(xp.shape[:-3] + (h_out, w_out, cout), dtype=xp.dtype)
-        kmat, step = kernel.reshape(-1, cout), max(1, IM2COL_BLOCK_BYTES // row_bytes)
-        for img, dst in zip(xp.reshape((-1,) + xp.shape[-3:]), out.reshape((-1, h_out, w_out, cout))):
-            for r in range(0, h_out, step):
-                rows = dst[r : r + step]
-                cols = im2col(img[r * stride : (r + len(rows) - 1) * stride + kh], kh, kw, stride)
-                np.matmul(cols.reshape(-1, kmat.shape[0]), kmat, out=rows.reshape(-1, cout))
-                del cols  # one block's columns alive at a time
+        images, kmat = out.reshape((-1, h_out, w_out, cout)), kernel.reshape(-1, cout)
+        for i, rows, cols in _column_blocks(xp, kh, kw, stride, step):
+            np.matmul(cols.reshape(-1, kmat.shape[0]), kmat, out=images[i, rows].reshape(-1, cout))
+            del cols  # one block's columns alive at a time
         return out
     out = scratch = rows = None
     for (a, b), window in _taps(xp, kh, kw, stride):
@@ -380,6 +405,8 @@ def conv2d_backward(
     k - 1 - zero_pad (cropped where that is negative), with the flipped
     kernel. Strided convs scatter-add each tap's contribution instead. With
     ``input_grad=False`` the input gradient is skipped and returned as None.
+    A dense kernel gradient sums ``cols.T @ grad_out`` over the forward's row
+    blocks, so it too unfolds at most IM2COL_BLOCK_BYTES of columns at once.
     """
     kh, kw, _, cout = kernel.shape
     h, w, cin = x.shape[-3:]
@@ -392,9 +419,20 @@ def conv2d_backward(
             grad_kernel[a, b, 0] = channel_sums(np.multiply(window, grad_out, out=scratch))
     else:
         gmat = grad_out.reshape(-1, cout)
-        cols = im2col(x, kh, kw, stride, zero_pad).reshape(gmat.shape[0], -1)
-        grad_kernel = (cols.T @ gmat).reshape(kernel.shape)
-        del cols
+        xp = pad_hw(x, zero_pad)
+        step = _column_step(xp, kh, kw, stride)
+        if step is None:
+            cols = im2col(xp, kh, kw, stride).reshape(gmat.shape[0], -1)
+            del xp
+            grad_kernel = (cols.T @ gmat).reshape(kernel.shape)
+            del cols
+        else:  # summed over the same row blocks as the forward's columns
+            kmat = np.zeros((kh * kw * cin, cout), dtype=x.dtype)
+            images = grad_out.reshape((-1,) + grad_out.shape[-3:])
+            for i, rows, cols in _column_blocks(xp, kh, kw, stride, step):
+                kmat += cols.reshape(-1, kmat.shape[0]).T @ images[i, rows].reshape(-1, cout)
+                del cols
+            grad_kernel = kmat.reshape(kernel.shape)
     if not input_grad:
         return None, grad_kernel
 

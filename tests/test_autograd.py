@@ -1,11 +1,14 @@
 """Tape mechanics, per-op gradient checks, the FD harness, SGD."""
 
-import tracemalloc
+
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dilatevit import model
+from dilatevit import tensor as T
 from dilatevit.autograd import (
     NoRecordTape,
     Parameter,
@@ -19,6 +22,7 @@ from dilatevit.autograd import (
 )
 from dilatevit.errors import ContractError, DeterminismError, ShapeError
 from dilatevit.swda import SwdaConfig
+from tests_common import traced_peak
 
 
 class TestBackwardBasics:
@@ -114,6 +118,18 @@ class TestBackwardBasics:
         expected = np.broadcast_to(v.mean(axis=(1, 2), keepdims=True), v.shape)
         assert np.allclose(out.data, expected, rtol=1e-12, atol=0)
 
+    def test_mlp_is_one_node(self):
+        g = graph(Tape())
+        x = g.leaf(np.ones((2, 3, 4)))
+        layers = {"fc1.weight": np.ones((4, 6)), "fc1.bias": np.zeros(6),
+                  "fc2.weight": np.ones((6, 5)), "fc2.bias": np.arange(5.0)}
+        weights = {name: g.leaf(value) for name, value in layers.items()}
+        before = len(g.tape.nodes)
+        out = g.mlp(x, weights.__getitem__)
+        assert len(g.tape.nodes) == before + 1 and out.parents == (x, *weights.values())
+        hidden = T.gelu(np.array(4.0))  # every hidden unit; each output sums 6 of them
+        assert np.allclose(out.data, 6 * hidden + np.arange(5.0), rtol=1e-12, atol=0)
+
     def test_no_record_tape_keeps_nothing_and_refuses_backward(self):
         p = Parameter("p", np.arange(3.0))
         g = graph(NoRecordTape())
@@ -158,16 +174,10 @@ class TestMemory:
 
     def test_fresh_parameter_allocates_its_gradient_on_first_read(self):
         value = np.ones((256, 256))
-        tracemalloc.start()
-        try:
-            p = Parameter("p", value)
-            made = tracemalloc.get_traced_memory()[0]
-            grad = p.grad
-            read = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        p, made = traced_peak(lambda: Parameter("p", value))
+        grad, read = traced_peak(lambda: p.grad)
         assert made < value.nbytes // 16, f"{made} bytes before any read"
-        assert read - made >= value.nbytes
+        assert read >= value.nbytes
         assert grad.shape == value.shape and grad.dtype == value.dtype and not grad.any()
         grad[...] = 2.0  # writable, and the same buffer on every read
         assert p.grad is grad and np.all(p.grad == 2.0)
@@ -248,6 +258,8 @@ class TestPerOpGradients:
             self._case_batched_pool,
             self._case_batched_cross_entropy,
             self._case_linear,
+            self._case_mlp,
+            self._case_blocked_mlp,
         ]
 
     def test_random_op_sweep(self):
@@ -497,6 +509,117 @@ class TestPerOpGradients:
             return g.tape, g.softmax_cross_entropy(g.param(params["x"]), labels)
 
         return build, params
+
+    def _case_mlp(self, rng, lead=None, block_rows=None):
+        """1 to 3 leading axes, 2 to 5 hidden units; rows in blocks of ``block_rows`` if given."""
+        if lead is None:
+            lead = tuple(int(n) for n in rng.integers(1, 4, int(rng.integers(1, 4))))
+        hidden = int(rng.integers(2, 6))
+        shapes = {"x": lead + (3,), "fc1.weight": (3, hidden), "fc1.bias": (hidden,),
+                  "fc2.weight": (hidden, 2), "fc2.bias": (2,)}
+        params = {name: Parameter(name, rng.standard_normal(shape)) for name, shape in shapes.items()}
+        w = rng.standard_normal(lead + (2,))
+        cap = T.MLP_BLOCK_BYTES if block_rows is None else block_rows * hidden * 8
+
+        def build():
+            g = graph(Tape())
+            with mock.patch.object(T, "MLP_BLOCK_BYTES", cap):
+                out = g.mlp(g.param(params["x"]), lambda leaf: g.param(params[leaf]))
+            return g.tape, weighted_sum_loss(g, out, w)
+
+        return build, params
+
+    def _case_blocked_mlp(self, rng):
+        """10 token rows in blocks of 3, the last one short."""
+        return self._case_mlp(rng, lead=(2, 5), block_rows=3)
+
+
+MLP_LAYERS = ("x", "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")
+
+
+class TestMlp:
+    """graph.mlp against the linear -> gelu -> linear nodes it replaces, and its blocks."""
+
+    ROWS, CHANNELS, HIDDEN = (2, 4, 5), 6, 16
+
+    def values(self, dtype):
+        rng = np.random.default_rng(21)
+        c, d = self.CHANNELS, self.HIDDEN
+        shapes = {"x": self.ROWS + (c,), "fc1.weight": (c, d), "fc1.bias": (d,),
+                  "fc2.weight": (d, c), "fc2.bias": (c,)}
+        values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+        return values, rng.standard_normal(self.ROWS + (c,)).astype(dtype)
+
+    def run(self, dtype, composed=False):
+        """Output and the gradients of MLP_LAYERS under a weighted-sum loss, on a recording tape."""
+        values, loss_w = self.values(dtype)
+        g = graph(Tape())
+        nodes = {name: g.param(Parameter(name, value)) for name, value in values.items()}
+        if composed:
+            hidden = g.gelu(g.linear(nodes["x"], nodes["fc1.weight"], nodes["fc1.bias"]))
+            out = g.linear(hidden, nodes["fc2.weight"], nodes["fc2.bias"])
+        else:
+            out = g.mlp(nodes["x"], nodes.__getitem__)
+        grads = backward(g.tape, weighted_sum_loss(g, out, loss_w))
+        return [out.data] + [grads[nodes[name].id] for name in MLP_LAYERS]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_block_is_the_composed_arithmetic(self, dtype):
+        for got, want in zip(self.run(dtype), self.run(dtype, composed=True)):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_equal_one_block(self, monkeypatch, dtype):
+        one = self.run(dtype)
+        values, _ = self.values(dtype)
+        rows = int(np.prod(self.ROWS))
+        monkeypatch.setattr(T, "MLP_BLOCK_BYTES", 7 * self.HIDDEN * np.dtype(dtype).itemsize)
+        gelu_rows, gelu = [], T.gelu
+
+        def counted_gelu(x):
+            gelu_rows.append(x.shape[0])
+            return gelu(x)
+
+        monkeypatch.setattr(T, "gelu", counted_gelu)
+        blocked = self.run(dtype)
+        # 7-row blocks forward, the last one short; the backward recomputes GELU once.
+        assert gelu_rows == [7] * (rows // 7) + [rows % 7] + [rows]
+        for got, want in zip(blocked, one):
+            assert np.array_equal(got, want)
+        g = graph(NoRecordTape())
+        inference = g.mlp(g.leaf(values["x"]), lambda leaf: g.leaf(values[leaf]))
+        assert np.array_equal(inference.data, one[0])
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_fc2_is_looked_up_after_fc1_in_one_block(self, monkeypatch, block_rows):
+        """On a NoRecordTape, fc1's weight is freed before fc2's is asked for when all
+        rows fit one block; several blocks need both at once."""
+        if block_rows is not None:
+            monkeypatch.setattr(T, "MLP_BLOCK_BYTES", block_rows * self.HIDDEN * 4)
+        values, _ = self.values(np.float32)
+        g = graph(NoRecordTape())
+        asked, fc1_alive, fc1 = [], [], None
+
+        def weight(leaf):
+            nonlocal fc1
+            asked.append(leaf)
+            if leaf == "fc2.weight":
+                fc1_alive.append(fc1() is not None)
+            value = values[leaf].copy()  # only the op holds it, as with a lazy checkpoint
+            if leaf == "fc1.weight":
+                fc1 = weakref.ref(value)
+            return g.param(Parameter(leaf, value))
+
+        g.mlp(g.leaf(values["x"]), weight)
+        assert asked == list(MLP_LAYERS[1:])
+        assert fc1_alive == [block_rows is not None]
+
+    def test_rejects_a_bias_that_does_not_match_its_weight(self):
+        values, _ = self.values(np.float64)
+        values["fc2.bias"] = values["fc2.bias"][:1]
+        g = graph(Tape())
+        with pytest.raises(ShapeError, match="fc2"):
+            g.mlp(g.leaf(values["x"]), lambda leaf: g.leaf(values[leaf]))
 
 
 class TestFiniteDiffHarness:

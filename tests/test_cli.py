@@ -1,8 +1,8 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
 import json
-import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from tests_common import (
     DAMAGED_TENSORS,
     STAGE4_TENSOR,
     counting_reads,
+    traced_peak,
     write_broken_checkpoint,
     write_damaged_checkpoint,
 )
@@ -399,16 +400,24 @@ class TestAttnstats:
         model.save_checkpoint(tmp_path / "ckpt", config, params)
         weight_bytes = sum(p.value.nbytes for p in params.values())
         del params
-        tracemalloc.start()
-        try:
-            assert run(["attnstats", "--checkpoint", str(tmp_path / "ckpt"), "--threads", "1"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run(["attnstats", "--checkpoint", str(tmp_path / "ckpt"), "--threads", "1"]))
+        assert code == 0
         # 0.41x the weights here: each weight is read as its layer runs and each
         # head's map is reduced as it appears. Loading every weight before the
         # forward and keeping the maps until it ended made it 1.40x.
         assert peak <= 0.6 * weight_bytes, f"peak {peak / weight_bytes:.2f}x the weights"
+
+    def test_checkpoint_never_holds_both_mlp_weights_of_a_block(self, tmp_path, capsys):
+        config = replace(model.toy(), mlp_ratio=32)  # stage 4's fc1 and fc2 weights, 0.52 MB each, dominate
+        params = model.init_params(config, seed=0)
+        model.save_checkpoint(tmp_path / "ckpt", config, params)
+        mlp_bytes = sum(params[f"stage4.block0.mlp.{fc}.weight"].value.nbytes for fc in ("fc1", "fc2"))
+        del params
+        code, peak = traced_peak(lambda: run(["attnstats", "--checkpoint", str(tmp_path / "ckpt"), "--threads", "1"]))
+        assert code == 0
+        # 0.65x here: stage 4's one-block MLP frees fc1 before it reads fc2. Reading
+        # all four MLP weights before the first block made it 1.15x.
+        assert peak < mlp_bytes, f"peak {peak / mlp_bytes:.2f}x the two MLP weights"
 
     def test_checkpoint_reads_each_tensor_once(self, tmp_path, monkeypatch, capsys):
         config = model.toy()

@@ -1,6 +1,5 @@
 """Synthetic data generator and the training loop plumbing."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.errors import ConfigError
 from dilatevit.profiler import count_model
 from dilatevit.train import accuracy, batch_loss, train
+from tests_common import traced_peak
 
 
 class TestDataset:
@@ -104,15 +104,14 @@ class TestTrainLoop:
         config = model.toy()
         params = model.init_params(config, seed=0)
         images, labels = make_dataset(16, DatasetSpec(classes=4, size=32, noise=0.1), seed=0)
-        tracemalloc.start()
-        try:
+
+        def step():
             tape, loss = batch_loss(config, params, images, labels)
             zero_grads(params)
             accumulate_param_grads(tape, backward(tape, loss))
             sgd_step(params, lr=0.01, weight_decay=1e-4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(step)
         # The first step peaks near 7.5 MB, gradient buffers included. 9 MB catches
         # a backward that keeps inner gradients (9.75 MB) or an extra zero-dilated
         # or unfolded copy of a large map alive.

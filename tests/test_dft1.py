@@ -2,7 +2,6 @@
 
 import os
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from dilatevit import dft1
 from dilatevit.errors import FormatError
+from tests_common import traced_peak
 
 UINT_OF = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
@@ -127,12 +127,8 @@ def test_file_roundtrip_is_bit_exact_and_damage_is_a_format_error(dtype, shape, 
 def test_header_reader_reads_no_payload(tmp_path):
     path = tmp_path / "big.dft1"
     dft1.write_tensor(path, np.zeros((512, 512), dtype=np.float32))
-    tracemalloc.start()
-    try:
-        assert dft1.read_header(path) == (np.dtype(np.float32), (512, 512))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    header, peak = traced_peak(lambda: dft1.read_header(path))
+    assert header == (np.dtype(np.float32), (512, 512))
     assert peak < 64 * 1024, f"reading a 1 MB file's header peaked at {peak} bytes"
 
 

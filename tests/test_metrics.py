@@ -1,7 +1,6 @@
 """Attention-map locality and sparsity metrics."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from dilatevit.errors import ShapeError, ValidationError
 from dilatevit.metrics import _chebyshev_table
 from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
 from dilatevit.tensor import softmax
+from tests_common import traced_peak
 
 
 def identity_map(h, w):
@@ -187,15 +187,14 @@ class TestTapSpace:
         # a dense 56x56 map holds 3136^2 weights: 39 MB even in float32
         cfg = SwdaConfig(w=3, r=2, d_k=4)
         weights = swda_weights(56, 56, cfg, dtype=np.float32)
-        tracemalloc.start()
-        try:
+
+        def statistics():
             amap = metrics.from_swda_weights(weights, cfg)
             for radius in (0, 1, 2, 3):
                 metrics.locality_mass(amap, radius)
             metrics.sparsity_profile(amap, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(statistics)
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_rejects_wrong_tap_count(self):

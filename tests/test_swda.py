@@ -1,13 +1,12 @@
 """Windowed dilated attention: tap geometry, oracle equivalence, backward."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chebyshev_masked_attention, dense_full_attention, dense_window_oracle
+from tests_common import traced_peak
 
 from dilatevit import runtime
 from dilatevit.counting import mac_counter
@@ -315,17 +314,8 @@ class TestMemory:
         rng = np.random.default_rng(18)
         cfg = SwdaConfig(w=3, r=3, d_k=24)
         q, k, v, gout = (rng.standard_normal((56, 56, 24)).astype(np.float32) for _ in range(4))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _, state = swda_forward_with_state(q, k, v, cfg)
-            forward_peak = tracemalloc.get_traced_memory()[1] - start
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            swda_backward(gout, state)
-            backward_peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        (_, state), forward_peak = traced_peak(lambda: swda_forward_with_state(q, k, v, cfg))
+        _, backward_peak = traced_peak(lambda: swda_backward(gout, state))
         # Stacking the w*w shifted copies of K and V costs 18 maps on its own.
         assert forward_peak <= 6 * q.nbytes, forward_peak / q.nbytes
         assert backward_peak <= 12 * q.nbytes, backward_peak / q.nbytes

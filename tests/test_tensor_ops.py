@@ -1,7 +1,6 @@
 """Tensor primitive contracts: hand cases, independent oracles, properties."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from scipy.special import erf
 from dilatevit import tensor as T
 from dilatevit.counting import mac_counter
 from dilatevit.errors import NumericError, ShapeError
+from tests_common import traced_peak
 
 
 def triple_loop_matmul(a, b):
@@ -243,6 +243,15 @@ class TestConv2dProperty:
                 gk_ref[..., c] += gk_part
         assert np.abs(gk - gk_ref).max() <= 1e-12
 
+    def test_kernel_gradient_unfolds_one_block_at_a_time(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 64, 64, 8))  # 4.7 MB of columns for a 3x3 kernel
+        kernel = rng.standard_normal((3, 3, 8, 8))
+        gout = rng.standard_normal(x.shape)
+        (none, _), peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1, 1, input_grad=False))
+        # The padded map and one block of columns; unfolding all of x at once peaks at 5.3 MB.
+        assert none is None and peak <= T.IM2COL_BLOCK_BYTES + 2 * x.nbytes, f"peak {peak / 1e6:.2f} MB"
+
 
 class TestConv2dBatchAxis:
     """[B, H, W, C] input equals a per-image loop of the same op, B times the MACs."""
@@ -288,8 +297,8 @@ class TestConv2dBatchAxis:
 
 class TestConv2dRowBlocks:
     """A dense conv whose columns exceed T.IM2COL_BLOCK_BYTES unfolds and multiplies
-    a block of output rows of one image at a time; the stride-1 input gradient
-    runs through the same correlation."""
+    a block of output rows of one image at a time; the kernel gradient sums over
+    the same blocks, and the stride-1 input gradient runs through the same correlation."""
 
     @pytest.mark.parametrize("batch", [(), (2,)])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -316,16 +325,22 @@ class TestConv2dRowBlocks:
         images = math.prod(batch)
         assert len(unfolded) == images * math.ceil(h_out / rows_per_block)
         assert sum(unfolded) == images * h_out and max(unfolded) == rows_per_block
+        forward_unfolds = list(unfolded)
         unfolded.clear()
         gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, 1)
-        if stride == 1:  # the kernel gradient's one unfold, then the input gradient row by row (36 > 27 taps x Cin)
-            assert unfolded == [h_out] + [1] * images * x.shape[-3]
+        # The kernel gradient unfolds in the forward's blocks; at stride 1 the input
+        # gradient then runs row by row (36 > 27 taps x Cin), at stride 2 through col2im.
+        input_unfolds = [1] * images * x.shape[-3] if stride == 1 else []
+        assert unfolded == forward_unfolds + input_unfolds
         assert np.abs(out - out_one).max() <= 1e-12 and np.abs(gx - gx_one).max() <= 1e-12
-        assert np.array_equal(gk, gk_one)  # the kernel gradient unfolds x in one piece
+        assert np.abs(gk - gk_one).max() <= 1e-12  # summed block by block, so rounded differently
+        gk_ref = np.zeros_like(gk)
         for b in np.ndindex(batch):
             assert np.abs(out[b] - direct_loop_conv2d(x[b], kernel, stride, 1)).max() <= 1e-12
-            gx_ref, _ = direct_loop_conv2d_backward(gout[b], x[b], kernel, stride, 1)
+            gx_ref, gk_b = direct_loop_conv2d_backward(gout[b], x[b], kernel, stride, 1)
             assert np.abs(gx[b] - gx_ref).max() <= 1e-12
+            gk_ref += gk_b
+        assert np.abs(gk - gk_ref).max() <= 1e-12
 
 
 class TestLayernorm:
@@ -432,12 +447,7 @@ class TestGeluFloat32:
     @pytest.mark.parametrize("fn", ["gelu", "gelu_grad", "gelu_backward"])
     def test_peak_memory_is_the_output_and_chunk_scratch(self, fn):
         x, g = np.random.default_rng(15).standard_normal((2, 3136, 288)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            out = T.gelu_grad(x, g) if fn == "gelu_backward" else getattr(T, fn)(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: T.gelu_grad(x, g) if fn == "gelu_backward" else getattr(T, fn)(x))
         assert peak <= 1.25 * out.nbytes
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

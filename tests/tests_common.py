@@ -3,12 +3,23 @@
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 
 from dilatevit import dft1, model
 from dilatevit.autograd import Parameter
 from dilatevit.msda import MsdaBlockSpec, block_param_shapes
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_block_params_f32(spec: MsdaBlockSpec, prefix: str, rng) -> dict[str, Parameter]:
