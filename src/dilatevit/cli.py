@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dft1, metrics, model as model_mod, profiler, train as train_mod
 from .data import MAX_CLASSES, DatasetSpec, make_dataset
-from .errors import DilateVitError
+from .errors import ConfigError, DilateVitError
 from .gradsuite import GRAD_TOL, run_gradient_suite
 from .msda import MsdaBlockSpec
 from .swda import SwdaConfig, swda_forward, swda_forward_naive
@@ -88,11 +88,10 @@ def _expect_arg(spec: str) -> tuple[str, float, float]:
 
 
 def _pattern_arg(pattern: str) -> str:
-    if len(pattern) != 4 or any(c not in "DG" for c in pattern):
-        raise argparse.ArgumentTypeError(
-            f"pattern must be 4 characters over D/G, got {pattern!r}"
-        )
-    return pattern
+    try:
+        return model_mod.check_pattern(pattern)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def cmd_flops(args) -> int:

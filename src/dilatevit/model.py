@@ -19,7 +19,7 @@ import os
 import shutil
 import tempfile
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,11 @@ def _integers(what: str, *values) -> None:
             raise ConfigError(f"{what} must be integers, got {v!r}")
 
 
+def _typed(what: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StageSpec:
     kind: str  # 'D' or 'G'
@@ -51,33 +56,18 @@ class StageSpec:
     def __post_init__(self):
         if self.kind not in ("D", "G"):
             raise ConfigError(f"stage kind must be 'D' or 'G', got {self.kind!r}")
+        _typed("stage dilation_rates", self.dilation_rates, tuple)
         _integers("stage depth, dim, n_heads, kernel_w and dilation rates",
                   self.depth, self.dim, self.n_heads, self.kernel_w, *self.dilation_rates)
         if self.depth < 1:
             raise ConfigError(f"stage depth must be >= 1, got {self.depth}")
-        if self.n_heads < 1:
-            raise ConfigError(f"stage n_heads must be >= 1, got {self.n_heads}")
-        if self.dim < 1 or self.dim % self.n_heads != 0:
-            raise ConfigError(
-                f"stage dim {self.dim} must be positive and divisible by n_heads {self.n_heads}"
-            )
-
-    def block_spec(self, mlp_ratio: int, qkv_bias: bool, edge_mode: str) -> MsdaBlockSpec:
-        rates = tuple(self.dilation_rates) if self.kind == "D" else (1,)
-        return MsdaBlockSpec(
-            dim=self.dim,
-            n_heads=self.n_heads,
-            dilation_rates=rates,
-            kernel_w=self.kernel_w,
-            edge_mode=edge_mode,
-            mlp_ratio=mlp_ratio,
-            qkv_bias=qkv_bias,
-        )
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    stages: tuple[StageSpec, StageSpec, StageSpec, StageSpec]
+    """The field order is the order of the JSON form, so ``stages`` is keyword-only."""
+
+    name: str = "custom"
     input_size: int = 224
     in_channels: int = 3
     num_classes: int = 1000
@@ -85,11 +75,14 @@ class ModelConfig:
     qkv_bias: bool = True
     edge_mode: str = "zero_pad"
     tokenizer_channels: tuple[int, ...] = ()
-    name: str = "custom"
+    stages: tuple[StageSpec, StageSpec, StageSpec, StageSpec] = field(kw_only=True)
 
     def __post_init__(self):
-        if len(self.stages) != 4:
-            raise ConfigError(f"expected 4 stages, got {len(self.stages)}")
+        if not isinstance(self.stages, tuple) or len(self.stages) != 4:
+            raise ConfigError(f"expected a list of 4 stages, got {self.stages!r}")
+        _typed("name", self.name, str)
+        _typed("qkv_bias", self.qkv_bias, bool)
+        _typed("tokenizer_channels", self.tokenizer_channels, tuple)
         sizes = (self.input_size, self.in_channels, self.num_classes, self.mlp_ratio)
         _integers("input_size, in_channels, num_classes, mlp_ratio and tokenizer_channels",
                   *sizes, *self.tokenizer_channels)
@@ -107,6 +100,11 @@ class ModelConfig:
             raise ConfigError(
                 f"tokenizer_channels must be 4 positive values ending in the stage-1 dim, got {tc}"
             )
+        for i in range(4):
+            try:
+                self.block_spec(i)
+            except ConfigError as exc:
+                raise ConfigError(f"stage {i + 1}: {exc}") from exc
 
     @property
     def block_pattern(self) -> str:
@@ -117,7 +115,16 @@ class ModelConfig:
         return size // 4 // (2**stage_index)
 
     def block_spec(self, stage_index: int) -> MsdaBlockSpec:
-        return self.stages[stage_index].block_spec(self.mlp_ratio, self.qkv_bias, self.edge_mode)
+        stage = self.stages[stage_index]
+        return MsdaBlockSpec(
+            dim=stage.dim,
+            n_heads=stage.n_heads,
+            dilation_rates=stage.dilation_rates if stage.kind == "D" else (1,),
+            kernel_w=stage.kernel_w,
+            edge_mode=self.edge_mode,
+            mlp_ratio=self.mlp_ratio,
+            qkv_bias=self.qkv_bias,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +179,16 @@ def toy(num_classes: int = 4, input_size: int = 32) -> ModelConfig:
 PRESETS = {"tiny": tiny, "small": small, "base": base, "toy": toy}
 
 
-def build_from_pattern(pattern: str, base_config: ModelConfig) -> ModelConfig:
-    """Override the per-stage block kinds with a 4-character D/G pattern."""
+def check_pattern(pattern: str) -> str:
+    """The pattern, unless it is not 4 characters over D/G (a ConfigError)."""
     if len(pattern) != 4 or any(c not in "DG" for c in pattern):
         raise ConfigError(f"pattern must be 4 characters over D/G, got {pattern!r}")
+    return pattern
+
+
+def build_from_pattern(pattern: str, base_config: ModelConfig) -> ModelConfig:
+    """Override the per-stage block kinds with a 4-character D/G pattern."""
+    check_pattern(pattern)
     stages = tuple(
         replace(stage, kind=c) for stage, c in zip(base_config.stages, pattern)
     )
@@ -356,69 +369,54 @@ def predict(
 # ---------------------------------------------------------------------------
 
 
+def _to_json(obj):
+    """A dataclass as its JSON object, field by field; tuples become lists."""
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+def _from_json(cls, obj, what: str):
+    """``cls`` built from a JSON object: lists become tuples, and a non-object,
+    an unknown key or a missing required key is a ConfigError. Every default
+    and every rule on a value lives on ``cls`` alone."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} is a JSON object, got {type(obj).__name__}")
+    names = [f.name for f in fields(cls)]
+    for key in obj:
+        if key not in names:
+            raise ConfigError(f"{what} has unknown key {key!r}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in obj:
+            raise ConfigError(f"{what} is missing required key {f.name!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
+
+
 def config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "format_version": CONFIG_FORMAT_VERSION,
-        "name": config.name,
-        "input_size": config.input_size,
-        "in_channels": config.in_channels,
-        "num_classes": config.num_classes,
-        "mlp_ratio": config.mlp_ratio,
-        "qkv_bias": config.qkv_bias,
-        "edge_mode": config.edge_mode,
-        "tokenizer_channels": list(config.tokenizer_channels),
-        "stages": [
-            {
-                "kind": s.kind,
-                "depth": s.depth,
-                "dim": s.dim,
-                "n_heads": s.n_heads,
-                "dilation_rates": list(s.dilation_rates),
-                "kernel_w": s.kernel_w,
-            }
-            for s in config.stages
-        ],
-    }
+    return {"format_version": CONFIG_FORMAT_VERSION, **_to_json(config)}
 
 
 def config_from_dict(d: dict) -> ModelConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"a config is a JSON object, got {type(d).__name__}")
-    version = d.get("format_version", CONFIG_FORMAT_VERSION)
+    d = dict(d)
+    version = d.pop("format_version", CONFIG_FORMAT_VERSION)
     if version != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config format version {version!r}")
-    try:
-        stages = tuple(
-            StageSpec(
-                kind=s["kind"],
-                depth=s["depth"],
-                dim=s["dim"],
-                n_heads=s["n_heads"],
-                dilation_rates=tuple(s.get("dilation_rates", (1, 2, 3))),
-                kernel_w=s.get("kernel_w", 3),
-            )
-            for s in d["stages"]
-        )
-        return ModelConfig(
-            stages=stages,
-            input_size=d.get("input_size", 224),
-            in_channels=d.get("in_channels", 3),
-            num_classes=d.get("num_classes", 1000),
-            mlp_ratio=d.get("mlp_ratio", 4),
-            qkv_bias=d.get("qkv_bias", True),
-            edge_mode=d.get("edge_mode", "zero_pad"),
-            tokenizer_channels=tuple(d.get("tokenizer_channels", ())),
-            name=d.get("name", "custom"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required key {exc}") from exc
-    except TypeError as exc:  # a stage that is no object, or a list that is no list
-        raise ConfigError(f"config is malformed: {exc}") from exc
+    if isinstance(d.get("stages"), list):
+        d["stages"] = [_from_json(StageSpec, s, f"stage {i + 1}") for i, s in enumerate(d["stages"])]
+    return _from_json(ModelConfig, d, "a config")
 
 
 def load_config(path: str | os.PathLike) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing or unreadable, not UTF-8, not JSON
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(d)
 
 
 def save_checkpoint(

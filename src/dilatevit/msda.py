@@ -41,18 +41,15 @@ class MsdaBlockSpec:
     qkv_bias: bool = True
 
     def __post_init__(self):
-        if self.dim % self.n_heads != 0:
-            raise ConfigError(f"dim {self.dim} not divisible by n_heads {self.n_heads}")
+        if self.n_heads < 1 or self.dim % self.n_heads != 0:
+            raise ConfigError(f"n_heads must be >= 1 and divide dim {self.dim}, got {self.n_heads}")
         rates = tuple(self.dilation_rates)
-        if rates and self.n_heads % len(rates) != 0:
+        if not rates or self.n_heads % len(rates) != 0:
             raise ConfigError(
-                f"n_heads {self.n_heads} must be a multiple of the number of "
-                f"dilation rates {len(rates)}"
+                f"n_heads {self.n_heads} must be a multiple of the number of dilation rates (one or more), got {rates}"
             )
-        if any(r < 1 for r in rates):
-            raise ConfigError(f"dilation rates must be >= 1, got {rates}")
-        if self.kernel_w < 1 or self.kernel_w % 2 == 0:
-            raise ConfigError(f"kernel_w must be odd and >= 1, got {self.kernel_w}")
+        for r in dict.fromkeys(rates):  # SwdaConfig owns the window, rate, d_k and edge rules
+            SwdaConfig(w=self.kernel_w, r=r, d_k=self.d_k, edge_mode=self.edge_mode)
 
     @property
     def d_k(self) -> int:
@@ -147,8 +144,6 @@ def msda_attention(
 ) -> Node:
     """Windowed dilated attention with one dilation rate per head; ``attn_sink`` as in ``graph.swda``."""
     _check_input(x, spec)
-    if not spec.dilation_rates:
-        raise ConfigError("dilated attention requires at least one dilation rate")
     cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
     qkv = _qkv(g, x, spec, params, prefix)
     del x  # a NoRecordTape frees a normed input that the caller did not keep

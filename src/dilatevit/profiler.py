@@ -59,11 +59,8 @@ class CostReport:
     def total_elementwise(self) -> int:
         return sum(r.elementwise for r in self.rows)
 
-    def headline_flops(self, flops_per_mac: int = 1, include_elementwise: bool = False) -> int:
-        total = self.total_macs * flops_per_mac
-        if include_elementwise:
-            total += self.total_elementwise
-        return total
+    def headline_flops(self, flops_per_mac: int = 1) -> int:
+        return self.total_macs * flops_per_mac
 
     def attention_rows(self) -> list[CostRow]:
         return [r for r in self.rows if r.name.endswith(".attn")]

@@ -30,22 +30,6 @@ DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
-def as_tensor(x, dtype=None) -> np.ndarray:
-    """Coerce ``x`` to a C-contiguous float32/float64 array.
-
-    Rejects empty arrays (every extent must be >= 1) and non-float dtypes
-    unless a target dtype is given.
-    """
-    arr = np.asarray(x)
-    if dtype is not None:
-        arr = arr.astype(DTYPES.get(dtype, dtype), copy=False)
-    if arr.dtype not in DTYPE_NAMES:
-        arr = arr.astype(np.float32)
-    if arr.size == 0:
-        raise ShapeError(f"tensor extents must all be >= 1, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[..., m, n] = sum_k a[..., m, k] * b[..., k, n] on matrices or equal stacks, unbroadcast;
     written into ``out`` when given."""

@@ -9,6 +9,7 @@ import pytest
 
 from dilatevit import cli, dft1, model
 from tests_common import (
+    BROKEN_CONFIGS,
     BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
     STAGE4_TENSOR,
@@ -83,6 +84,15 @@ class TestFlops:
         with pytest.raises(SystemExit) as exc:
             run(["flops", "--pattern", "DDQQ"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content", [None, b"{not json", b'{"name": "\xff"}'])
+    def test_unreadable_config_exits_1_without_traceback(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"  # missing, not JSON, not UTF-8
+        if content is not None:
+            path.write_bytes(content)
+        assert run(["flops", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
     def test_bad_expect_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -440,6 +450,13 @@ class TestAttnstats:
     def test_broken_checkpoint_exits_1_without_traceback(self, tmp_path, capsys, how):
         assert run(["attnstats", "--checkpoint", write_broken_checkpoint(tmp_path, how)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("how", sorted(BROKEN_CONFIGS))
+    def test_broken_config_exits_1_without_reading_a_payload(self, tmp_path, monkeypatch, capsys, how):
+        ckpt = write_broken_checkpoint(tmp_path, how)
+        reads = counting_reads(monkeypatch)
+        assert run(["attnstats", "--checkpoint", ckpt]) == 1
+        assert capsys.readouterr().err.startswith("error: ") and reads == []
 
     def test_requires_a_source(self, capsys):
         assert run(["attnstats"]) == 1

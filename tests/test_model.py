@@ -1,7 +1,9 @@
 """Model assembly: shape chain, patterns, params, checkpoints, determinism."""
 
+import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from dilatevit.counting import mac_counter
 from dilatevit.errors import ConfigError, DilateVitError, FormatError, NumericError
 from dilatevit.profiler import count_model
 from tests_common import (
+    BROKEN_CONFIGS,
     BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
     STAGE4_TENSOR,
+    broken_config,
     counting_reads,
     traced_peak,
     write_broken_checkpoint,
@@ -64,30 +68,15 @@ class TestPresets:
             model.toy(input_size=48)
 
 
-def _toy_config_dict(edit):
-    d = model.config_to_dict(model.toy())
-    edit(d)
-    return d
-
-
-# Config dicts that once passed, or failed with something other than a ConfigError.
-MALFORMED_CONFIGS = {
-    "zero_heads": lambda d: d["stages"][0].update(n_heads=0),  # was ZeroDivisionError
-    "negative_heads": lambda d: d["stages"][3].update(n_heads=-4),  # was accepted
-    "float_depth": lambda d: d["stages"][1].update(depth=1.0),  # was accepted
-    "float_rate": lambda d: d["stages"][0].update(dilation_rates=[1, 2.0]),  # was accepted
-    "bool_dim": lambda d: d["stages"][2].update(dim=True),  # was accepted
-    "negative_input_size": lambda d: d.update(input_size=-32),  # was accepted
-    "zero_classes": lambda d: d.update(num_classes=0),  # was accepted
-    "stage_not_an_object": lambda d: d["stages"].__setitem__(2, 7),  # was TypeError
-    "rates_not_a_list": lambda d: d["stages"][0].update(dilation_rates=2),  # was TypeError
-}
-
-
-@pytest.mark.parametrize("how", sorted(MALFORMED_CONFIGS))
-def test_malformed_config_is_a_config_error(how):
+@pytest.mark.parametrize("how", sorted(BROKEN_CONFIGS))
+def test_malformed_config_is_a_config_error(tmp_path, monkeypatch, how):
     with pytest.raises(ConfigError):
-        model.config_from_dict(_toy_config_dict(MALFORMED_CONFIGS[how]))
+        model.config_from_dict(broken_config(how))
+    ckpt = write_broken_checkpoint(tmp_path, how)
+    reads = counting_reads(monkeypatch)
+    with pytest.raises(ConfigError):
+        model.open_checkpoint(ckpt)
+    assert reads == []
 
 
 def test_config_that_is_not_an_object_is_a_config_error():
@@ -97,16 +86,18 @@ def test_config_that_is_not_an_object_is_a_config_error():
 
 @st.composite
 def model_configs(draw):
-    """Valid ModelConfigs: any stage kinds and widths, with or without explicit tokenizer channels."""
+    """Valid ModelConfigs: any stage kinds and widths, with or without explicit tokenizer
+    channels; every stage's head count is a multiple of its rate count, so any pattern holds."""
     stages = []
     for _ in range(4):
         n_heads = draw(st.integers(1, 4))
+        n_rates = draw(st.sampled_from([k for k in (1, 2, 3) if n_heads % k == 0]))
         stages.append(model.StageSpec(
             kind=draw(st.sampled_from("DG")),
             depth=draw(st.integers(1, 3)),
             dim=n_heads * draw(st.integers(1, 8)),
             n_heads=n_heads,
-            dilation_rates=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
+            dilation_rates=tuple(draw(st.lists(st.integers(1, 4), min_size=n_rates, max_size=n_rates))),
             kernel_w=draw(st.sampled_from([1, 3, 5])),
         ))
     d1 = stages[0].dim
@@ -153,9 +144,53 @@ class TestConfigDictProperties:
             else:
                 target[key] = data.draw(JSON_VALUES)
         try:
-            model.config_from_dict(d)
+            config = model.config_from_dict(d)
         except ConfigError:
-            pass
+            return
+        # Accepted, so nothing may have been taken silently: every value keeps its declared
+        # type and its JSON form, and every block and window the config names can be built.
+        assert_declared_types(config)
+        out = model.config_to_dict(config)
+        for built, source in [(out, d), *zip(out["stages"], d["stages"])]:
+            for key, value in source.items():
+                if key == "stages" or (key == "tokenizer_channels" and value == []):
+                    continue  # each stage is a pair of its own; an empty ramp stands for the default
+                assert json.dumps(built[key]) == json.dumps(value), key
+        model.parameter_shapes(config)
+        for i, stage in enumerate(config.stages):
+            if stage.kind == "D":
+                spec = config.block_spec(i)
+                [spec.head_cfg(h) for h in range(spec.n_heads)]
+
+
+def assert_declared_types(obj, where="config"):
+    """Every field of the dataclass ``obj`` holds exactly its annotated type."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        _assert_type(getattr(obj, name), hint, f"{where}.{name}")
+
+
+def _assert_type(value, hint, where):
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        assert isinstance(value, tuple), f"{where}: {value!r} is not a tuple"
+        kinds = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        assert len(kinds) == len(value), f"{where}: {value!r} has {len(value)} items"
+        for i, (item, kind) in enumerate(zip(value, kinds)):
+            _assert_type(item, kind, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(hint):
+        assert isinstance(value, hint), f"{where}: {value!r} is not a {hint.__name__}"
+        assert_declared_types(value, where)
+    else:
+        assert type(value) is hint, f"{where}: {value!r} is not a {hint.__name__}"
+
+
+def test_readme_config_table_has_a_row_per_field():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    table = readme.split("**Model config JSON.**", 1)[1].split("\n\n")[1]
+    rows = {line.split("|")[1].strip().strip("`") for line in table.splitlines()[2:]}
+    fields = {f.name for f in dataclasses.fields(model.ModelConfig) if f.name != "stages"}
+    fields |= {f"stages[4].{f.name}" for f in dataclasses.fields(model.StageSpec)}
+    assert sorted(fields - rows) == [] and sorted(rows - fields) == []
 
 
 class TestPatterns:

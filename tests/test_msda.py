@@ -56,6 +56,15 @@ class TestSpec:
         with pytest.raises(ConfigError):
             MsdaBlockSpec(dim=8, n_heads=2, dilation_rates=(1, 2, 3))
 
+    def test_zero_heads(self):
+        with pytest.raises(ConfigError):  # was ZeroDivisionError
+            MsdaBlockSpec(dim=4, n_heads=0)
+
+    @pytest.mark.parametrize("edit", [{"kernel_w": 4}, {"dilation_rates": (1, 0, 2)}, {"edge_mode": "bogus"}])
+    def test_window_rules_are_the_swda_configs(self, edit):
+        with pytest.raises(ConfigError):
+            MsdaBlockSpec(dim=12, n_heads=3, **edit)
+
     def test_head_receptive_fields(self):
         spec = MsdaBlockSpec(dim=12, n_heads=3, dilation_rates=(1, 2, 3), kernel_w=3)
         spans = [receptive_span(spec.head_cfg(i)) for i in range(3)]
@@ -161,13 +170,8 @@ class TestMsdaAttention:
                 g.mhsa(g.leaf(np.zeros((2, 3, 3, 12))), 1, attn_sink=[])
 
     def test_requires_rates(self):
-        spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=())
-        params = identity_qkv_params(
-            MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=(1,)), "m"
-        )
-        g = graph(Tape())
         with pytest.raises(ConfigError):
-            msda_attention(g, g.leaf(np.zeros((3, 3, 4))), spec, params, "m")
+            MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=())
 
 
 class TestMhsaAttention:

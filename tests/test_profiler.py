@@ -194,10 +194,6 @@ class TestReportShape:
         report = count_model(model.toy())
         assert report.headline_flops() == report.total_macs
         assert report.headline_flops(flops_per_mac=2) == 2 * report.total_macs
-        assert (
-            report.headline_flops(include_elementwise=True)
-            == report.total_macs + report.total_elementwise
-        )
 
     def test_text_report_mentions_convention(self):
         text = count_model(model.toy()).to_text()

@@ -500,15 +500,3 @@ class TestDtypeAndPurity:
         assert np.array_equal(T.conv2d(x, k, 1, 1), T.conv2d(x, k, 1, 1))
         assert np.array_equal(T.softmax(a), T.softmax(a))
         assert np.array_equal(T.gelu(a), T.gelu(a))
-
-
-class TestAsTensor:
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            T.as_tensor(np.zeros((0, 3)))
-
-    def test_coerces_contiguous_float(self):
-        out = T.as_tensor([[1, 2], [3, 4]])
-        assert out.flags["C_CONTIGUOUS"]
-        assert out.dtype in (np.float32, np.float64)
-        assert out.size == int(np.prod(out.shape))

@@ -63,8 +63,45 @@ BROKEN_MANIFESTS = {
 }
 
 
+def _all_g(d):
+    for stage in d["stages"]:
+        stage["kind"] = "G"
+
+
+# How each broken config is made from a valid toy config dict: edit(d) changes it in place.
+# Each once passed, or failed with something other than a ConfigError; an accepted one
+# failed at init_params or predict, or never under an all-G pattern.
+BROKEN_CONFIGS = {
+    "zero_heads": lambda d: d["stages"][0].update(n_heads=0),  # was ZeroDivisionError
+    "negative_heads": lambda d: d["stages"][3].update(n_heads=-4),
+    "float_depth": lambda d: d["stages"][1].update(depth=1.0),
+    "float_rate": lambda d: d["stages"][0].update(dilation_rates=[1, 2.0]),
+    "bool_dim": lambda d: d["stages"][2].update(dim=True),
+    "negative_input_size": lambda d: d.update(input_size=-32),
+    "zero_classes": lambda d: d.update(num_classes=0),
+    "stage_not_an_object": lambda d: d["stages"].__setitem__(2, 7),  # was TypeError
+    "rates_not_a_list": lambda d: d["stages"][0].update(dilation_rates=2),  # was TypeError
+    "unknown_key": lambda d: d.update(mlp_raito=2),
+    "unknown_stage_key": lambda d: d["stages"][1].update(kernel=3),
+    "qkv_bias_a_string": lambda d: d.update(qkv_bias="false"),
+    "unknown_edge_mode": lambda d: d.update(edge_mode="bogus"),
+    "unknown_edge_mode_all_g": lambda d: (_all_g(d), d.update(edge_mode="bogus")),
+    "even_kernel_w": lambda d: d["stages"][0].update(kernel_w=4),
+    "even_kernel_w_all_g": lambda d: (_all_g(d), d["stages"][0].update(kernel_w=4)),
+    "no_d_stage_rates": lambda d: d["stages"][1].update(dilation_rates=[]),
+}
+
+
+def broken_config(how: str) -> dict:
+    """The toy config dict, broken as BROKEN_CONFIGS[how]."""
+    d = model.config_to_dict(model.toy())
+    BROKEN_CONFIGS[how](d)
+    return d
+
+
 def write_broken_checkpoint(root, how: str) -> str:
-    """A toy checkpoint under root/ckpt whose manifest is broken as BROKEN_MANIFESTS[how]."""
+    """A toy checkpoint under root/ckpt whose manifest is broken as BROKEN_MANIFESTS[how],
+    or whose config is broken as BROKEN_CONFIGS[how]."""
     ckpt_dir = os.path.join(root, "ckpt")
     config = model.toy()
     model.save_checkpoint(ckpt_dir, config, model.init_params(config, seed=0))
@@ -74,8 +111,13 @@ def write_broken_checkpoint(root, how: str) -> str:
     # A valid tensor next to the checkpoint, so only the name check can refuse reading it.
     outside = os.path.join(root, "outside.dft1")
     shutil.copyfile(os.path.join(ckpt_dir, manifest["files"][sorted(manifest["files"])[0]]), outside)
+    if how in BROKEN_CONFIGS:
+        manifest["config"] = broken_config(how)
+        text = json.dumps(manifest)
+    else:
+        text = BROKEN_MANIFESTS[how](manifest, outside)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(BROKEN_MANIFESTS[how](manifest, outside))
+        fh.write(text)
     return ckpt_dir
 
 
