@@ -19,7 +19,7 @@ import numpy as np
 
 from . import swda as _swda
 from . import tensor as T
-from .errors import ContractError, DeterminismError, ShapeError
+from .errors import ContractError, DeterminismError, NumericError, ShapeError
 
 
 class AttentionSink(Protocol):
@@ -154,11 +154,12 @@ def _iter_params(params):
 class graph:
     """Builds nodes on one tape without threading it through every call.
 
-    Thin convenience: ``g = graph(tape); y = g.add(a, b)``.
+    Thin convenience: ``g = graph(tape); y = g.add(a, b)``. An ``attn_sink`` gets
+    every attention head's weights as ``swda`` and ``mhsa`` compute them.
     """
 
-    def __init__(self, tape: Tape):
-        self.tape = tape
+    def __init__(self, tape: Tape, attn_sink: AttentionSink | None = None):
+        self.tape, self.attn_sink = tape, attn_sink
 
     def leaf(self, array) -> Node:
         return self.tape.leaf(array)
@@ -171,16 +172,6 @@ class graph:
             raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
         return self.tape.record(a.data + b.data, (a, b), lambda g: (g, g))
 
-    def add_bias(self, a: Node, bias: Node) -> Node:
-        """Broadcast a [C] bias over the last axis of a."""
-        if a.data.shape[-1] != bias.data.shape[-1] or bias.data.ndim != 1:
-            raise ShapeError(
-                f"bias shape {bias.data.shape} incompatible with {a.data.shape}"
-            )
-        return self.tape.record(
-            a.data + bias.data, (a, bias), lambda g: (g, T.channel_sums(g))
-        )
-
     def mul(self, a: Node, b: Node) -> Node:
         if a.data.shape != b.data.shape:
             raise ShapeError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
@@ -188,14 +179,19 @@ class graph:
             a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data)
         )
 
-    def conv2d(self, x: Node, kernel: Node, stride=1, zero_pad=0, groups=1) -> Node:
+    def conv2d(self, x: Node, kernel: Node, bias: Node, stride=1, zero_pad=0, groups=1) -> Node:
+        """T.conv2d of x plus a [Cout] bias, as one node."""
         out = T.conv2d(x.data, kernel.data, stride, zero_pad, groups)
+        if bias.data.shape != out.shape[-1:]:
+            raise ShapeError(f"bias shape {bias.data.shape} incompatible with {out.shape}")
+        out += bias.data
         input_grad = x.backward_fn is not None or x.id in self.tape.param_nodes  # not the image
 
         def back(g):
-            return T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups, input_grad)
+            grad_x, grad_kernel = T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups, input_grad)
+            return grad_x, grad_kernel, T.channel_sums(g)
 
-        return self.tape.record(out, (x, kernel), back)
+        return self.tape.record(out, (x, kernel, bias), back)
 
     def layernorm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
         out, state = T.layernorm_with_state(x.data, gamma.data, beta.data, eps)
@@ -208,19 +204,18 @@ class graph:
             T.gelu(x.data), (x,), lambda g: (T.gelu_grad(x.data, g),)
         )
 
-    def swda(self, qkv: Node, cfgs: tuple[_swda.SwdaConfig, ...],
-             attn_sink: AttentionSink | None = None, layer: str = "") -> Node:
+    def swda(self, qkv: Node, cfgs: tuple[_swda.SwdaConfig, ...], layer: str = "") -> Node:
         """Dilated window attention on a fused [..., 3C] q|k|v node, C = len(cfgs) * d_k.
 
         Head i runs cfgs[i] on views of channels [i*d_k, (i+1)*d_k) of each C-wide
-        third and writes them to the same channels of the [..., C] output. An
+        third and writes them to the same channels of the [..., C] output. The
         ``attn_sink`` gets ``append((f"{layer}.head{i}", cfgs[i], weights))`` as each
         head runs, with a copy of its ``[H, W, w*w]`` weights.
         """
         d_k, C = cfgs[0].d_k, len(cfgs) * cfgs[0].d_k
         if qkv.data.shape[-1] != 3 * C:
             raise ShapeError(f"{qkv.data.shape[-1]} channels != 3 x {len(cfgs)} heads of d_k {d_k}")
-        if attn_sink is not None and qkv.data.ndim != 3:
+        if self.attn_sink is not None and qkv.data.ndim != 3:
             raise ContractError(f"an attention sink needs one [H, W, 3C] map, got {qkv.data.shape}")
 
         def channels(i, j=0):  # head i's channels in the j-th C-wide third
@@ -232,8 +227,8 @@ class graph:
             q, k, v = (qkv.data[channels(i, j)] for j in range(3))
             out[channels(i)], state = _swda.swda_forward_with_state(q, k, v, cfg)
             states.append(state)
-            if attn_sink is not None:
-                attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy()))
+            if self.attn_sink is not None:
+                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy()))
 
         def back(g):
             grad = np.empty_like(qkv.data)
@@ -244,19 +239,18 @@ class graph:
 
         return self.tape.record(out, (qkv,), back)
 
-    def mhsa(self, qkv: Node, n_heads: int, attn_sink: AttentionSink | None = None,
-             layer: str = "") -> Node:
+    def mhsa(self, qkv: Node, n_heads: int, layer: str = "") -> Node:
         """Global attention over all N = H*W tokens of a fused [..., H, W, 3C] q|k|v node.
 
         Head i reads channels [i*d_k, (i+1)*d_k) of each C-wide third, d_k = C / n_heads,
-        and writes the same channels of the [..., H, W, C] output. An ``attn_sink`` gets
+        and writes the same channels of the [..., H, W, C] output. The ``attn_sink`` gets
         ``append((f"{layer}.head{i}", None, weights))`` per head, with a copy of its
         ``[N, N]`` weights.
         """
         if qkv.data.ndim < 3 or qkv.data.shape[-1] % (3 * n_heads):
             raise ShapeError(f"mhsa needs [..., H, W, 3C] with C a multiple of {n_heads} heads, got {qkv.data.shape}")
         lead, (h, w, c3) = qkv.data.shape[:-3], qkv.data.shape[-3:]
-        if attn_sink is not None and lead:
+        if self.attn_sink is not None and lead:
             raise ContractError(f"an attention sink needs one [H, W, 3C] map, got {qkv.data.shape}")
         n, d_k = h * w, c3 // (3 * n_heads)
         parts = qkv.data.reshape(lead + (n, 3, n_heads, d_k))  # token, q|k|v, head, channel
@@ -267,9 +261,9 @@ class graph:
         logits *= scale
         attn = T.softmax(logits)
         del logits
-        if attn_sink is not None:
+        if self.attn_sink is not None:
             for i, weights in enumerate(attn):
-                attn_sink.append((f"{layer}.head{i}", None, weights.copy()))
+                self.attn_sink.append((f"{layer}.head{i}", None, weights.copy()))
         out = np.ascontiguousarray(T.matmul(attn, v).swapaxes(-3, -2))
 
         def back(g):
@@ -375,13 +369,16 @@ class graph:
         return self.tape.record(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, back)
 
     def softmax_cross_entropy(self, logits: Node, labels) -> Node:
-        """Mean over the leading axes of -log softmax(logits)[..., label] for logits [..., K]."""
+        """Mean over the leading axes of -log softmax(logits)[..., label] for logits [..., K];
+        a non-finite loss is a NumericError."""
         z, idx = logits.data, np.asarray(labels)[..., None]
         if z.ndim < 1 or idx.shape[:-1] != z.shape[:-1]:
             raise ShapeError(f"logits {z.shape} need one label per leading index, got {idx.shape[:-1]}")
         m = z.max(axis=-1, keepdims=True)
         lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
         loss = np.asarray(np.mean(lse - np.take_along_axis(z, idx, -1)), dtype=z.dtype)
+        if not np.isfinite(loss):
+            raise NumericError(f"cross-entropy loss is {float(loss)}")
         probs = np.exp(z - lse)
 
         def back(g):

@@ -2,9 +2,11 @@
 
 Subcommands: flops, gradcheck, bench, train, attnstats, gen-data. Exit codes
 are a stable contract: 0 success, 1 assertion/accuracy failure, 2 usage
-error. Every subcommand honors --seed and accepts --threads, which has no
-effect: the library runs on one thread. Apart from measured timings in bench
-output, results are byte-identical across runs.
+error. Each subcommand takes only the flags it reads: all but flops take
+--seed, bench and train take --dtype, flops and train take --config, and
+every one takes --out and --threads, which has no effect: the library runs
+on one thread. Apart from measured timings in bench output, results are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -38,17 +40,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="accepted for compatibility; no effect, the library starts no threads",
-    )
-    parser.add_argument("--dtype", choices=["f32", "f64"], default="f32")
-    parser.add_argument("--out", default=None, help="output path (file or directory)")
-    parser.add_argument("--config", default=None, help="JSON model config path")
+_FLAGS = {
+    "--threads": dict(type=_positive_int, default=1,
+                      help="accepted for compatibility; no effect, the library starts no threads"),
+    "--out": dict(default=None, help="output path (file or directory)"),
+    "--seed": dict(type=int, default=0, help="root seed for all randomness"),
+    "--dtype": dict(choices=["f32", "f64"], default="f32"),
+    "--config": dict(default=None, help="JSON model config path"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--threads and --out, which every subcommand takes, then the named flags of _FLAGS."""
+    for name in ("--threads", "--out", *names):
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _resolve_config(args, default_preset="tiny") -> model_mod.ModelConfig:
@@ -323,8 +328,8 @@ def _checkpoint_rows(args, rows: _StatRows) -> None:
 
     from .autograd import NoRecordTape, graph
 
-    g = graph(NoRecordTape())
-    model_mod.forward(g, g.leaf(images[0]), config, tensors, attn_sink=rows)
+    g = graph(NoRecordTape(), attn_sink=rows)
+    model_mod.forward(g, g.leaf(images[0]), config, tensors)
 
 
 def _file_rows(args, rows: _StatRows) -> None:
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("flops", help="analytic parameter/FLOPs report")
-    _add_shared(p)
+    _add_flags(p, "--config")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS), default=None)
     p.add_argument("--input", type=int, default=None, help="input resolution override")
     p.add_argument("--pattern", type=_pattern_arg, default=None, help="4-char D/G stage pattern")
@@ -420,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_flops)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_shared(p)
+    _add_flags(p, "--seed")
     p.add_argument("--cases", type=int, default=30)
     p.add_argument("--budget", type=int, default=6, help="probed elements per parameter")
     p.add_argument("--tol", type=float, default=GRAD_TOL)
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time attention kernels across map sizes")
-    _add_shared(p)
+    _add_flags(p, "--seed", "--dtype")
     p.add_argument("--sizes", default="28,56,112")
     p.add_argument("--mhsa-sizes", default=None, help="map sizes for the dense baseline")
     p.add_argument("--window", type=int, default=3)
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train", help="SGD training on synthetic data")
-    _add_shared(p)
+    _add_flags(p, "--seed", "--dtype", "--config")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS), default=None)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch", type=int, default=16)
@@ -453,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("attnstats", help="locality/sparsity metrics of attention maps")
-    _add_shared(p)
+    _add_flags(p, "--seed")
     p.add_argument("--input", default=None, help="DFT1 file holding a [H*W, H*W] matrix")
     p.add_argument("--grid", default=None, help="H,W of the query grid")
     p.add_argument("--checkpoint", default=None, help="model checkpoint to generate maps from")
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_attnstats)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
-    _add_shared(p)
+    _add_flags(p, "--seed")
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--count", type=int, default=64)
     p.add_argument("--size", type=int, default=32)

@@ -62,19 +62,17 @@ def make_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Images [N, S, S, 3] float32 and labels [N] int64, balanced round-robin."""
     rng = np.random.default_rng(seed)
-    centers = _blob_centers(spec)
     sigma = spec.size / 10.0
     ii = np.arange(spec.size)[:, None]
     jj = np.arange(spec.size)[None, :]
-    images = np.empty((count, spec.size, spec.size, 3), dtype=np.float32)
-    labels = np.empty(count, dtype=np.int64)
-    for n in range(count):
-        label = n % spec.classes
-        ci, cj = centers[label]
+    shape = (count, spec.size, spec.size, 3)
+    if spec.noise > 0:
+        images = rng.standard_normal(shape)
+        images *= spec.noise
+    else:
+        images = np.zeros(shape)
+    # Labels run round-robin, so class c's images are every classes-th one from c.
+    for c, (ci, cj) in enumerate(_blob_centers(spec)):
         bump = np.exp(-(((ii - ci) ** 2 + (jj - cj) ** 2) / (2 * sigma**2)))
-        img = bump[:, :, None] * _COLORS[label][None, None, :]
-        if spec.noise > 0:
-            img = img + spec.noise * rng.standard_normal(img.shape)
-        images[n] = img.astype(np.float32)
-        labels[n] = label
-    return images, labels
+        images[c :: spec.classes] += bump[:, :, None] * _COLORS[c]
+    return images.astype(np.float32), np.arange(count, dtype=np.int64) % spec.classes

@@ -125,7 +125,7 @@ def _msda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
 
 
 def _block_case(rng: np.random.Generator, case_id: int, corrupt: bool):
-    kind = "MSDA" if rng.integers(0, 2) == 0 else "MHSA"
+    kind = "D" if rng.integers(0, 2) == 0 else "G"
     n_heads = 2
     d_k = int(rng.integers(2, 4))
     dim = n_heads * d_k

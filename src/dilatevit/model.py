@@ -26,7 +26,7 @@ import numpy as np
 from . import dft1
 from .autograd import AttentionSink, Node, NoRecordTape, Parameter, graph
 from .errors import ConfigError, FormatError, NumericError
-from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, transformer_block, trunc_normal
+from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, param_node, transformer_block, trunc_normal
 from .tensor import DTYPE_NAMES, DTYPES
 
 CONFIG_FORMAT_VERSION = "1"
@@ -276,29 +276,20 @@ def validate_params(config: ModelConfig, params: dict[str, Parameter]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pget(params, name):
-    p = params.get(name)
-    if p is None:
-        raise ConfigError(f"missing parameter: {name}")
-    return p
-
-
 def tokenize(g: graph, image: Node, config: ModelConfig, params) -> Node:
     """Four overlapping 3x3 convs with strides 2,1,2,1; norm+GELU after all but the last."""
     if image.data.shape[-3] % 4 != 0 or image.data.shape[-2] % 4 != 0:
         raise ConfigError(f"tokenizer needs extents divisible by 4, got {image.data.shape}")
+
+    def p(leaf: str) -> Node:
+        return param_node(g, params, f"tokenizer.{leaf}")
+
     x = image
     strides = (2, 1, 2, 1)
     for i in range(4):
-        x = g.conv2d(x, g.param(_pget(params, f"tokenizer.conv{i + 1}.weight")), stride=strides[i], zero_pad=1)
-        x = g.add_bias(x, g.param(_pget(params, f"tokenizer.conv{i + 1}.bias")))
+        x = g.conv2d(x, p(f"conv{i + 1}.weight"), p(f"conv{i + 1}.bias"), stride=strides[i], zero_pad=1)
         if i < 3:
-            x = g.layernorm(
-                x,
-                g.param(_pget(params, f"tokenizer.norm{i + 1}.gamma")),
-                g.param(_pget(params, f"tokenizer.norm{i + 1}.beta")),
-                eps=LN_EPS,
-            )
+            x = g.layernorm(x, p(f"norm{i + 1}.gamma"), p(f"norm{i + 1}.beta"), eps=LN_EPS)
             x = g.gelu(x)
     return x
 
@@ -308,8 +299,8 @@ def downsample(g: graph, x: Node, params, index: int) -> Node:
     h, w, _ = x.data.shape[-3:]
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigError(f"downsampler needs even extents, got {x.data.shape}")
-    x = g.conv2d(x, g.param(_pget(params, f"downsample{index}.weight")), stride=2, zero_pad=1)
-    return g.add_bias(x, g.param(_pget(params, f"downsample{index}.bias")))
+    return g.conv2d(x, param_node(g, params, f"downsample{index}.weight"),
+                    param_node(g, params, f"downsample{index}.bias"), stride=2, zero_pad=1)
 
 
 def forward(
@@ -320,8 +311,9 @@ def forward(
     attn_sink: AttentionSink | None = None,
 ) -> Node:
     """Logits [..., K] for an image node [..., S, S, in_channels]; leading axes are batch.
-    ``params`` is looked up once per tensor, as its layer runs; ``attn_sink`` gets every
-    head's attention weights as they appear (see ``graph.swda``)."""
+    ``params`` is looked up once per tensor, as its layer runs. An ``attn_sink`` gets
+    every head's attention weights as they appear, through a graph on g's tape that
+    carries it (see ``graph.swda``)."""
     s = config.input_size
     if image.data.shape[-3:] != (s, s, config.in_channels):
         raise ConfigError(
@@ -330,23 +322,20 @@ def forward(
         )
     if not np.isfinite(image.data).all():
         raise NumericError("image holds non-finite values")
+    if attn_sink is not None:
+        g = graph(g.tape, attn_sink)
     x = tokenize(g, image, config, params)
     for si, stage in enumerate(config.stages, start=1):
         spec = config.block_spec(si - 1)
-        kind = "MSDA" if stage.kind == "D" else "MHSA"
         for b in range(stage.depth):
-            x = transformer_block(
-                g, x, spec, params, f"stage{si}.block{b}", kind=kind, attn_sink=attn_sink
-            )
+            x = transformer_block(g, x, spec, params, f"stage{si}.block{b}", kind=stage.kind)
         if si < 4:
             x = downsample(g, x, params, si)
     x = g.layernorm(
-        x, g.param(_pget(params, "head.norm.gamma")), g.param(_pget(params, "head.norm.beta")), eps=LN_EPS
+        x, param_node(g, params, "head.norm.gamma"), param_node(g, params, "head.norm.beta"), eps=LN_EPS
     )
     pooled = g.global_avg_pool(x)
-    return g.linear(
-        pooled, g.param(_pget(params, "head.fc.weight")), g.param(_pget(params, "head.fc.bias"))
-    )
+    return g.linear(pooled, param_node(g, params, "head.fc.weight"), param_node(g, params, "head.fc.bias"))
 
 
 def predict(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .autograd import AttentionSink, Node, Parameter, graph
+from .autograd import Node, Parameter, graph
 from .errors import ConfigError, ShapeError
 from .swda import SwdaConfig
 
@@ -108,25 +108,23 @@ def block_param_shapes(spec: MsdaBlockSpec, prefix: str) -> dict[str, tuple[int,
     return shapes
 
 
-def _get(params: Mapping[str, Parameter], prefix: str, leaf: str, required=True):
-    p = params.get(f"{prefix}.{leaf}")
-    if p is None and required:
-        raise ConfigError(f"missing parameter {prefix}.{leaf}")
-    return p
+def param_node(g: graph, params: Mapping[str, Parameter], name: str) -> Node:
+    """The graph node of ``params[name]``; a missing parameter is a ConfigError."""
+    p = params.get(name)
+    if p is None:
+        raise ConfigError(f"missing parameter: {name}")
+    return g.param(p)
 
 
 def _qkv(g: graph, x: Node, spec: MsdaBlockSpec, params, prefix) -> Node:
     """The fused [..., 3C] q|k|v projection of x."""
-    w = g.param(_get(params, prefix, "qkv.weight"))
-    b = _get(params, prefix, "qkv.bias", required=spec.qkv_bias)
-    return g.linear(x, w, g.param(b) if b is not None else None)
+    w = param_node(g, params, f"{prefix}.qkv.weight")
+    return g.linear(x, w, param_node(g, params, f"{prefix}.qkv.bias") if spec.qkv_bias else None)
 
 
 def _project(g: graph, heads: Node, params: Mapping[str, Parameter], prefix: str) -> Node:
     """The output projection of the merged [..., C] heads."""
-    return g.linear(
-        heads, g.param(_get(params, prefix, "proj.weight")), g.param(_get(params, prefix, "proj.bias"))
-    )
+    return g.linear(heads, param_node(g, params, f"{prefix}.proj.weight"), param_node(g, params, f"{prefix}.proj.bias"))
 
 
 def _check_input(x: Node, spec: MsdaBlockSpec) -> None:
@@ -140,14 +138,14 @@ def msda_attention(
     spec: MsdaBlockSpec,
     params: Mapping[str, Parameter],
     prefix: str,
-    attn_sink: AttentionSink | None = None,
 ) -> Node:
-    """Windowed dilated attention with one dilation rate per head; ``attn_sink`` as in ``graph.swda``."""
+    """Windowed dilated attention with one dilation rate per head; heads go to
+    ``g.attn_sink`` as in ``graph.swda``."""
     _check_input(x, spec)
     cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
     qkv = _qkv(g, x, spec, params, prefix)
     del x  # a NoRecordTape frees a normed input that the caller did not keep
-    heads = g.swda(qkv, cfgs, attn_sink=attn_sink, layer=prefix)
+    heads = g.swda(qkv, cfgs, layer=prefix)
     del qkv
     return _project(g, heads, params, prefix)
 
@@ -158,14 +156,13 @@ def mhsa_attention(
     spec: MsdaBlockSpec,
     params: Mapping[str, Parameter],
     prefix: str,
-    attn_sink: AttentionSink | None = None,
 ) -> Node:
     """Global attention of spec.n_heads heads over all H*W tokens of each [..., H, W, C]
-    map; the dilation rates are not read. ``attn_sink`` as in ``graph.mhsa``."""
+    map; the dilation rates are not read. Heads go to ``g.attn_sink`` as in ``graph.mhsa``."""
     _check_input(x, spec)
     qkv = _qkv(g, x, spec, params, prefix)
     del x  # as in msda_attention
-    heads = g.mhsa(qkv, spec.n_heads, attn_sink=attn_sink, layer=prefix)
+    heads = g.mhsa(qkv, spec.n_heads, layer=prefix)
     del qkv
     return _project(g, heads, params, prefix)
 
@@ -176,26 +173,25 @@ def transformer_block(
     spec: MsdaBlockSpec,
     params: Mapping[str, Parameter],
     prefix: str,
-    kind: str = "MSDA",
-    attn_sink: AttentionSink | None = None,
+    kind: str = "D",
 ) -> Node:
-    """CPE + pre-norm attention + pre-norm MLP, all residual. Temporaries are
-    dropped once consumed: on a NoRecordTape norm1's output is freed once the
-    fused q|k|v exists, and the MLP is one ``graph.mlp`` node that holds its
-    hidden map one block of token rows at a time."""
-    if kind not in ("MSDA", "MHSA"):
-        raise ConfigError(f"block kind must be 'MSDA' or 'MHSA', got {kind!r}")
+    """CPE + pre-norm attention + pre-norm MLP, all residual. The stage's kind picks
+    the attention: 'D' dilated windows, 'G' global. Temporaries are dropped once
+    consumed: on a NoRecordTape norm1's output is freed once the fused q|k|v exists,
+    and the MLP is one ``graph.mlp`` node that holds its hidden map one block of
+    token rows at a time."""
+    if kind not in ("D", "G"):
+        raise ConfigError(f"block kind must be 'D' or 'G', got {kind!r}")
 
     def p(leaf: str) -> Node:
-        return g.param(_get(params, prefix, leaf))
+        return param_node(g, params, f"{prefix}.{leaf}")
 
-    cpe = g.add_bias(g.conv2d(x, p("cpe.weight"), stride=1, zero_pad=1, groups=spec.dim), p("cpe.bias"))
+    cpe = g.conv2d(x, p("cpe.weight"), p("cpe.bias"), stride=1, zero_pad=1, groups=spec.dim)
     x = g.add(cpe, x)
     del cpe
 
-    attention = msda_attention if kind == "MSDA" else mhsa_attention
-    attn = attention(g, g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS), spec, params, prefix,
-                     attn_sink=attn_sink)
+    attention = msda_attention if kind == "D" else mhsa_attention
+    attn = attention(g, g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS), spec, params, prefix)
     y = g.add(attn, x)
     del attn, x
 

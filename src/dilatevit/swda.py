@@ -154,15 +154,14 @@ def swda_forward(
     k: np.ndarray,
     v: np.ndarray,
     cfg: SwdaConfig,
-    return_weights: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Blocked forward pass. Returns (output, weights or None).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blocked forward pass. Returns (output, weights).
 
-    Weights, when requested, are [..., H, W, w*w] in ascending tap order; in
-    masked mode out-of-bounds taps carry weight 0.
+    Weights are [..., H, W, w*w] in ascending tap order; in masked mode
+    out-of-bounds taps carry weight 0.
     """
     out, state = swda_forward_with_state(q, k, v, cfg)
-    return out, (state.weights if return_weights else None)
+    return out, state.weights
 
 
 def swda_forward_with_state(
@@ -188,9 +187,9 @@ def swda_forward_naive(
     k: np.ndarray,
     v: np.ndarray,
     cfg: SwdaConfig,
-    return_weights: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reference forward on one [H, W, d] map: per-query gather in ascending query order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference forward on one [H, W, d] map: per-query gather in ascending query order.
+    Returns (output, weights) as :func:`swda_forward` does."""
     _check_qkv(q, k, v, cfg)
     if q.ndim != 3:
         raise ShapeError(f"the naive reference takes one [H, W, d] map, got {q.shape}")
@@ -219,7 +218,7 @@ def swda_forward_naive(
                 if ok:
                     acc += a[t] * v[ii, jj]
             out[i, j] = acc
-    return out, (weights if return_weights else None)
+    return out, weights
 
 
 def swda_backward(

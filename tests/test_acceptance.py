@@ -326,7 +326,7 @@ def test_criterion_10_metric_sanity():
             cfg = SwdaConfig(w=w, r=rate, d_k=3, edge_mode="masked")
             h = w_map = 8
             q, k, v = (rng.standard_normal((h, w_map, 3)) for _ in range(3))
-            _, weights = swda_forward(q, k, v, cfg, return_weights=True)
+            _, weights = swda_forward(q, k, v, cfg)
             amap = metrics.from_swda_weights(weights, cfg)
             radius = (w - 1) * rate // 2
             outside = metrics._chebyshev_table(h, w_map) > radius

@@ -6,6 +6,8 @@ check, so it guards the gradient-buffer contract the benchmark relies on.
 forward, so it guards the row-blocked convolution at the sizes that block.
 ``attnstats_tiny224`` recomputes every windowed head's CSV rows in tap space
 from weights it captures itself, so it guards the streamed statistics.
+One traced run of ``train_toy_b16`` wraps every library name the tracer
+looks up, so renaming or deleting one of them fails here.
 """
 
 import json
@@ -16,9 +18,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_workload(workload):
+def run_workload(workload, trace=0):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", "0", "--seconds", "0.5", "--trace", "0"]
+            "--seed", "0", "--seconds", "0.5", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, proc.stderr[-4000:]
@@ -35,3 +37,7 @@ def test_infer_tiny224_workload_is_correct():
 
 def test_attnstats_tiny224_workload_is_correct():
     run_workload("attnstats_tiny224")
+
+
+def test_traced_train_toy_b16_workload_is_correct():
+    run_workload("train_toy_b16", trace=1)

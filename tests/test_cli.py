@@ -24,6 +24,18 @@ def run(argv):
     return cli.main(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--dtype", "f64"],
+    ["attnstats", "--config", "config.json", "--checkpoint", "ckpt"],
+    ["flops", "--seed", "3"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a subcommand that wrongly runs writes its default output here
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestFlops:
     def test_tiny_report(self, capsys):
         assert run(["flops", "--preset", "tiny"]) == 0
@@ -341,7 +353,7 @@ class TestAttnstats:
         rng = np.random.default_rng(0)
         cfg = SwdaConfig(w=3, r=3, d_k=2, edge_mode="masked")
         q, k, v = (rng.standard_normal((6, 6, 2)) for _ in range(3))
-        _, weights = swda_forward(q, k, v, cfg, return_weights=True)
+        _, weights = swda_forward(q, k, v, cfg)
         path = tmp_path / "swda.dft1"
         dft1.write_tensor(path, attention_to_dense(weights, cfg))
         assert run(["attnstats", "--input", str(path), "--radii", "2,3"]) == 0

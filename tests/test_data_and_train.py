@@ -112,7 +112,7 @@ class TestTrainLoop:
             sgd_step(params, lr=0.01, weight_decay=1e-4)
 
         _, peak = traced_peak(step)
-        # The first step peaks near 7.5 MB, gradient buffers included. 9 MB catches
+        # The first step peaks at 6.44 MB, gradient buffers included. 9 MB catches
         # a backward that keeps inner gradients (9.75 MB) or an extra zero-dilated
         # or unfolded copy of a large map alive.
         assert peak <= 9e6, f"peak {peak / 1e6:.2f} MB"

@@ -25,7 +25,7 @@ def uniform_map(h, w):
 def swda_weights(h, w, cfg, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((h, w, cfg.d_k)).astype(dtype) for _ in range(3))
-    return swda_forward(q, k, v, cfg, return_weights=True)[1]
+    return swda_forward(q, k, v, cfg)[1]
 
 
 def swda_map(h, w, cfg, seed=0):

@@ -133,15 +133,15 @@ class TestMsdaAttention:
         cfgs = tuple(spec.head_cfg(i) for i in range(3))
         q, k, v = (rng.standard_normal((7, 6, 12)) for _ in range(3))
         sink = []
-        g = graph(Tape())
-        out = g.swda(g.leaf(np.concatenate([q, k, v], axis=-1)), cfgs, attn_sink=sink, layer="m")
+        g = graph(Tape(), attn_sink=sink)
+        out = g.swda(g.leaf(np.concatenate([q, k, v], axis=-1)), cfgs, layer="m")
         assert [(layer, cfg.r) for layer, cfg, _ in sink] == [
             ("m.head0", 1), ("m.head1", 2), ("m.head2", 3)
         ]
         for i, (_, cfg, weights) in enumerate(sink):
             sl = slice(4 * i, 4 * (i + 1))
             head = [np.ascontiguousarray(a[:, :, sl]) for a in (q, k, v)]
-            expected, expected_weights = swda_forward(*head, cfg, return_weights=True)
+            expected, expected_weights = swda_forward(*head, cfg)
             assert cfg == cfgs[i]
             assert np.array_equal(weights, expected_weights)
             assert np.array_equal(out.data[:, :, sl], expected)
@@ -158,16 +158,16 @@ class TestMsdaAttention:
         with pytest.raises(ShapeError, match="2 heads"):
             g.mhsa(g.leaf(np.zeros((3, 3, 9))), 2)
 
-    @pytest.mark.parametrize("kind", ["MSDA", "MHSA"])
+    @pytest.mark.parametrize("kind", ["D", "G"])
     def test_attention_sink_refuses_a_batch_axis(self, kind):
         spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=(1,))
         params = identity_qkv_params(spec, "m")
-        g = graph(Tape())
+        g = graph(Tape(), attn_sink=[])
         with pytest.raises(ContractError, match="sink"):
-            if kind == "MSDA":
-                msda_attention(g, g.leaf(np.zeros((2, 3, 3, 4))), spec, params, "m", attn_sink=[])
+            if kind == "D":
+                msda_attention(g, g.leaf(np.zeros((2, 3, 3, 4))), spec, params, "m")
             else:
-                g.mhsa(g.leaf(np.zeros((2, 3, 3, 12))), 1, attn_sink=[])
+                g.mhsa(g.leaf(np.zeros((2, 3, 3, 12))), 1)
 
     def test_requires_rates(self):
         with pytest.raises(ConfigError):
@@ -232,7 +232,7 @@ class TestTransformerBlock:
         for p in params.values():
             p.value[...] = 0.0
         x = rng.standard_normal((4, 4, 6))
-        for kind in ("MSDA", "MHSA"):
+        for kind in ("D", "G"):
             g = graph(Tape())
             out = transformer_block(g, g.leaf(x), spec, params, "b", kind=kind)
             assert np.array_equal(out.data, x)
@@ -247,9 +247,9 @@ class TestTransformerBlock:
         assert receptive_span(spec.head_cfg(0)) >= 2 * 2 - 1
 
         g1 = graph(Tape())
-        dilated = transformer_block(g1, g1.leaf(x), spec, params, "b", kind="MSDA")
+        dilated = transformer_block(g1, g1.leaf(x), spec, params, "b", kind="D")
         g2 = graph(Tape())
-        global_attn = transformer_block(g2, g2.leaf(x), spec, params, "b", kind="MHSA")
+        global_attn = transformer_block(g2, g2.leaf(x), spec, params, "b", kind="G")
         assert np.abs(dilated.data - global_attn.data).max() < 1e-6
 
     def test_finite_difference_through_full_block(self):
@@ -261,15 +261,16 @@ class TestTransformerBlock:
 
         def build():
             g = graph(Tape())
-            out = transformer_block(g, g.param(params["x"]), spec, params, "b", kind="MSDA")
+            out = transformer_block(g, g.param(params["x"]), spec, params, "b", kind="D")
             return g.tape, g.sum_all(g.mul(out, g.leaf(w)))
 
         report = finite_diff_check(build, params, h=1e-5, budget=3, seed=0)
         assert report.max_rel < 1e-4
 
-    def test_bad_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["LOCAL", "MSDA"])
+    def test_bad_kind_rejected(self, kind):
         spec = MsdaBlockSpec(dim=4, n_heads=1, dilation_rates=(1,))
         params = make_block_params(spec, "b", np.random.default_rng(0))
         g = graph(Tape())
         with pytest.raises(ConfigError):
-            transformer_block(g, g.leaf(np.zeros((2, 2, 4))), spec, params, "b", kind="LOCAL")
+            transformer_block(g, g.leaf(np.zeros((2, 2, 4))), spec, params, "b", kind=kind)

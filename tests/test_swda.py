@@ -119,7 +119,7 @@ class TestForward:
         q, k, v = rand_qkv(rng, 6, 6, 4)
         for mode in ("zero_pad", "masked"):
             cfg = SwdaConfig(w=3, r=2, d_k=4, edge_mode=mode)
-            _, weights = swda_forward(q, k, v, cfg, return_weights=True)
+            _, weights = swda_forward(q, k, v, cfg)
             assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
             assert (weights >= 0).all()
 
@@ -181,8 +181,8 @@ class TestBlockedVsNaive:
         for h, w_map, d, win, rate in ((5, 5, 4, 3, 2), (8, 6, 2, 5, 1), (4, 9, 3, 3, 3)):
             cfg = SwdaConfig(w=win, r=rate, d_k=d, edge_mode=mode)
             q, k, v = rand_qkv(rng, h, w_map, d, dtype=np.float32)
-            blocked, wb = swda_forward(q, k, v, cfg, return_weights=True)
-            naive, wn = swda_forward_naive(q, k, v, cfg, return_weights=True)
+            blocked, wb = swda_forward(q, k, v, cfg)
+            naive, wn = swda_forward_naive(q, k, v, cfg)
             assert np.abs(blocked - naive).max() < 1e-6
             assert np.abs(wb - wn).max() < 1e-6
 
@@ -217,7 +217,7 @@ class TestBlockedVsNaive:
         out, state = swda_forward_with_state(q, k, v, cfg)
         grads = swda_backward(gout, state)
         for b in np.ndindex(batch):
-            naive, wn = swda_forward_naive(q[b], k[b], v[b], cfg, return_weights=True)
+            naive, wn = swda_forward_naive(q[b], k[b], v[b], cfg)
             assert np.abs(out[b] - naive).max() < 1e-10
             assert np.abs(state.weights[b] - wn).max() < 1e-10
             naive_grads = swda_backward_naive(gout[b], SwdaState(q[b], k[b], v[b], wn, cfg))
@@ -326,8 +326,8 @@ class TestDeterminism:
         rng = np.random.default_rng(14)
         cfg = SwdaConfig(w=3, r=2, d_k=4)
         q, k, v = rand_qkv(rng, 10, 10, 4, dtype=np.float32)
-        a, wa = swda_forward(q, k, v, cfg, return_weights=True)
-        b, wb = swda_forward(q, k, v, cfg, return_weights=True)
+        a, wa = swda_forward(q, k, v, cfg)
+        b, wb = swda_forward(q, k, v, cfg)
         assert np.array_equal(a, b) and np.array_equal(wa, wb)
 
     def test_bit_identical_across_thread_counts(self):
@@ -354,7 +354,7 @@ class TestDenseExpansion:
         rng = np.random.default_rng(16)
         cfg = SwdaConfig(w=3, r=2, d_k=3, edge_mode="masked")
         q, k, v = rand_qkv(rng, 5, 4, 3)
-        _, weights = swda_forward(q, k, v, cfg, return_weights=True)
+        _, weights = swda_forward(q, k, v, cfg)
         dense = attention_to_dense(weights, cfg)
         assert np.abs(dense.sum(axis=1) - 1.0).max() < 1e-10
 
@@ -362,7 +362,7 @@ class TestDenseExpansion:
         rng = np.random.default_rng(17)
         cfg = SwdaConfig(w=3, r=1, d_k=3, edge_mode="zero_pad")
         q, k, v = rand_qkv(rng, 4, 4, 3)
-        _, weights = swda_forward(q, k, v, cfg, return_weights=True)
+        _, weights = swda_forward(q, k, v, cfg)
         raw = attention_to_dense(weights, cfg, renormalize=False)
         assert raw.sum(axis=1).min() < 1.0 - 1e-6  # edge rows lost padded mass
         fixed = attention_to_dense(weights, cfg, renormalize=True)
