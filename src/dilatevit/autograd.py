@@ -210,7 +210,7 @@ class graph:
         Head i runs cfgs[i] on views of channels [i*d_k, (i+1)*d_k) of each C-wide
         third and writes them to the same channels of the [..., C] output. The
         ``attn_sink`` gets ``append((f"{layer}.head{i}", cfgs[i], weights))`` as each
-        head runs, with a copy of its ``[H, W, w*w]`` weights.
+        head runs, with its ``[H, W, w*w]`` weights, copied if the tape keeps them.
         """
         d_k, C = cfgs[0].d_k, len(cfgs) * cfgs[0].d_k
         if qkv.data.shape[-1] != 3 * C:
@@ -222,13 +222,16 @@ class graph:
             return (..., slice(j * C + i * d_k, j * C + (i + 1) * d_k))
 
         out = np.empty(qkv.data.shape[:-1] + (C,), dtype=qkv.data.dtype)
-        states = []
+        recording = not isinstance(self.tape, NoRecordTape)
+        states = []  # a NoRecordTape keeps no head's state
         for i, cfg in enumerate(cfgs):
             q, k, v = (qkv.data[channels(i, j)] for j in range(3))
             out[channels(i)], state = _swda.swda_forward_with_state(q, k, v, cfg)
-            states.append(state)
             if self.attn_sink is not None:
-                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy()))
+                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy() if recording else state.weights))
+            if recording:
+                states.append(state)
+            del state  # before the next head runs
 
         def back(g):
             grad = np.empty_like(qkv.data)

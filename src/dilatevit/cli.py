@@ -40,6 +40,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> list[int]:  # comma-separated
+    return [_positive_int(part) for part in text.split(",")]
+
+
 _FLAGS = {
     "--threads": dict(type=_positive_int, default=1,
                       help="accepted for compatibility; no effect, the library starts no threads"),
@@ -105,7 +109,7 @@ def cmd_flops(args) -> int:
         config = model_mod.tiny()
     if args.pattern:
         config = model_mod.build_from_pattern(args.pattern, config)
-    if args.kernel_w:
+    if args.kernel_w is not None:
         from dataclasses import replace
 
         stages = tuple(
@@ -174,14 +178,12 @@ def _time_median_ns(fn, reps: int, warmup: int) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    mhsa_sizes = [int(s) for s in (args.mhsa_sizes or args.sizes).split(",")]
     cfg = SwdaConfig(w=args.window, r=args.rate, d_k=args.dk)
     rng = np.random.default_rng(args.seed)
     dtype = np.float32 if args.dtype == "f32" else np.float64
     rows = []
     mismatch = False
-    for size in sizes:
+    for size in args.sizes:
         q, k, v = (
             rng.standard_normal((size, size, args.dk)).astype(dtype) for _ in range(3)
         )
@@ -206,7 +208,7 @@ def cmd_bench(args) -> int:
     from .autograd import Parameter, Tape, graph
     from .msda import mhsa_attention
 
-    for size in mhsa_sizes:
+    for size in args.mhsa_sizes or args.sizes:
         dim = args.dk  # single head keeps the memory footprint bounded
         spec = MsdaBlockSpec(dim=dim, n_heads=1, dilation_rates=(1,))
         x = rng.standard_normal((size, size, dim)).astype(dtype)
@@ -412,10 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="analytic parameter/FLOPs report")
     _add_flags(p, "--config")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS), default=None)
-    p.add_argument("--input", type=int, default=None, help="input resolution override")
+    p.add_argument("--input", type=_positive_int, default=None, help="input resolution override")
     p.add_argument("--pattern", type=_pattern_arg, default=None, help="4-char D/G stage pattern")
     p.add_argument("--ablation-base", action="store_true", help="use the tiny-scale ablation base config")
-    p.add_argument("--kernel-w", type=int, default=None, help="override D-stage window size")
+    p.add_argument("--kernel-w", type=_positive_int, default=None, help="override D-stage window size")
     p.add_argument("--suite", action="store_true", help="run the 5-pattern ablation table")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a text table")
     p.add_argument("--flops-per-mac", type=int, choices=[1, 2], default=1)
@@ -426,20 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_flags(p, "--seed")
-    p.add_argument("--cases", type=int, default=30)
-    p.add_argument("--budget", type=int, default=6, help="probed elements per parameter")
+    p.add_argument("--cases", type=_positive_int, default=30)
+    p.add_argument("--budget", type=_positive_int, default=6, help="probed elements per parameter")
     p.add_argument("--tol", type=float, default=GRAD_TOL)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)  # harness self-test
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time attention kernels across map sizes")
     _add_flags(p, "--seed", "--dtype")
-    p.add_argument("--sizes", default="28,56,112")
-    p.add_argument("--mhsa-sizes", default=None, help="map sizes for the dense baseline")
+    p.add_argument("--sizes", type=_positive_ints, default="28,56,112")
+    p.add_argument("--mhsa-sizes", type=_positive_ints, default=None, help="map sizes for the dense baseline")
     p.add_argument("--window", type=int, default=3)
     p.add_argument("--rate", type=int, default=2)
     p.add_argument("--dk", type=int, default=24)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_positive_int, default=5)
     p.add_argument("--warmup", type=int, default=1)
     p.set_defaults(fn=cmd_bench)
 
@@ -447,11 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed", "--dtype", "--config")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS), default=None)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--batch", type=_positive_int, default=16)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", type=float, default=1e-4)
     p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--count", type=int, default=64, help="synthetic dataset size")
+    p.add_argument("--count", type=_positive_int, default=64, help="synthetic dataset size")
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--data", default=None, help="directory from gen-data")
     p.add_argument("--min-acc", type=float, default=0.95)

@@ -71,8 +71,8 @@ def make_dataset(
         images *= spec.noise
     else:
         images = np.zeros(shape)
-    # Labels run round-robin, so class c's images are every classes-th one from c.
-    for c, (ci, cj) in enumerate(_blob_centers(spec)):
+    # Labels run round-robin: class c's images are every classes-th one from c, if c < count.
+    for c, (ci, cj) in enumerate(_blob_centers(spec)[:count]):
         bump = np.exp(-(((ii - ci) ** 2 + (jj - cj) ** 2) / (2 * sigma**2)))
         images[c :: spec.classes] += bump[:, :, None] * _COLORS[c]
     return images.astype(np.float32), np.arange(count, dtype=np.int64) % spec.classes

@@ -42,9 +42,17 @@ def write_tensor(path: str | os.PathLike, arr: np.ndarray) -> None:
         fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
+def _open(path: str | os.PathLike):
+    """``path`` opened for binary reading; a missing or unreadable file is a FormatError."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read {os.fspath(path)}: {exc.strerror}") from exc
+
+
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
     """The tensor in one file, as a writable array over the one buffer the file is read into."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         blob = bytearray(_LEAD + os.fstat(fh.fileno()).st_size)
         del blob[_LEAD + fh.readinto(memoryview(blob)[_LEAD:]) :]  # a file that shrank is truncated
         blob += fh.read()  # bytes fstat did not count: a pipe's, or a file's that grew
@@ -53,7 +61,7 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
 
 def read_header(path: str | os.PathLike) -> tuple[np.dtype, tuple[int, ...]]:
     """The dtype and shape of a regular file, its size checked against them; no payload is read."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         head = fh.read(_MAX_HEADER)
         size = max(len(head), os.fstat(fh.fileno()).st_size)
     dtype, shape, _ = _parse_header(head, size)

@@ -22,6 +22,7 @@ Equivalence is a standing test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,9 +132,12 @@ def _tap_windows(x: np.ndarray, cfg: SwdaConfig) -> list[np.ndarray]:
     ]
 
 
+@functools.lru_cache(maxsize=16)
 def _valid_mask(H: int, W: int, cfg: SwdaConfig) -> np.ndarray:
-    """Boolean [taps, H, W]: tap lies inside the map."""
-    return np.stack([win[..., 0] for win in _tap_windows(np.ones((H, W, 1), dtype=bool), cfg)])
+    """Boolean [taps, H, W]: tap lies inside the map. One read-only array per (H, W, cfg)."""
+    mask = np.stack([win[..., 0] for win in _tap_windows(np.ones((H, W, 1), dtype=bool), cfg)])
+    mask.flags.writeable = False
+    return mask
 
 
 def _tap_dots(x: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
@@ -142,10 +146,12 @@ def _tap_dots(x: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
 
 
 def _tap_sum(a: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
-    """[..., H, W, d]: each query's taps of y weighted by a [..., taps, H, W] and summed."""
+    """[..., H, W, d]: each query's taps of y weighted by a [..., taps, H, W] and summed,
+    through one reused product scratch."""
     out = np.zeros_like(y)
+    scratch = np.empty_like(out)
     for t, yw in enumerate(_tap_windows(y, cfg)):
-        out += a[..., t, :, :, None] * yw
+        out += np.multiply(a[..., t, :, :, None], yw, out=scratch)
     return out
 
 
@@ -171,14 +177,16 @@ def swda_forward_with_state(
     add_macs(2 * q.size * cfg.taps)  # logits + value reduction, every leading index
 
     # Tap-major [..., taps, H, W] until the end: reducing over a short last axis is slow.
-    scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
-    logits = _tap_dots(q, k, cfg) * scale
+    a = _tap_dots(q, k, cfg)
+    a *= np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
     if cfg.edge_mode == "masked":
         # Off-map taps get exp(-inf) = 0; the center tap is always on the map.
-        logits[..., ~_valid_mask(*q.shape[-3:-1], cfg)] = -np.inf
-    e = np.exp(logits - np.max(logits, axis=-3, keepdims=True))
-    a = e / np.sum(e, axis=-3, keepdims=True)
-    weights = np.ascontiguousarray(np.moveaxis(a, -3, -1))
+        a[..., ~_valid_mask(*q.shape[-3:-1], cfg)] = -np.inf
+    # The tap softmax, in place in the logits buffer.
+    a -= np.max(a, axis=-3, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.sum(a, axis=-3, keepdims=True)
+    weights = np.moveaxis(a, -3, -1)  # a view: the backward reads the tap-major buffer back
     return _tap_sum(a, v, cfg), SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
 
 

@@ -142,13 +142,12 @@ _INV_SQRT2, _INV_SQRT_2PI, _FOUR, _MINUS_FOUR, _HALF, _MINUS_HALF = _f32(
 # float32 elements per pass: the x and output slices and two scratch rows
 # (512 KB) stay in a core's L2 cache, and 27 ufunc calls cover 32 k elements.
 CDF_CHUNK = 1 << 15
-# Bytes of im2col columns a dense conv unfolds at once: a core's L2 cache (2 MB).
-IM2COL_BLOCK_BYTES = 1 << 21
-# Bytes of one block's MLP hidden map (512 KB): its pre-activation, its GELU
-# output and the GELU scratch together stay under IM2COL_BLOCK_BYTES, and a
-# tiny@224 predict's stage-1 MLP peaks 2 MB below its tokenizer (a 2 MB cap
-# made that MLP the predict peak).
-MLP_BLOCK_BYTES = IM2COL_BLOCK_BYTES // 4
+# Bytes of im2col columns a dense conv unfolds at once (512 KB): tokenizer conv2
+# of a tiny@224 predict took 7.1-7.3 ms at every block size from 0.5 to 8 MB.
+IM2COL_BLOCK_BYTES = 1 << 19
+# Bytes of one block's MLP hidden map (512 KB), a constant of its own: the
+# hidden map, its GELU output and scratch stay in a core's 2 MB L2 cache.
+MLP_BLOCK_BYTES = 1 << 19
 
 
 def _horner(t2, coefs, out):
@@ -241,14 +240,20 @@ def _check_conv_args(x, kernel, stride, zero_pad, groups):
     return h_out, w_out
 
 
+def _padded_rows(x: np.ndarray, top: int, bottom: int, pw: int) -> np.ndarray:
+    """Rows [top, bottom) of x [..., H, W, C] as if its H axis were zero-padded
+    without end, each with ``pw`` zero columns on either side."""
+    h, w = x.shape[-3:-1]
+    lo, hi = (min(max(r, 0), h) for r in (top, bottom))
+    out = np.zeros(x.shape[:-3] + (bottom - top, w + 2 * pw, x.shape[-1]), dtype=x.dtype)
+    out[..., lo - top : hi - top, pw : pw + w, :] = x[..., lo:hi, :, :]
+    return out
+
+
 def pad_hw(x: np.ndarray, pad: int, pad_w: int | None = None) -> np.ndarray:
     """Zero-pad the H axis of x [..., H, W, C] by ``pad`` and the W axis by
     ``pad_w`` (default ``pad``) on each side."""
-    ph, pw = pad, pad if pad_w is None else pad_w
-    h, w = x.shape[-3:-1]
-    out = np.zeros(x.shape[:-3] + (h + 2 * ph, w + 2 * pw, x.shape[-1]), dtype=x.dtype)
-    out[..., ph : ph + h, pw : pw + w, :] = x
-    return out
+    return _padded_rows(x, -pad, x.shape[-3] + pad, pad if pad_w is None else pad_w)
 
 
 def _taps(xp: np.ndarray, kh: int, kw: int, stride: int):
@@ -261,17 +266,16 @@ def _taps(xp: np.ndarray, kh: int, kw: int, stride: int):
             yield (a, b), xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int = 0) -> np.ndarray:
-    """Unfold x [..., H,W,C], zero-padded by ``pad``, into patches [..., H', W', kh*kw*C]
-    (tap-major, ascending), as one copy of a strided view of its windows."""
-    xp = pad_hw(x, pad) if pad else x
-    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
-    w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
-    lead, (sh, sw, sc) = xp.shape[:-3], xp.strides[-3:]
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Unfold x [..., H,W,C] into patches [..., H', W', kh*kw*C] (tap-major,
+    ascending), as one copy of a strided view of its windows."""
+    h_out = conv_output_extent(x.shape[-3], kh, stride, 0)
+    w_out = conv_output_extent(x.shape[-2], kw, stride, 0)
+    lead, (sh, sw, sc) = x.shape[:-3], x.strides[-3:]
     win = as_strided(
-        xp,
-        lead + (h_out, w_out, kh, kw, xp.shape[-1]),
-        xp.strides[:-3] + (stride * sh, stride * sw, sh, sw, sc),
+        x,
+        lead + (h_out, w_out, kh, kw, x.shape[-1]),
+        x.strides[:-3] + (stride * sh, stride * sw, sh, sw, sc),
         writeable=False,
     )
     return win.reshape(lead + (h_out, w_out, -1))
@@ -300,49 +304,51 @@ def _tap_rows(kernel: np.ndarray, w_out: int) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(kernel, kernel.shape[:2] + (w_out, kernel.shape[-1])))
 
 
-def _column_step(xp: np.ndarray, kh: int, kw: int, stride: int) -> int | None:
-    """Output rows per block of one image's im2col columns under IM2COL_BLOCK_BYTES,
-    or None when the columns of the whole padded map xp [..., Hp,Wp,C] fit at once."""
-    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
-    w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
-    row_bytes = w_out * kh * kw * xp.shape[-1] * xp.itemsize  # one image's columns for one output row
-    if math.prod(xp.shape[:-3]) * h_out * row_bytes <= IM2COL_BLOCK_BYTES:
-        return None
-    return max(1, IM2COL_BLOCK_BYTES // row_bytes)
+def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int):
+    """(where, cols) for each block of output rows of a dense conv over x [..., H,W,C]
+    zero-padded by ph rows and pw columns a side: the block's index into the output
+    viewed as [images, H', W', *] and its im2col columns [..., rows, W', kh*kw*C].
+    A block is as many whole images as fit IM2COL_BLOCK_BYTES of columns, so a map
+    whose columns fit runs as one block, or else as many of one image's output rows
+    as fit. A block zero-pads only the input rows it unfolds. Drop cols before the
+    next block to keep one alive."""
+    h, w, c = x.shape[-3:]
+    h_out = conv_output_extent(h, kh, stride, ph)
+    row_bytes = conv_output_extent(w, kw, stride, pw) * kh * kw * c * x.itemsize  # one image, one output row
+    images = x.reshape((-1, h, w, c))
+    if h_out * row_bytes <= IM2COL_BLOCK_BYTES:  # whole images per block
+        n = IM2COL_BLOCK_BYTES // (h_out * row_bytes)
+        blocks = [(slice(i, i + n), 0, h_out) for i in range(0, len(images), n)]
+    else:
+        step = max(1, IM2COL_BLOCK_BYTES // row_bytes)
+        blocks = [(i, r, min(r + step, h_out)) for i in range(len(images)) for r in range(0, h_out, step)]
+    for i, first, stop in blocks:
+        top, bottom = first * stride - ph, (stop - 1) * stride + kh - ph  # the padded rows it reads
+        yield (i, slice(first, stop)), im2col(_padded_rows(images[i], top, bottom, pw), kh, kw, stride)
 
 
-def _column_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, step: int):
-    """(image, rows, cols) for each block of ``step`` output rows of each image of the
-    padded map xp: the flat leading index, the slice of output rows and their im2col
-    columns [rows, W', kh*kw*C]. Drop cols before the next block to keep one alive."""
-    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
-    for i, img in enumerate(xp.reshape((-1,) + xp.shape[-3:])):
-        for r in range(0, h_out, step):
-            n = min(step, h_out - r)
-            yield i, slice(r, r + n), im2col(img[r * stride : (r + n - 1) * stride + kh], kh, kw, stride)
-
-
-def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int, depthwise: bool) -> np.ndarray:
-    """Cross-correlation of a padded map xp [..., Hp,Wp,Cin] with kernel
-    [kh,kw,Cin,Cout], or [kh,kw,1,C] if ``depthwise``; counts no MACs. Dense
-    columns over IM2COL_BLOCK_BYTES are unfolded and multiplied a block of one
-    image's output rows at a time, so only the GEMM's M extent changes."""
+def _dense_correlate(x: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw: int) -> np.ndarray:
+    """Cross-correlation of x [..., H,W,Cin], zero-padded by ph rows and pw columns,
+    with a dense kernel [kh,kw,Cin,Cout], one block of im2col columns at a time
+    into one output; counts no MACs. Blocks change only the GEMM's M extent,
+    though BLAS may round a short block's rows unlike the same rows of a long one."""
     kh, kw, _, cout = kernel.shape
-    if not depthwise:
-        step = _column_step(xp, kh, kw, stride)
-        if step is None:
-            cols = im2col(xp, kh, kw, stride)
-            del xp  # the padded map is not needed while the product runs
-            out = cols.reshape(-1, cols.shape[-1]) @ kernel.reshape(-1, cout)
-            return out.reshape(cols.shape[:-1] + (cout,))
-        h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
-        w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
-        out = np.empty(xp.shape[:-3] + (h_out, w_out, cout), dtype=xp.dtype)
-        images, kmat = out.reshape((-1, h_out, w_out, cout)), kernel.reshape(-1, cout)
-        for i, rows, cols in _column_blocks(xp, kh, kw, stride, step):
-            np.matmul(cols.reshape(-1, kmat.shape[0]), kmat, out=images[i, rows].reshape(-1, cout))
-            del cols  # one block's columns alive at a time
-        return out
+    h_out = conv_output_extent(x.shape[-3], kh, stride, ph)
+    w_out = conv_output_extent(x.shape[-2], kw, stride, pw)
+    out, kmat = None, kernel.reshape(-1, cout)
+    for where, cols in _column_blocks(x, kh, kw, stride, ph, pw):
+        if out is None:  # made once the first block's padded rows are freed
+            out = np.empty(x.shape[:-3] + (h_out, w_out, cout), dtype=x.dtype)
+            images = out.reshape(-1, h_out, w_out, cout)
+        np.matmul(cols.reshape(-1, kmat.shape[0]), kmat, out=images[where].reshape(-1, cout))
+        del cols  # one block's columns alive at a time
+    return out
+
+
+def _depthwise_correlate(xp: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """Cross-correlation of a padded map xp [..., Hp,Wp,C] with a depth-wise kernel
+    [kh,kw,1,C], one tap multiply-add at a time; counts no MACs."""
+    kh, kw = kernel.shape[:2]
     out = scratch = rows = None
     for (a, b), window in _taps(xp, kh, kw, stride):
         if out is None:
@@ -366,12 +372,15 @@ def conv2d(
 
     The depth-wise case takes a dedicated tap multiply-add path (no im2col
     materialization). A dense conv unfolds at most IM2COL_BLOCK_BYTES of
-    columns at once, whatever the map size.
+    columns at once, whatever the map size, and pads no more than the rows
+    they read.
     """
     h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
     kh, kw, kc, cout = kernel.shape
     add_macs(math.prod(x.shape[:-3]) * h_out * w_out * cout * kh * kw * kc)
-    return _correlate(pad_hw(x, zero_pad), kernel, stride, depthwise=groups > 1)
+    if groups > 1:
+        return _depthwise_correlate(pad_hw(x, zero_pad), kernel, stride)
+    return _dense_correlate(x, kernel, stride, zero_pad, zero_pad)
 
 
 def conv2d_backward(
@@ -390,7 +399,9 @@ def conv2d_backward(
     kernel. Strided convs scatter-add each tap's contribution instead. With
     ``input_grad=False`` the input gradient is skipped and returned as None.
     A dense kernel gradient sums ``cols.T @ grad_out`` over the forward's row
-    blocks, so it too unfolds at most IM2COL_BLOCK_BYTES of columns at once.
+    blocks, so it too unfolds at most IM2COL_BLOCK_BYTES of columns at once, and
+    the dense stride-1 input gradient runs through the same blocks: neither x
+    nor grad_out is copied whole.
     """
     kh, kw, _, cout = kernel.shape
     h, w, cin = x.shape[-3:]
@@ -401,22 +412,13 @@ def conv2d_backward(
         scratch = np.empty_like(grad_out)
         for (a, b), window in _taps(pad_hw(x, zero_pad), kh, kw, stride):
             grad_kernel[a, b, 0] = channel_sums(np.multiply(window, grad_out, out=scratch))
-    else:
-        gmat = grad_out.reshape(-1, cout)
-        xp = pad_hw(x, zero_pad)
-        step = _column_step(xp, kh, kw, stride)
-        if step is None:
-            cols = im2col(xp, kh, kw, stride).reshape(gmat.shape[0], -1)
-            del xp
-            grad_kernel = (cols.T @ gmat).reshape(kernel.shape)
+    else:  # summed over the forward's blocks of columns
+        kmat = np.zeros((kh * kw * cin, cout), dtype=x.dtype)
+        images = grad_out.reshape((-1,) + grad_out.shape[-3:])
+        for where, cols in _column_blocks(x, kh, kw, stride, zero_pad, zero_pad):
+            kmat += cols.reshape(-1, kmat.shape[0]).T @ images[where].reshape(-1, cout)
             del cols
-        else:  # summed over the same row blocks as the forward's columns
-            kmat = np.zeros((kh * kw * cin, cout), dtype=x.dtype)
-            images = grad_out.reshape((-1,) + grad_out.shape[-3:])
-            for i, rows, cols in _column_blocks(xp, kh, kw, stride, step):
-                kmat += cols.reshape(-1, kmat.shape[0]).T @ images[i, rows].reshape(-1, cout)
-                del cols
-            grad_kernel = kmat.reshape(kernel.shape)
+        grad_kernel = kmat.reshape(kernel.shape)
     if not input_grad:
         return None, grad_kernel
 
@@ -424,8 +426,9 @@ def conv2d_backward(
         h_out, w_out = grad_out.shape[-3], grad_out.shape[-2]
         ph, pw = kh - 1 - zero_pad, kw - 1 - zero_pad
         g = grad_out[..., max(-ph, 0) : h_out - max(-ph, 0), max(-pw, 0) : w_out - max(-pw, 0), :]
-        flipped = kernel[::-1, ::-1] if depthwise else kernel[::-1, ::-1].swapaxes(2, 3)
-        return _correlate(pad_hw(g, max(ph, 0), max(pw, 0)), flipped, 1, depthwise), grad_kernel
+        if depthwise:
+            return _depthwise_correlate(pad_hw(g, max(ph, 0), max(pw, 0)), kernel[::-1, ::-1], 1), grad_kernel
+        return _dense_correlate(g, kernel[::-1, ::-1].swapaxes(2, 3), 1, max(ph, 0), max(pw, 0)), grad_kernel
 
     if depthwise:
         grad_xp = np.zeros(x.shape[:-3] + (h + 2 * zero_pad, w + 2 * zero_pad, cin), dtype=x.dtype)
@@ -434,5 +437,5 @@ def conv2d_backward(
             window += np.multiply(grad_out, rows[a, b], out=scratch)
         return grad_xp[..., zero_pad : zero_pad + h, zero_pad : zero_pad + w, :], grad_kernel
 
-    gcols = (gmat @ kernel.reshape(kh * kw * cin, cout).T).reshape(grad_out.shape[:-1] + (-1,))
+    gcols = (grad_out.reshape(-1, cout) @ kernel.reshape(kh * kw * cin, cout).T).reshape(grad_out.shape[:-1] + (-1,))
     return col2im(gcols, h, w, cin, kh, kw, stride, zero_pad), grad_kernel

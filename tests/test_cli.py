@@ -36,6 +36,26 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, mo
     assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "0"],
+    ["bench", "--sizes", "8,0", "--mhsa-sizes", "8"],
+    ["bench", "--sizes", "8", "--mhsa-sizes", "-1"],
+    ["bench", "--sizes", "8", "--reps", "0"],
+    ["train", "--batch", "0"],
+    ["train", "--count", "0"],
+    ["gradcheck", "--cases", "0"],
+    ["gradcheck", "--budget", "0"],
+    ["flops", "--input", "0"],
+    ["flops", "--kernel-w", "0"],
+])
+def test_a_count_below_one_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a subcommand that wrongly runs writes its default output here
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2 and "must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestFlops:
     def test_tiny_report(self, capsys):
         assert run(["flops", "--preset", "tiny"]) == 0
@@ -469,6 +489,12 @@ class TestAttnstats:
         reads = counting_reads(monkeypatch)
         assert run(["attnstats", "--checkpoint", ckpt]) == 1
         assert capsys.readouterr().err.startswith("error: ") and reads == []
+
+    def test_missing_input_exits_1_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "MISSING.dft1"
+        assert run(["attnstats", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and str(path) in err and "Traceback" not in err
 
     def test_requires_a_source(self, capsys):
         assert run(["attnstats"]) == 1

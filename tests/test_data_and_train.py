@@ -45,6 +45,13 @@ class TestDataset:
         preds = np.argmax(aug @ weights, axis=1)
         assert np.array_equal(preds, labels)
 
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_fewer_images_than_classes_are_a_prefix_of_more(self, count):
+        spec = DatasetSpec(classes=8, size=32)
+        images, labels = make_dataset(count, spec, seed=3)
+        more_images, more_labels = make_dataset(64, spec, seed=3)
+        assert np.array_equal(images, more_images[:count]) and np.array_equal(labels, more_labels[:count])
+
     def test_class_count_bounds(self):
         with pytest.raises(ConfigError):
             DatasetSpec(classes=1, size=32)

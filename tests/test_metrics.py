@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dilatevit import metrics
+from dilatevit import metrics, swda
 from dilatevit.errors import ShapeError, ValidationError
 from dilatevit.metrics import _chebyshev_table
 from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
@@ -74,6 +74,12 @@ class TestLocalityMass:
         assert not a.dist.flags.writeable
         assert identity_map(5, 6).dist.shape == (30, 30)
         assert identity_map(5, 6).dist is not a.dist
+
+    def test_windowed_maps_on_one_grid_share_a_read_only_tap_mask(self):
+        cfg = SwdaConfig(w=3, r=2, d_k=4)
+        mask = swda._valid_mask(7, 6, cfg)
+        assert swda._valid_mask(7, 6, cfg) is mask and not mask.flags.writeable
+        assert swda._valid_mask(6, 7, cfg) is not mask
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):

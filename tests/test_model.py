@@ -303,8 +303,10 @@ class TestForward:
         # im2col held a 16.3 MB [12544, 324] column buffer for tokenizer conv2 and
         # peaked at 19.9 MB. With row-blocked columns, the stage-1 MLP's two 3.6 MB
         # hidden maps set the peak at 9.3 MB; with the MLP in row blocks and norm1's
-        # output freed before attention, tokenizer conv2 sets it: 7.52 MB.
-        assert peak <= 8.0e6, f"peak {peak / 1e6:.2f} MB"
+        # output freed before attention, tokenizer conv2's padded copy of its input
+        # set it at 7.52 MB. With 512 KB blocks that pad only their own rows, the
+        # stage-1 swda sets it: 6.59 MB.
+        assert peak <= 7.0e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_batched_forward_matches_per_image_forwards(self, toy_setup):
         config = toy_setup[0]

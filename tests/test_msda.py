@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dilatevit.autograd import Parameter, Tape, finite_diff_check, graph
+from dilatevit.autograd import NoRecordTape, Parameter, Tape, finite_diff_check, graph
 from dilatevit.errors import ConfigError, ContractError, ShapeError
 from dilatevit.msda import (
     MsdaBlockSpec,
@@ -15,6 +15,7 @@ from dilatevit.msda import (
     transformer_block,
 )
 from dilatevit.swda import SwdaConfig, receptive_span, swda_forward
+from tests_common import traced_peak
 
 
 def make_block_params(spec, prefix, rng, scale=0.4, dtype=np.float64):
@@ -145,6 +146,20 @@ class TestMsdaAttention:
             assert cfg == cfgs[i]
             assert np.array_equal(weights, expected_weights)
             assert np.array_equal(out.data[:, :, sl], expected)
+
+    def test_swda_without_a_recording_tape_holds_one_head_at_a_time(self):
+        rng = np.random.default_rng(5)
+        cfgs = tuple(SwdaConfig(w=3, r=r, d_k=24) for r in (1, 2, 3))
+        qkv = rng.standard_normal((56, 56, 216)).astype(np.float32)
+        head = qkv[..., :24].nbytes
+        g = graph(NoRecordTape())
+        out, peak = traced_peak(lambda: g.swda(g.leaf(qkv), cfgs))
+        # The output, then one head's padded V (1.23 head maps at r=3), its value sum, one
+        # product scratch and its softmax (9/24 map), whose weights are a view. A softmax
+        # chain of fresh arrays, a weights copy and every head's kept state peaked at 8.7.
+        assert peak <= out.data.nbytes + 4 * head, peak / head
+        taped = graph(Tape())
+        assert np.array_equal(out.data, taped.swda(taped.leaf(qkv), cfgs).data)
 
     def test_swda_rejects_channels_that_do_not_fill_the_heads(self):
         cfgs = (SwdaConfig(w=3, r=1, d_k=4),) * 2

@@ -316,8 +316,10 @@ class TestMemory:
         q, k, v, gout = (rng.standard_normal((56, 56, 24)).astype(np.float32) for _ in range(4))
         (_, state), forward_peak = traced_peak(lambda: swda_forward_with_state(q, k, v, cfg))
         _, backward_peak = traced_peak(lambda: swda_backward(gout, state))
-        # Stacking the w*w shifted copies of K and V costs 18 maps on its own.
-        assert forward_peak <= 6 * q.nbytes, forward_peak / q.nbytes
+        # Stacking the w*w shifted copies of K and V costs 18 maps on its own. The forward
+        # holds the output, padded V, one product scratch and the softmax (9/24 map), whose
+        # weights are a view of it.
+        assert forward_peak <= 4 * q.nbytes, forward_peak / q.nbytes
         assert backward_peak <= 12 * q.nbytes, backward_peak / q.nbytes
 
 
