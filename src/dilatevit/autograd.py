@@ -179,16 +179,16 @@ class graph:
             a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data)
         )
 
-    def conv2d(self, x: Node, kernel: Node, bias: Node, stride=1, zero_pad=0, groups=1) -> Node:
-        """T.conv2d of x plus a [Cout] bias, as one node."""
-        out = T.conv2d(x.data, kernel.data, stride, zero_pad, groups)
+    def conv2d(self, x: Node, kernel: Node, bias: Node, stride=1, zero_pad=0) -> Node:
+        """T.conv2d of x plus a [Cout] bias, as one node; the kernel's shape sets dense or depth-wise."""
+        out = T.conv2d(x.data, kernel.data, stride, zero_pad)
         if bias.data.shape != out.shape[-1:]:
             raise ShapeError(f"bias shape {bias.data.shape} incompatible with {out.shape}")
         out += bias.data
         input_grad = x.backward_fn is not None or x.id in self.tape.param_nodes  # not the image
 
         def back(g):
-            grad_x, grad_kernel = T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, groups, input_grad)
+            grad_x, grad_kernel = T.conv2d_backward(g, x.data, kernel.data, stride, zero_pad, input_grad)
             return grad_x, grad_kernel, T.channel_sums(g)
 
         return self.tape.record(out, (x, kernel, bias), back)
@@ -406,18 +406,7 @@ def _dense_layer(weight: Callable[[str], Node], name: str) -> tuple[Node, Node]:
 
 
 @dataclass
-class FdParamReport:
-    name: str
-    max_rel: float
-    mean_rel: float
-    worst_index: tuple
-    analytic: float
-    numeric: float
-
-
-@dataclass
 class FdReport:
-    per_param: list[FdParamReport]
     max_rel: float
     mean_rel: float
     worst_param: str
@@ -466,7 +455,7 @@ def finite_diff_check(
         analytic[param.name] = np.zeros_like(param.value) if g is None else g
 
     rng = np.random.default_rng(seed)
-    reports = []
+    report = FdReport(max_rel=0.0, mean_rel=0.0, worst_param="")
     rel_sum, rel_count = 0.0, 0
     for name in sorted(params):
         param = params[name]
@@ -476,7 +465,7 @@ def finite_diff_check(
         n = param.value.size
         idx = np.arange(n) if n <= budget else np.sort(rng.choice(n, budget, replace=False))
         flat = param.value.reshape(-1)
-        max_rel, max_at, max_an, max_fd, tot = 0.0, (0,), 0.0, 0.0, 0.0
+        max_rel, tot = 0.0, 0.0
         for i in idx:
             keep = flat[i]
             flat[i] = keep + h
@@ -488,20 +477,11 @@ def finite_diff_check(
             an_i = float(an.reshape(-1)[i])
             rel = _rel_err(fd, an_i, rel_floor)
             tot += rel
-            if rel >= max_rel:
-                max_rel = rel
-                max_at = np.unravel_index(int(i), param.value.shape)
-                max_an, max_fd = an_i, fd
-        reports.append(
-            FdParamReport(name, max_rel, tot / len(idx), max_at, max_an, max_fd)
-        )
+            max_rel = max(max_rel, rel)
         rel_sum += tot
         rel_count += len(idx)
+        if not report.worst_param or max_rel > report.max_rel:  # the first of equal worsts
+            report.max_rel, report.worst_param = max_rel, name
 
-    worst = max(reports, key=lambda r: r.max_rel) if reports else None
-    return FdReport(
-        per_param=reports,
-        max_rel=worst.max_rel if worst else 0.0,
-        mean_rel=rel_sum / rel_count if rel_count else 0.0,
-        worst_param=worst.name if worst else "",
-    )
+    report.mean_rel = rel_sum / rel_count if rel_count else 0.0
+    return report

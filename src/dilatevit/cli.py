@@ -33,15 +33,26 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, minimum: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
 
 
-def _positive_ints(text: str) -> list[int]:  # comma-separated
-    return [_positive_int(part) for part in text.split(",")]
+def _positive_ints(text: str, minimum: int = 1) -> list[int]:  # comma-separated
+    return [_positive_int(part, minimum) for part in text.split(",")]
+
+
+def _radii_arg(text: str) -> list[int]:  # radius 0 is the query's own token
+    return _positive_ints(text, minimum=0)
+
+
+def _grid_arg(text: str) -> tuple[int, int]:
+    extents = _positive_ints(text)
+    if len(extents) != 2:
+        raise argparse.ArgumentTypeError(f"want H,W, got {text!r}")
+    return extents[0], extents[1]
 
 
 _FLAGS = {
@@ -60,13 +71,10 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
-def _resolve_config(args, default_preset="tiny") -> model_mod.ModelConfig:
+def _resolve_config(args, default_preset: str) -> model_mod.ModelConfig:
     if args.config:
         return model_mod.load_config(args.config)
-    preset = getattr(args, "preset", None) or default_preset
-    if preset not in model_mod.PRESETS:
-        raise DilateVitError(f"unknown preset {preset!r}")
-    return model_mod.PRESETS[preset]()
+    return model_mod.PRESETS[args.preset or default_preset]()
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -86,13 +94,13 @@ def _expect_arg(spec: str) -> tuple[str, float, float]:
     try:
         key, rest = spec.split("=", 1)
         value, tol = rest.split(":", 1)
-        key = key.strip()
-        if key not in ("flops", "params"):
+        key, value, tol = key.strip(), float(value), float(tol)
+        if key not in ("flops", "params") or not value > 0:  # a tolerance is relative to value
             raise ValueError(key)
-        return key, float(value), float(tol)
+        return key, value, tol
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"bad expectation {spec!r}, want flops|params=value:tolerance (e.g. flops=3.2e9:0.10)"
+            f"bad expectation {spec!r}, want flops|params=value:tolerance with value > 0 (e.g. flops=3.2e9:0.10)"
         ) from exc
 
 
@@ -105,8 +113,6 @@ def _pattern_arg(pattern: str) -> str:
 
 def cmd_flops(args) -> int:
     config = _resolve_config(args, default_preset="tiny")
-    if args.ablation_base:
-        config = model_mod.tiny()
     if args.pattern:
         config = model_mod.build_from_pattern(args.pattern, config)
     if args.kernel_w is not None:
@@ -251,7 +257,7 @@ def _load_dataset_dir(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args, default_preset="toy")
-    if args.classes and config.num_classes != args.classes:
+    if args.classes is not None and config.num_classes != args.classes:
         from dataclasses import replace
 
         config = replace(config, num_classes=args.classes)
@@ -341,7 +347,7 @@ def _file_rows(args, rows: _StatRows) -> None:
             f"attention file must hold a square [H*W, H*W] matrix, got {arr.shape}"
         )
     if args.grid:
-        h, w = (int(x) for x in args.grid.split(","))
+        h, w = args.grid
     else:
         side = int(round(arr.shape[0] ** 0.5))
         if side * side != arr.shape[0]:
@@ -355,7 +361,7 @@ def _file_rows(args, rows: _StatRows) -> None:
 def cmd_attnstats(args) -> int:
     if not args.input and not args.checkpoint:
         raise DilateVitError("need --input FILE.dft1 or --checkpoint DIR")
-    rows = _StatRows([int(r) for r in args.radii.split(",")], args.threshold)
+    rows = _StatRows(args.radii, args.threshold)
     if args.input:
         _file_rows(args, rows)
     else:
@@ -416,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS), default=None)
     p.add_argument("--input", type=_positive_int, default=None, help="input resolution override")
     p.add_argument("--pattern", type=_pattern_arg, default=None, help="4-char D/G stage pattern")
-    p.add_argument("--ablation-base", action="store_true", help="use the tiny-scale ablation base config")
     p.add_argument("--kernel-w", type=_positive_int, default=None, help="override D-stage window size")
     p.add_argument("--suite", action="store_true", help="run the 5-pattern ablation table")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a text table")
@@ -452,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive_int, default=16)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--classes", type=int, default=None)
+    p.add_argument("--classes", type=_positive_int, default=None)
     p.add_argument("--count", type=_positive_int, default=64, help="synthetic dataset size")
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--data", default=None, help="directory from gen-data")
@@ -462,16 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attnstats", help="locality/sparsity metrics of attention maps")
     _add_flags(p, "--seed")
     p.add_argument("--input", default=None, help="DFT1 file holding a [H*W, H*W] matrix")
-    p.add_argument("--grid", default=None, help="H,W of the query grid")
+    p.add_argument("--grid", type=_grid_arg, default=None, help="H,W of the query grid")
     p.add_argument("--checkpoint", default=None, help="model checkpoint to generate maps from")
-    p.add_argument("--radii", default="0,1,2,3")
+    p.add_argument("--radii", type=_radii_arg, default="0,1,2,3")
     p.add_argument("--threshold", type=float, default=0.01)
     p.set_defaults(fn=cmd_attnstats)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
     _add_flags(p, "--seed")
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--count", type=int, default=64)
+    p.add_argument("--count", type=_positive_int, default=64)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--noise", type=float, default=0.1)
     p.set_defaults(fn=cmd_gen_data)

@@ -9,6 +9,7 @@ Not comparable to any natural-image benchmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class DatasetSpec:
             raise ConfigError(f"classes must be in [2, {MAX_CLASSES}], got {self.classes}")
         if self.size < 8:
             raise ConfigError(f"image size must be >= 8, got {self.size}")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _blob_centers(spec: DatasetSpec) -> np.ndarray:

@@ -186,7 +186,7 @@ def transformer_block(
     def p(leaf: str) -> Node:
         return param_node(g, params, f"{prefix}.{leaf}")
 
-    cpe = g.conv2d(x, p("cpe.weight"), p("cpe.bias"), stride=1, zero_pad=1, groups=spec.dim)
+    cpe = g.conv2d(x, p("cpe.weight"), p("cpe.bias"), stride=1, zero_pad=1)
     x = g.add(cpe, x)
     del cpe
 

@@ -95,8 +95,9 @@ class CostReport:
         return buf.getvalue()
 
 
-def _conv_macs(h_out: int, w_out: int, cin: int, cout: int, k: int, groups: int = 1) -> int:
-    return h_out * w_out * cout * k * k * (cin // groups)
+def _conv_macs(h_out: int, w_out: int, kernel_cin: int, cout: int, k: int) -> int:
+    """MACs of a k x k conv whose kernel reads ``kernel_cin`` channels per output: 1 if depth-wise."""
+    return h_out * w_out * cout * k * k * kernel_cin
 
 
 def count_model(config: ModelConfig, input_size: int | None = None) -> CostReport:
@@ -157,7 +158,7 @@ def count_model(config: ModelConfig, input_size: int | None = None) -> CostRepor
             softmax_elems = stage.n_heads * n * n
         for b in range(stage.depth):
             pfx = f"stage{s}.block{b}"
-            rows.append(CostRow(f"{pfx}.cpe", params_under(f"{pfx}.cpe"), _conv_macs(res, res, d, d, 3, groups=d)))
+            rows.append(CostRow(f"{pfx}.cpe", params_under(f"{pfx}.cpe"), _conv_macs(res, res, 1, d, 3)))
             rows.append(CostRow(f"{pfx}.norm1", params_under(f"{pfx}.norm1"), 0, NORM_OPS_PER_ELT * n * d))
             rows.append(CostRow(f"{pfx}.qkv", params_under(f"{pfx}.qkv"), n * d * 3 * d))
             rows.append(CostRow(f"{pfx}.attn", 0, attn_macs, SOFTMAX_OPS_PER_ELT * softmax_elems))

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .counting import add_macs
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import pad_hw
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,15 @@ def _check_qkv(q, k, v, cfg):
         raise ShapeError(f"channel extent {q.shape[-1]} != configured d_k {cfg.d_k}")
 
 
-def _tap_windows(x: np.ndarray, cfg: SwdaConfig) -> list[np.ndarray]:
-    """The w*w tap windows of x [..., H, W, d], zero-padded by the window margin.
+def _margin(cfg: SwdaConfig) -> int:
+    """Zero rows and columns a map is padded by on each side, so every tap of every query lands in it."""
+    return ((cfg.w - 1) // 2) * cfg.r
 
-    Window t is the [..., H, W, d] view of one padded copy whose (i, j) entry
-    is the tap (i + p*r, j + q*r) of tap_offsets(w)[t] = (p, q). The center
-    tap's window is x itself, so writes through the windows of a zero map
-    scatter into taps and the center window crops the pad margin away.
-    """
-    H, W = x.shape[-3:-1]
-    m = ((cfg.w - 1) // 2) * cfg.r
-    xp = pad_hw(x, m)
-    return [
-        xp[..., m + p * cfg.r : m + p * cfg.r + H, m + q * cfg.r : m + q * cfg.r + W, :]
-        for p, q in tap_offsets(cfg.w)
-    ]
+
+def _tap_windows(x: np.ndarray, cfg: SwdaConfig):
+    """The w*w tap windows of x [..., H, W, d] in tap_offsets(w) order: window t's
+    (i, j) entry is the tap (i + p*r, j + q*r) of offset (p, q), zero off the map."""
+    return T.taps(T.pad_hw(x, _margin(cfg)), cfg.w, cfg.w, dilation=cfg.r)
 
 
 @functools.lru_cache(maxsize=16)
@@ -146,13 +140,8 @@ def _tap_dots(x: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
 
 
 def _tap_sum(a: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
-    """[..., H, W, d]: each query's taps of y weighted by a [..., taps, H, W] and summed,
-    through one reused product scratch."""
-    out = np.zeros_like(y)
-    scratch = np.empty_like(out)
-    for t, yw in enumerate(_tap_windows(y, cfg)):
-        out += np.multiply(a[..., t, :, :, None], yw, out=scratch)
-    return out
+    """[..., H, W, d]: each query's taps of y weighted by a [..., taps, H, W] and summed."""
+    return T.tap_sum(_tap_windows(y, cfg), np.moveaxis(a[..., None], -4, 0))
 
 
 def swda_forward(
@@ -234,11 +223,11 @@ def swda_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic adjoint of the forward contract.
 
-    Gathers read the tap windows of the padded K and V; the scatter into
-    grad_K/grad_V adds through the tap windows of zero padded buffers, so
-    off-map contributions land in the pad margin and are cropped away, which
-    also kills the phantom gradient of zero-padded taps. grad_K and grad_V are
-    the center windows of those buffers: views, not contiguous copies.
+    Gathers read the tap windows of the padded K and V; grad_K and grad_V are
+    their adjoint, :func:`tensor.scatter_taps`, so off-map contributions land
+    in the pad margin and are cropped away, which also kills the phantom
+    gradient of zero-padded taps. grad_K and grad_V are the center windows of
+    those padded buffers: views, not contiguous copies.
     """
     if state is None or state.weights is None:
         raise ContractError("swda_backward requires the saved forward state")
@@ -250,13 +239,12 @@ def swda_backward(
     # Softmax Jacobian-vector product over the tap axis, times the logit scale.
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
     grad_logits = a * (grad_a - np.sum(a * grad_a, axis=-3, keepdims=True)) * scale
-    grad_q = _tap_sum(grad_logits, k, cfg)
-    grad_k, grad_v = (_tap_windows(np.zeros_like(x), cfg) for x in (k, v))
-    for t in range(cfg.taps):
-        grad_k[t] += grad_logits[..., t, :, :, None] * q
-        grad_v[t] += a[..., t, :, :, None] * grad_out
-    center = cfg.taps // 2
-    return grad_q, grad_k[center], grad_v[center]
+
+    def scatter(b: np.ndarray, x: np.ndarray) -> np.ndarray:  # tap t of the result gets b[..., t, :, :] * x
+        parts = (bt * x for bt in np.moveaxis(b[..., None], -4, 0))
+        return T.scatter_taps(parts, x.shape, x.dtype, cfg.w, cfg.w, 1, _margin(cfg), cfg.r)
+
+    return _tap_sum(grad_logits, k, cfg), scatter(grad_logits, q), scatter(a, grad_out)
 
 
 def swda_backward_naive(
@@ -300,17 +288,15 @@ def attention_to_dense(
     ``renormalize`` each row is rescaled to sum to 1 afterwards (needed for
     zero_pad-mode weights, whose in-bounds mass is < 1 at the edges).
     """
-    H, W, taps = weights.shape
-    if taps != cfg.taps:
-        raise ShapeError(f"weights carry {taps} taps but config expects {cfg.taps}")
+    H, W, n_taps = weights.shape
+    if n_taps != cfg.taps:
+        raise ShapeError(f"weights carry {n_taps} taps but config expects {cfg.taps}")
     dense = np.zeros((H * W, H * W), dtype=weights.dtype)
-    ii = np.repeat(np.arange(H), W)
-    jj = np.tile(np.arange(W), H)
-    for t, (p, q) in enumerate(tap_offsets(cfg.w)):
-        ki = ii + p * cfg.r
-        kj = jj + q * cfg.r
-        ok = (ki >= 0) & (ki < H) & (kj >= 0) & (kj < W)
-        dense[np.arange(H * W)[ok], (ki * W + kj)[ok]] = weights.reshape(H * W, taps)[ok, t]
+    queries = np.arange(H * W).reshape(H, W)
+    # Key index + 1 through each tap's window: 0 where the tap falls in the zero pad.
+    for t, keys in enumerate(_tap_windows(queries[..., None] + 1, cfg)):
+        ok = keys[..., 0] > 0
+        dense[queries[ok], keys[ok, 0] - 1] = weights[..., t][ok]
     if renormalize:
         dense /= np.sum(dense, axis=1, keepdims=True)
     return dense

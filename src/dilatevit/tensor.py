@@ -218,16 +218,16 @@ def conv_output_extent(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _check_conv_args(x, kernel, stride, zero_pad, groups):
+def _check_conv_args(x, kernel, stride, zero_pad):
     if x.ndim < 3 or kernel.ndim != 4:
         raise ShapeError(
             f"conv2d expects x [..., H,W,Cin] and kernel [kh,kw,Cin,Cout] or [kh,kw,1,Cin], got {x.shape} and {kernel.shape}"
         )
     (kh, kw, kc, cout), cin = kernel.shape, x.shape[-1]
-    if not (groups == 1 and kc == cin or groups == cin == cout and kc == 1):
+    if kc != cin and not (kc == 1 and cout == cin):
         raise ShapeError(
-            f"conv2d is dense (groups=1, kernel [kh,kw,Cin,Cout]) or depth-wise (groups=Cin=Cout, "
-            f"kernel [kh,kw,1,Cin]), got Cin={cin}, kernel {kernel.shape}, groups={groups}"
+            f"conv2d kernel must be dense [kh,kw,Cin,Cout] or depth-wise [kh,kw,1,Cin], "
+            f"got Cin={cin} and kernel {kernel.shape}"
         )
     if stride < 1 or zero_pad < 0:
         raise ValueError(f"conv2d stride must be >= 1 and pad >= 0, got {stride}, {zero_pad}")
@@ -256,14 +256,47 @@ def pad_hw(x: np.ndarray, pad: int, pad_w: int | None = None) -> np.ndarray:
     return _padded_rows(x, -pad, x.shape[-3] + pad, pad if pad_w is None else pad_w)
 
 
-def _taps(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """((a, b), window) for each kernel tap in ascending order: the [..., H', W', C]
-    view of the padded map xp that tap (a, b) reads at ``stride``."""
-    h_out = conv_output_extent(xp.shape[-3], kh, stride, 0)
-    w_out = conv_output_extent(xp.shape[-2], kw, stride, 0)
-    for a in range(kh):
-        for b in range(kw):
-            yield (a, b), xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
+# The tap engine of every windowed op. A kh x kw kernel at ``stride`` and
+# ``dilation`` has kh*kw taps in ascending (a, b) order; tap (a, b) reads the
+# padded map at (i*stride + a*dilation, j*stride + b*dilation) for output (i, j).
+# A conv's taps are its kernel entries; a dilated attention window's taps are
+# its w*w keys r apart, read from a map padded by the window's margin.
+
+
+def taps(xp: np.ndarray, kh: int, kw: int, stride: int = 1, dilation: int = 1):
+    """Each tap's [..., H', W', C] window: the view of the padded map xp
+    [..., Hp, Wp, C] that the tap reads, in ascending tap order."""
+    h_out = conv_output_extent(xp.shape[-3], dilation * (kh - 1) + 1, stride, 0)
+    w_out = conv_output_extent(xp.shape[-2], dilation * (kw - 1) + 1, stride, 0)
+    for a in range(0, dilation * kh, dilation):
+        for b in range(0, dilation * kw, dilation):
+            yield xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
+
+
+def tap_sum(windows, weights) -> np.ndarray:
+    """sum_t windows[t] * weights[t] in tap order, each product broadcast to the
+    window's shape, through one reused product scratch; the first product is
+    the output buffer."""
+    out = scratch = None
+    for window, weight in zip(windows, weights):
+        if out is None:
+            out = np.multiply(window, weight)
+            scratch = np.empty_like(out)
+        else:
+            out += np.multiply(window, weight, out=scratch)
+    return out
+
+
+def scatter_taps(parts, shape, dtype, kh: int, kw: int, stride: int, pad: int, dilation: int = 1) -> np.ndarray:
+    """Adjoint of :func:`taps` on a map of ``shape`` [..., H, W, C] zero-padded by
+    ``pad``: adds parts[t] into tap t's window of a zero padded buffer in tap
+    order, then crops the pad away. Within one tap every element receives at
+    most one contribution; the result is a view of the padded buffer."""
+    h, w = shape[-3:-1]
+    xp = np.zeros(tuple(shape[:-3]) + (h + 2 * pad, w + 2 * pad, shape[-1]), dtype=dtype)
+    for window, part in zip(taps(xp, kh, kw, stride, dilation), parts):
+        window += part
+    return xp[..., pad : pad + h, pad : pad + w, :]
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -281,27 +314,12 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win.reshape(lead + (h_out, w_out, -1))
 
 
-def col2im(
-    cols: np.ndarray, h: int, w: int, c: int, kh: int, kw: int, stride: int, pad: int
-) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to an [..., h,w,c] map.
-
-    Accumulation runs in ascending (kh, kw) tap order; within one tap every
-    target element receives exactly one contribution.
-    """
-    lead, h_out, w_out = cols.shape[:-3], cols.shape[-3], cols.shape[-2]
-    cols4 = cols.reshape(lead + (h_out, w_out, kh * kw, c))
-    xp = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-    for (a, b), window in _taps(xp, kh, kw, stride):
-        window += cols4[..., a * kw + b, :]
-    return xp[..., pad : pad + h, pad : pad + w, :]
-
-
 def _tap_rows(kernel: np.ndarray, w_out: int) -> np.ndarray:
-    """[kh, kw, w_out, C]: each tap's entry of a depth-wise kernel [kh,kw,1,C]
+    """[kh*kw, w_out, C]: each tap's entry of a depth-wise kernel [kh,kw,1,C]
     repeated along a row, so its product with a tap window runs w_out*C long
     instead of C long per pixel."""
-    return np.ascontiguousarray(np.broadcast_to(kernel, kernel.shape[:2] + (w_out, kernel.shape[-1])))
+    kh, kw, _, c = kernel.shape
+    return np.ascontiguousarray(np.broadcast_to(kernel.reshape(kh * kw, 1, c), (kh * kw, w_out, c)))
 
 
 def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int):
@@ -345,41 +363,20 @@ def _dense_correlate(x: np.ndarray, kernel: np.ndarray, stride: int, ph: int, pw
     return out
 
 
-def _depthwise_correlate(xp: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    """Cross-correlation of a padded map xp [..., Hp,Wp,C] with a depth-wise kernel
-    [kh,kw,1,C], one tap multiply-add at a time; counts no MACs."""
-    kh, kw = kernel.shape[:2]
-    out = scratch = rows = None
-    for (a, b), window in _taps(xp, kh, kw, stride):
-        if out is None:
-            rows = _tap_rows(kernel, window.shape[-2])
-            out = np.multiply(window, rows[a, b])
-            scratch = np.empty_like(out)
-        else:
-            out += np.multiply(window, rows[a, b], out=scratch)
-    return out
+def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, zero_pad: int = 0) -> np.ndarray:
+    """Cross-correlation of x [..., H,W,Cin] with a kernel whose shape sets the kind:
+    dense [kh,kw,Cin,Cout], or depth-wise [kh,kw,1,C] on C > 1 channels.
 
-
-def conv2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    stride: int = 1,
-    zero_pad: int = 0,
-    groups: int = 1,
-) -> np.ndarray:
-    """Cross-correlation of x [..., H,W,Cin] with a dense kernel [kh,kw,Cin,Cout]
-    (``groups=1``) or a depth-wise one [kh,kw,1,C] (``groups == Cin == Cout``).
-
-    The depth-wise case takes a dedicated tap multiply-add path (no im2col
+    A depth-wise conv is a :func:`tap_sum` over its taps (no im2col
     materialization). A dense conv unfolds at most IM2COL_BLOCK_BYTES of
     columns at once, whatever the map size, and pads no more than the rows
     they read.
     """
-    h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad, groups)
+    h_out, w_out = _check_conv_args(x, kernel, stride, zero_pad)
     kh, kw, kc, cout = kernel.shape
     add_macs(math.prod(x.shape[:-3]) * h_out * w_out * cout * kh * kw * kc)
-    if groups > 1:
-        return _depthwise_correlate(pad_hw(x, zero_pad), kernel, stride)
+    if kc < x.shape[-1]:  # depth-wise
+        return tap_sum(taps(pad_hw(x, zero_pad), kh, kw, stride), _tap_rows(kernel, w_out))
     return _dense_correlate(x, kernel, stride, zero_pad, zero_pad)
 
 
@@ -389,29 +386,28 @@ def conv2d_backward(
     kernel: np.ndarray,
     stride: int,
     zero_pad: int,
-    groups: int,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of :func:`conv2d` w.r.t. input and kernel (summed over leading axes).
 
     At stride 1 the input gradient is the correlation of grad_out, padded by
     k - 1 - zero_pad (cropped where that is negative), with the flipped
-    kernel. Strided convs scatter-add each tap's contribution instead. With
-    ``input_grad=False`` the input gradient is skipped and returned as None.
-    A dense kernel gradient sums ``cols.T @ grad_out`` over the forward's row
-    blocks, so it too unfolds at most IM2COL_BLOCK_BYTES of columns at once, and
-    the dense stride-1 input gradient runs through the same blocks: neither x
-    nor grad_out is copied whole.
+    kernel. Strided convs scatter each tap's contribution through
+    :func:`scatter_taps` instead. With ``input_grad=False`` the input gradient
+    is skipped and returned as None. A dense kernel gradient sums
+    ``cols.T @ grad_out`` over the forward's row blocks, so it too unfolds at
+    most IM2COL_BLOCK_BYTES of columns at once, and the dense stride-1 input
+    gradient runs through the same blocks: neither x nor grad_out is copied whole.
     """
-    kh, kw, _, cout = kernel.shape
+    kh, kw, kc, cout = kernel.shape
     h, w, cin = x.shape[-3:]
-    depthwise = groups > 1
+    depthwise = kc < cin
 
     if depthwise:
         grad_kernel = np.empty_like(kernel)
-        scratch = np.empty_like(grad_out)
-        for (a, b), window in _taps(pad_hw(x, zero_pad), kh, kw, stride):
-            grad_kernel[a, b, 0] = channel_sums(np.multiply(window, grad_out, out=scratch))
+        per_tap, scratch = grad_kernel.reshape(kh * kw, cin), np.empty_like(grad_out)
+        for t, window in enumerate(taps(pad_hw(x, zero_pad), kh, kw, stride)):
+            per_tap[t] = channel_sums(np.multiply(window, grad_out, out=scratch))
     else:  # summed over the forward's blocks of columns
         kmat = np.zeros((kh * kw * cin, cout), dtype=x.dtype)
         images = grad_out.reshape((-1,) + grad_out.shape[-3:])
@@ -427,15 +423,13 @@ def conv2d_backward(
         ph, pw = kh - 1 - zero_pad, kw - 1 - zero_pad
         g = grad_out[..., max(-ph, 0) : h_out - max(-ph, 0), max(-pw, 0) : w_out - max(-pw, 0), :]
         if depthwise:
-            return _depthwise_correlate(pad_hw(g, max(ph, 0), max(pw, 0)), kernel[::-1, ::-1], 1), grad_kernel
+            windows = taps(pad_hw(g, max(ph, 0), max(pw, 0)), kh, kw)
+            return tap_sum(windows, _tap_rows(kernel[::-1, ::-1], w)), grad_kernel
         return _dense_correlate(g, kernel[::-1, ::-1].swapaxes(2, 3), 1, max(ph, 0), max(pw, 0)), grad_kernel
 
     if depthwise:
-        grad_xp = np.zeros(x.shape[:-3] + (h + 2 * zero_pad, w + 2 * zero_pad, cin), dtype=x.dtype)
-        rows = _tap_rows(kernel, grad_out.shape[-2])
-        for (a, b), window in _taps(grad_xp, kh, kw, stride):
-            window += np.multiply(grad_out, rows[a, b], out=scratch)
-        return grad_xp[..., zero_pad : zero_pad + h, zero_pad : zero_pad + w, :], grad_kernel
-
-    gcols = (grad_out.reshape(-1, cout) @ kernel.reshape(kh * kw * cin, cout).T).reshape(grad_out.shape[:-1] + (-1,))
-    return col2im(gcols, h, w, cin, kh, kw, stride, zero_pad), grad_kernel
+        parts = (np.multiply(grad_out, row, out=scratch) for row in _tap_rows(kernel, grad_out.shape[-2]))
+    else:  # one GEMM for every tap's columns, [..., H', W', kh*kw, Cin]
+        gcols = (grad_out.reshape(-1, cout) @ kernel.reshape(-1, cout).T).reshape(grad_out.shape[:-1] + (kh * kw, cin))
+        parts = np.moveaxis(gcols, -2, 0)
+    return scatter_taps(parts, x.shape, x.dtype, kh, kw, stride, zero_pad), grad_kernel

@@ -151,7 +151,7 @@ def test_criterion_04_gradient_correctness():
         "4",
         ok,
         f"{len(suite.cases)} finite-difference checks, worst rel err {suite.max_rel:.2e} "
-        f"({suite.worst_case.name}), {elapsed:.1f} s",
+        f"({suite.worst_case[0]}), {elapsed:.1f} s",
     )
     assert ok
 

@@ -348,7 +348,7 @@ class TestPerOpGradients:
 
         def build():
             g = graph(Tape())
-            out = g.conv2d(*map(g.param, params.values()), stride=1, zero_pad=1, groups=3)
+            out = g.conv2d(*map(g.param, params.values()), stride=1, zero_pad=1)
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params
@@ -469,17 +469,17 @@ class TestPerOpGradients:
         return build, params
 
     def _case_batched_conv(self, rng):
-        cin, cout, groups = [(2, 3, 1), (3, 3, 3)][int(rng.integers(0, 2))]
+        cin, cout, kernel_cin = [(2, 3, 2), (3, 3, 1)][int(rng.integers(0, 2))]  # dense, depth-wise
         params = {
             "x": Parameter("x", rng.standard_normal((2, 4, 4, cin))),
-            "k": Parameter("k", rng.standard_normal((3, 3, cin // groups, cout))),
+            "k": Parameter("k", rng.standard_normal((3, 3, kernel_cin, cout))),
             "b": Parameter("b", rng.standard_normal(cout)),
         }
         w = rng.standard_normal((2, 4, 4, cout))
 
         def build():
             g = graph(Tape())
-            out = g.conv2d(*map(g.param, params.values()), stride=1, zero_pad=1, groups=groups)
+            out = g.conv2d(*map(g.param, params.values()), stride=1, zero_pad=1)
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params

@@ -47,12 +47,45 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, mo
     ["gradcheck", "--budget", "0"],
     ["flops", "--input", "0"],
     ["flops", "--kernel-w", "0"],
+    ["train", "--classes", "0"],
+    ["gen-data", "--count", "-3"],
+    ["attnstats", "--grid", "4,0"],
 ])
 def test_a_count_below_one_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a subcommand that wrongly runs writes its default output here
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2 and "must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["attnstats", "--grid", "3"],
+    ["attnstats", "--grid", "a,b"],
+    ["attnstats", "--grid", "2,2,4"],
+    ["attnstats", "--radii", "x"],
+    ["attnstats", "--radii", ""],
+    ["attnstats", "--radii", "1,-1"],
+    ["flops", "--expect", "flops=0:0.1"],
+    ["flops", "--expect", "params=-17e6:0.05"],
+    ["flops", "--expect", "flops=nan:0.1"],
+])
+def test_a_malformed_value_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    matrix = tmp_path / "attention.dft1"  # a valid 16-token map, so only the bad value can fail
+    dft1.write_tensor(matrix, np.full((16, 16), 1 / 16))
+    with pytest.raises(SystemExit) as exc:
+        run(argv + (["--input", str(matrix)] if argv[0] == "attnstats" else []))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "error: argument" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [matrix]
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+def test_gen_data_rejects_non_finite_noise(noise, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-data", "--count", "4", f"--noise={noise}"]) == 1
+    assert "noise must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -91,9 +124,10 @@ class TestFlops:
             run(
                 [
                     "flops",
+                    "--preset",
+                    "tiny",
                     "--pattern",
                     "GGGG",
-                    "--ablation-base",
                     "--expect",
                     "flops=6.36e9:0.10",
                 ]

@@ -58,6 +58,11 @@ class TestDataset:
         with pytest.raises(ConfigError):
             DatasetSpec(classes=99, size=32)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ConfigError, match="noise must be finite and >= 0"):
+            DatasetSpec(noise=noise)
+
 
 class TestTrainLoop:
     def test_batch_loss_is_scalar_and_finite(self):

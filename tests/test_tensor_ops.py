@@ -29,7 +29,7 @@ def triple_loop_matmul(a, b):
 
 
 def direct_loop_conv2d(x, kernel, stride, pad):
-    """Six-loop reference convolution (groups=1)."""
+    """Six-loop reference convolution with a dense kernel [kh,kw,Cin,Cout]."""
     kh, kw, cin, cout = kernel.shape
     h_out = (x.shape[0] + 2 * pad - kh) // stride + 1
     w_out = (x.shape[1] + 2 * pad - kw) // stride + 1
@@ -170,19 +170,24 @@ class TestConv2d:
         out = T.conv2d(x, kernel, stride=2, zero_pad=1)
         assert np.abs(out - direct_loop_conv2d(x, kernel, 2, 1)).max() < 1e-12
 
-    def test_depthwise_equals_grouped_reference(self):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_kernel_shape_sets_the_kind(self, stride):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 5, 4))
         kernel = rng.standard_normal((3, 3, 1, 4))
-        depthwise = T.conv2d(x, kernel, stride=1, zero_pad=1, groups=4)
+        # [3,3,1,C] on C channels is depth-wise: channel c is a dense one-channel conv.
+        depthwise = T.conv2d(x, kernel, stride=stride, zero_pad=1)
         by_channel = np.stack(
             [
-                T.conv2d(x[:, :, c : c + 1], kernel[:, :, :, c : c + 1], 1, 1)[:, :, 0]
+                T.conv2d(x[:, :, c : c + 1], kernel[:, :, :, c : c + 1], stride, 1)[:, :, 0]
                 for c in range(4)
             ],
             axis=-1,
         )
         assert np.allclose(depthwise, by_channel, atol=1e-12)
+        # The same kernel on one channel is dense: four output channels from one input.
+        dense = T.conv2d(x[:, :, :1], kernel, stride=stride, zero_pad=1)
+        assert np.abs(dense - direct_loop_conv2d(x[:, :, :1], kernel, stride, 1)).max() < 1e-12
 
     def test_same_padding_preserves_shape(self):
         x = np.ones((7, 9, 2))
@@ -191,15 +196,58 @@ class TestConv2d:
             out = T.conv2d(x, kernel, stride=1, zero_pad=(k - 1) // 2)
             assert out.shape == (7, 9, 3)
 
-    @pytest.mark.parametrize("cin, kshape, groups", [
-        (3, (3, 3, 1, 3), 2),
-        (4, (3, 3, 2, 6), 2),
-        (4, (3, 3, 1, 6), 4),
-        (4, (3, 3, 1, 4), 1),
-    ], ids=["indivisible", "grouped", "depthwise_cout_differs", "dense_with_depthwise_kernel"])
-    def test_invalid_groups_raises(self, cin, kshape, groups):
+    @pytest.mark.parametrize("cin, kshape", [
+        (4, (3, 3, 2, 6)),
+        (4, (3, 3, 1, 6)),
+    ], ids=["grouped", "depthwise_cout_differs"])
+    def test_invalid_groups_raises(self, cin, kshape):
         with pytest.raises(ShapeError, match="dense .* or depth-wise"):
-            T.conv2d(np.ones((4, 4, cin)), np.ones(kshape), groups=groups)
+            T.conv2d(np.ones((4, 4, cin)), np.ones(kshape))
+
+
+class TestTapEngine:
+    """taps, tap_sum and scatter_taps, which every conv and dilated window runs through."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        h=st.integers(1, 8),
+        w=st.integers(1, 8),
+        c=st.integers(1, 3),
+        kh=st.integers(1, 4),
+        kw=st.integers(1, 4),
+        stride=st.integers(1, 2),
+        dilation=st.integers(1, 3),
+        pad=st.integers(0, 3),
+        batch=st.sampled_from([(), (2,)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scatter_is_the_adjoint_of_the_windows(self, h, w, c, kh, kw, stride, dilation, pad, batch, seed):
+        hp, wp = h + 2 * pad, w + 2 * pad
+        assume(hp >= dilation * (kh - 1) + 1 and wp >= dilation * (kw - 1) + 1)
+        h_out, w_out = ((n - dilation * (k - 1) - 1) // stride + 1 for n, k in ((hp, kh), (wp, kw)))
+        # Windows against index arithmetic: tap (a, b) reads (i*stride + a*dilation, j*stride + b*dilation).
+        index = np.arange(hp * wp).reshape(hp, wp, 1)
+        windows = list(T.taps(index, kh, kw, stride, dilation))
+        assert len(windows) == kh * kw
+        i, j = np.arange(h_out)[:, None], np.arange(w_out)[None, :]
+        for t, window in enumerate(windows):
+            a, b = divmod(t, kw)
+            expect = (i * stride + a * dilation) * wp + j * stride + b * dilation
+            assert window.shape == (h_out, w_out, 1) and np.array_equal(window[..., 0], expect)
+        # <taps(pad(x)), parts> == <x, scatter_taps(parts)> in float64.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(batch + (h, w, c))
+        parts = rng.standard_normal((kh * kw,) + batch + (h_out, w_out, c))
+        lhs = sum(np.vdot(win, part) for win, part in zip(T.taps(T.pad_hw(x, pad), kh, kw, stride, dilation), parts))
+        scattered = T.scatter_taps(parts, x.shape, x.dtype, kh, kw, stride, pad, dilation)
+        assert scattered.shape == x.shape and scattered.dtype == x.dtype
+        assert abs(lhs - np.vdot(x, scattered)) <= 1e-12 * max(1.0, abs(lhs))
+        # tap_sum adds the products in tap order.
+        weights = rng.standard_normal((kh * kw, w_out, c))
+        expect = None
+        for win, weight in zip(T.taps(T.pad_hw(x, pad), kh, kw, stride, dilation), weights):
+            expect = win * weight if expect is None else expect + win * weight
+        assert np.array_equal(T.tap_sum(T.taps(T.pad_hw(x, pad), kh, kw, stride, dilation), weights), expect)
 
 
 class TestConv2dProperty:
@@ -225,12 +273,12 @@ class TestConv2dProperty:
         pad = data.draw(st.integers(0, max(kh, kw)), label="pad")
         assume(h + 2 * pad >= kh and w + 2 * pad >= kw)
         rng = np.random.default_rng(seed)
-        cout, groups = (channels, channels) if depthwise else (cout, 1)
+        cout, kernel_cin = (channels, 1) if depthwise else (cout, channels)
         x = rng.standard_normal(batch + (h, w, channels))
-        kernel = rng.standard_normal((kh, kw, channels // groups, cout))
-        out = T.conv2d(x, kernel, stride, pad, groups)
+        kernel = rng.standard_normal((kh, kw, kernel_cin, cout))
+        out = T.conv2d(x, kernel, stride, pad)
         gout = rng.standard_normal(out.shape)
-        gx, gk = T.conv2d_backward(gout, x, kernel, stride, pad, groups)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, pad)
         # Depth-wise: channel c is a one-channel conv with kernel[..., c].
         parts = [slice(c, c + 1) for c in range(channels)] if depthwise else [slice(None)]
         gk_ref = np.zeros_like(kernel)
@@ -248,7 +296,7 @@ class TestConv2dProperty:
         x = rng.standard_normal((2, 64, 64, 8))  # 4.7 MB of columns for a 3x3 kernel
         kernel = rng.standard_normal((3, 3, 8, 8))
         gout = rng.standard_normal(x.shape)
-        (none, _), peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1, 1, input_grad=False))
+        (none, _), peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1, input_grad=False))
         # One block of columns and that block's zero-padded input rows, a small part of x;
         # unfolding all of x at once peaks at 5.3 MB, and padding it whole adds x.nbytes.
         assert none is None and peak <= T.IM2COL_BLOCK_BYTES + x.nbytes // 4, f"peak {peak / 1e6:.2f} MB"
@@ -257,25 +305,25 @@ class TestConv2dProperty:
 class TestConv2dBatchAxis:
     """[B, H, W, C] input equals a per-image loop of the same op, B times the MACs."""
 
-    # groups=1 (strided), depth-wise: (Cin, kernel shape, stride, groups)
-    CASES = [(3, (3, 3, 3, 4), 2, 1), (4, (3, 3, 1, 4), 1, 4)]
+    # dense (strided), depth-wise: (Cin, kernel shape, stride)
+    CASES = [(3, (3, 3, 3, 4), 2), (4, (3, 3, 1, 4), 1)]
 
-    @pytest.mark.parametrize("cin, kshape, stride, groups", CASES, ids=["dense", "depthwise"])
-    def test_matches_per_image_loop(self, cin, kshape, stride, groups):
+    @pytest.mark.parametrize("cin, kshape, stride", CASES, ids=["dense", "depthwise"])
+    def test_matches_per_image_loop(self, cin, kshape, stride):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 6, 5, cin))
         kernel = rng.standard_normal(kshape)
         with mac_counter() as batched_macs:
-            out = T.conv2d(x, kernel, stride, 1, groups)
+            out = T.conv2d(x, kernel, stride, 1)
         with mac_counter() as single_macs:
-            T.conv2d(x[0], kernel, stride, 1, groups)
+            T.conv2d(x[0], kernel, stride, 1)
         assert batched_macs.macs == 3 * single_macs.macs
-        per_image = np.stack([T.conv2d(xi, kernel, stride, 1, groups) for xi in x])
+        per_image = np.stack([T.conv2d(xi, kernel, stride, 1) for xi in x])
         gout = rng.standard_normal(out.shape)
-        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, groups)
-        loop = [T.conv2d_backward(g, xi, kernel, stride, 1, groups) for g, xi in zip(gout, x)]
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1)
+        loop = [T.conv2d_backward(g, xi, kernel, stride, 1) for g, xi in zip(gout, x)]
         gx_loop, gk_loop = np.stack([a for a, _ in loop]), sum(b for _, b in loop)
-        if groups == cin:  # depth-wise: slice-accumulate, no BLAS, same arithmetic per image
+        if kshape[2] == 1:  # depth-wise: slice-accumulate, no BLAS, same arithmetic per image
             assert np.array_equal(out, per_image) and np.array_equal(gx, gx_loop)
         else:
             assert np.abs(out - per_image).max() <= 1e-12
@@ -283,15 +331,15 @@ class TestConv2dBatchAxis:
         # The kernel gradient sums over the batch in one reduction, not image by image.
         assert np.abs(gk - gk_loop).max() <= 1e-12 * np.abs(gk_loop).max()
 
-    @pytest.mark.parametrize("cin, kshape, _, groups", CASES, ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("cin, kshape, _", CASES, ids=["dense", "depthwise"])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_skipped_input_gradient_leaves_the_kernel_gradient(self, cin, kshape, _, groups, stride):
+    def test_skipped_input_gradient_leaves_the_kernel_gradient(self, cin, kshape, _, stride):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((3, 6, 6, cin)).astype(np.float32)
         kernel = rng.standard_normal(kshape).astype(np.float32)
-        gout = rng.standard_normal(T.conv2d(x, kernel, stride, 1, groups).shape).astype(np.float32)
-        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, groups)
-        none, gk_only = T.conv2d_backward(gout, x, kernel, stride, 1, groups, input_grad=False)
+        gout = rng.standard_normal(T.conv2d(x, kernel, stride, 1).shape).astype(np.float32)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1)
+        none, gk_only = T.conv2d_backward(gout, x, kernel, stride, 1, input_grad=False)
         assert gx is not None and none is None
         assert np.array_equal(gk, gk_only)
 
@@ -310,7 +358,7 @@ class TestConv2dRowBlocks:
         kernel = rng.standard_normal((3, 3, 3, 4))
         out_one = T.conv2d(x, kernel, stride, 1)
         gout = rng.standard_normal(out_one.shape)
-        gx_one, gk_one = T.conv2d_backward(gout, x, kernel, stride, 1, 1)
+        gx_one, gk_one = T.conv2d_backward(gout, x, kernel, stride, 1)
         h_out, w_out = out_one.shape[-3:-1]
         monkeypatch.setattr(T, "IM2COL_BLOCK_BYTES", rows_per_block * w_out * kernel[..., 0].size * x.itemsize)
         unfolded = []  # output rows of each unfolding
@@ -328,9 +376,9 @@ class TestConv2dRowBlocks:
         assert sum(unfolded) == images * h_out and max(unfolded) == rows_per_block
         forward_unfolds = list(unfolded)
         unfolded.clear()
-        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1, 1)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, 1)
         # The kernel gradient unfolds in the forward's blocks; at stride 1 the input
-        # gradient then runs row by row (36 > 27 taps x Cin), at stride 2 through col2im.
+        # gradient then runs row by row (36 > 27 taps x Cin), at stride 2 through scatter_taps.
         input_unfolds = [1] * images * x.shape[-3] if stride == 1 else []
         assert unfolded == forward_unfolds + input_unfolds
         assert np.abs(out - out_one).max() <= 1e-12 and np.abs(gx - gx_one).max() <= 1e-12
@@ -352,7 +400,7 @@ class TestConv2dRowBlocks:
         assert 1 < step < 128
         padded_rows = (step + 2) * 130 * 4 * x.itemsize  # the input rows one block reads, zero-padded
         out, forward_peak = traced_peak(lambda: T.conv2d(x, kernel, 1, 1))
-        _, backward_peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1, 1))
+        _, backward_peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1))
         # x and gout are made outside the trace, so the output (or grad_x) is the one
         # map-sized array counted; a padded copy of the whole map adds another.
         bound = out.nbytes + T.IM2COL_BLOCK_BYTES + padded_rows
