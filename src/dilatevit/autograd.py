@@ -93,13 +93,18 @@ class Tape:
 
 class NoRecordTape(Tape):
     """Forward-only tape: nodes carry no parents or closures and nothing is kept,
-    so each intermediate is freed once its last consumer has run."""
+    so each intermediate is freed once its last consumer has run. An op's output
+    (id -1) is spare: a later op that its caller gives it up to may write over it.
+    A leaf or parameter (id -2) is never written."""
 
     def record(self, data, parents=(), backward_fn=None) -> Node:
         return Node(data, -1)
 
+    def leaf(self, array) -> Node:
+        return Node(np.asarray(array), -2)
+
     def param(self, parameter: Parameter) -> Node:
-        return Node(parameter.value, -1)
+        return Node(parameter.value, -2)
 
 
 def backward(tape: Tape, loss: Node) -> dict[int, np.ndarray]:
@@ -160,6 +165,7 @@ class graph:
 
     def __init__(self, tape: Tape, attn_sink: AttentionSink | None = None):
         self.tape, self.attn_sink = tape, attn_sink
+        self.recording = not isinstance(tape, NoRecordTape)
 
     def leaf(self, array) -> Node:
         return self.tape.leaf(array)
@@ -168,8 +174,12 @@ class graph:
         return self.tape.param(parameter)
 
     def add(self, a: Node, b: Node) -> Node:
+        """a + b; a spare b (see NoRecordTape) takes the sum in its buffer."""
         if a.data.shape != b.data.shape:
             raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
+        if b.id == -1:
+            b.data += a.data
+            return self.tape.record(b.data)
         return self.tape.record(a.data + b.data, (a, b), lambda g: (g, g))
 
     def mul(self, a: Node, b: Node) -> Node:
@@ -194,6 +204,8 @@ class graph:
         return self.tape.record(out, (x, kernel, bias), back)
 
     def layernorm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
+        if not self.recording:
+            return self.tape.record(T.layernorm(x.data, gamma.data, beta.data, eps))
         out, state = T.layernorm_with_state(x.data, gamma.data, beta.data, eps)
         return self.tape.record(
             out, (x, gamma, beta), lambda g: T.layernorm_backward(g, state, gamma.data)
@@ -208,8 +220,9 @@ class graph:
         """Dilated window attention on a fused [..., 3C] q|k|v node, C = len(cfgs) * d_k.
 
         Head i runs cfgs[i] on views of channels [i*d_k, (i+1)*d_k) of each C-wide
-        third and writes them to the same channels of the [..., C] output. The
-        ``attn_sink`` gets ``append((f"{layer}.head{i}", cfgs[i], weights))`` as each
+        third and writes them to the same channels of the [..., C] output, which over
+        a spare qkv is a view of its q channels, each written once its head has run.
+        The ``attn_sink`` gets ``append((f"{layer}.head{i}", cfgs[i], weights))`` as each
         head runs, with its ``[H, W, w*w]`` weights, copied if the tape keeps them.
         """
         d_k, C = cfgs[0].d_k, len(cfgs) * cfgs[0].d_k
@@ -221,15 +234,14 @@ class graph:
         def channels(i, j=0):  # head i's channels in the j-th C-wide third
             return (..., slice(j * C + i * d_k, j * C + (i + 1) * d_k))
 
-        out = np.empty(qkv.data.shape[:-1] + (C,), dtype=qkv.data.dtype)
-        recording = not isinstance(self.tape, NoRecordTape)
+        out = qkv.data if qkv.id == -1 else np.empty(qkv.data.shape[:-1] + (C,), dtype=qkv.data.dtype)
         states = []  # a NoRecordTape keeps no head's state
         for i, cfg in enumerate(cfgs):
             q, k, v = (qkv.data[channels(i, j)] for j in range(3))
             out[channels(i)], state = _swda.swda_forward_with_state(q, k, v, cfg)
             if self.attn_sink is not None:
-                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy() if recording else state.weights))
-            if recording:
+                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy() if self.recording else state.weights))
+            if self.recording:
                 states.append(state)
             del state  # before the next head runs
 
@@ -240,15 +252,16 @@ class graph:
                     grad[channels(i, j)] = part
             return (grad,)
 
-        return self.tape.record(out, (qkv,), back)
+        return self.tape.record(out[..., :C], (qkv,), back)
 
     def mhsa(self, qkv: Node, n_heads: int, layer: str = "") -> Node:
         """Global attention over all N = H*W tokens of a fused [..., H, W, 3C] q|k|v node.
 
         Head i reads channels [i*d_k, (i+1)*d_k) of each C-wide third, d_k = C / n_heads,
-        and writes the same channels of the [..., H, W, C] output. The ``attn_sink`` gets
-        ``append((f"{layer}.head{i}", None, weights))`` per head, with a copy of its
-        ``[N, N]`` weights.
+        and writes the same channels of the [..., H, W, C] output. Heads run in groups whose
+        logits fit T.MHSA_GROUP_BYTES; a group's softmax runs in place, or into the weights a
+        recording tape keeps. The ``attn_sink`` gets ``append((f"{layer}.head{i}", None,
+        weights))`` per head, with its ``[N, N]`` weights, copied if the tape keeps them.
         """
         if qkv.data.ndim < 3 or qkv.data.shape[-1] % (3 * n_heads):
             raise ShapeError(f"mhsa needs [..., H, W, 3C] with C a multiple of {n_heads} heads, got {qkv.data.shape}")
@@ -260,14 +273,20 @@ class graph:
         q, v = (np.ascontiguousarray(parts[..., j, :, :].swapaxes(-3, -2)) for j in (0, 2))  # [..., heads, N, d_k]
         k = np.ascontiguousarray(np.moveaxis(parts[..., 1, :, :], -3, -1))  # [..., heads, d_k, N]
         scale = np.asarray(1.0 / math.sqrt(d_k), dtype=qkv.data.dtype)
-        logits = T.matmul(q, k)
-        logits *= scale
-        attn = T.softmax(logits)
-        del logits
-        if self.attn_sink is not None:
-            for i, weights in enumerate(attn):
-                self.attn_sink.append((f"{layer}.head{i}", None, weights.copy()))
-        out = np.ascontiguousarray(T.matmul(attn, v).swapaxes(-3, -2))
+        step = max(1, T.MHSA_GROUP_BYTES // max(1, math.prod(lead) * n * n * qkv.data.itemsize))
+        attn = np.empty(lead + (n_heads, n, n), dtype=qkv.data.dtype) if self.recording else None
+        out = np.empty(lead + (n, n_heads, d_k), dtype=qkv.data.dtype)
+        for first in range(0, n_heads, step):
+            heads = (..., slice(first, first + step), slice(None), slice(None))
+            logits = T.matmul(q[heads], k[heads])
+            logits *= scale
+            weights = T.softmax(logits, out=logits if attn is None else attn[heads])
+            del logits
+            if self.attn_sink is not None:
+                for i, head in enumerate(weights, start=first):
+                    self.attn_sink.append((f"{layer}.head{i}", None, head.copy() if self.recording else head))
+            out[..., first : first + step, :] = T.matmul(weights, v[heads]).swapaxes(-3, -2)
+            del weights  # before the next group's logits
 
         def back(g):
             g_out = np.ascontiguousarray(g.reshape(lead + (n, n_heads, d_k)).swapaxes(-3, -2))
@@ -299,8 +318,7 @@ class graph:
         fc1 = _dense_layer(weight, "fc1")
         rows, hidden = flat.shape[0], fc1[0].data.shape[1]
         step = max(1, T.MLP_BLOCK_BYTES // (hidden * flat.itemsize))
-        recording = not isinstance(self.tape, NoRecordTape)
-        pre = np.empty((rows, hidden), dtype=flat.dtype) if recording else None
+        pre = np.empty((rows, hidden), dtype=flat.dtype) if self.recording else None
 
         def activation(r):
             """GELU of fc1 on rows [r, r + step); a recording tape keeps the pre-activation."""
@@ -309,7 +327,7 @@ class graph:
             return T.gelu(h)
 
         act = activation(0)
-        parents = (x, *fc1) if recording else ()
+        parents = (x, *fc1) if self.recording else ()
         if step >= rows:
             del fc1  # no block is left, so a NoRecordTape frees fc1's weight before fc2's is read
         fc2 = _dense_layer(weight, "fc2")

@@ -44,8 +44,21 @@ def _positive_ints(text: str, minimum: int = 1) -> list[int]:  # comma-separated
     return [_positive_int(part, minimum) for part in text.split(",")]
 
 
+def _count(text: str) -> int:  # a count that may be 0
+    return _positive_int(text, minimum=0)
+
+
 def _radii_arg(text: str) -> list[int]:  # radius 0 is the query's own token
     return _positive_ints(text, minimum=0)
+
+
+def _number(check, want: str):
+    """A parse-time type for a finite float that ``check`` accepts, ``want`` saying which."""
+    def number(text: str) -> float:
+        if not (np.isfinite(value := float(text)) and check(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {want}, got {text!r}")
+        return value
+    return number
 
 
 def _grid_arg(text: str) -> tuple[int, int]:
@@ -95,12 +108,12 @@ def _expect_arg(spec: str) -> tuple[str, float, float]:
         key, rest = spec.split("=", 1)
         value, tol = rest.split(":", 1)
         key, value, tol = key.strip(), float(value), float(tol)
-        if key not in ("flops", "params") or not value > 0:  # a tolerance is relative to value
-            raise ValueError(key)
+        if key not in ("flops", "params") or not (0 < value < np.inf and 0 <= tol < np.inf):
+            raise ValueError(key)  # a tolerance is relative to value
         return key, value, tol
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"bad expectation {spec!r}, want flops|params=value:tolerance with value > 0 (e.g. flops=3.2e9:0.10)"
+            f"bad expectation {spec!r}, want flops|params=value:tolerance, finite, value > 0, tolerance >= 0 (e.g. flops=3.2e9:0.10)"
         ) from exc
 
 
@@ -435,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed")
     p.add_argument("--cases", type=_positive_int, default=30)
     p.add_argument("--budget", type=_positive_int, default=6, help="probed elements per parameter")
-    p.add_argument("--tol", type=float, default=GRAD_TOL)
+    p.add_argument("--tol", type=_number(lambda v: v > 0, "> 0"), default=GRAD_TOL)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)  # harness self-test
     p.set_defaults(fn=cmd_gradcheck)
 
@@ -447,21 +460,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=int, default=2)
     p.add_argument("--dk", type=int, default=24)
     p.add_argument("--reps", type=_positive_int, default=5)
-    p.add_argument("--warmup", type=int, default=1)
+    p.add_argument("--warmup", type=_count, default=1)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train", help="SGD training on synthetic data")
     _add_flags(p, "--seed", "--dtype", "--config")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS), default=None)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_count, default=200)
     p.add_argument("--batch", type=_positive_int, default=16)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    p.add_argument("--lr", type=_number(lambda v: v > 0, "> 0"), default=0.01)
+    p.add_argument("--weight-decay", type=_number(lambda v: v >= 0, ">= 0"), default=1e-4)
     p.add_argument("--classes", type=_positive_int, default=None)
     p.add_argument("--count", type=_positive_int, default=64, help="synthetic dataset size")
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--data", default=None, help="directory from gen-data")
-    p.add_argument("--min-acc", type=float, default=0.95)
+    p.add_argument("--min-acc", type=_number(lambda v: 0 <= v <= 1, "in [0, 1]"), default=0.95)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("attnstats", help="locality/sparsity metrics of attention maps")
@@ -470,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=None, help="H,W of the query grid")
     p.add_argument("--checkpoint", default=None, help="model checkpoint to generate maps from")
     p.add_argument("--radii", type=_radii_arg, default="0,1,2,3")
-    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--threshold", type=_number(lambda v: 0 < v < 1, "in (0, 1)"), default=0.01)
     p.set_defaults(fn=cmd_attnstats)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to disk")

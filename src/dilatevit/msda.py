@@ -178,8 +178,9 @@ def transformer_block(
     """CPE + pre-norm attention + pre-norm MLP, all residual. The stage's kind picks
     the attention: 'D' dilated windows, 'G' global. Temporaries are dropped once
     consumed: on a NoRecordTape norm1's output is freed once the fused q|k|v exists,
-    and the MLP is one ``graph.mlp`` node that holds its hidden map one block of
-    token rows at a time."""
+    and the three residual adds go into x's buffer when an earlier op made x (see
+    ``graph.add``). The MLP is one ``graph.mlp`` node that holds its hidden map
+    one block of token rows at a time."""
     if kind not in ("D", "G"):
         raise ConfigError(f"block kind must be 'D' or 'G', got {kind!r}")
 
@@ -192,10 +193,8 @@ def transformer_block(
 
     attention = msda_attention if kind == "D" else mhsa_attention
     attn = attention(g, g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS), spec, params, prefix)
-    y = g.add(attn, x)
-    del attn, x
+    x = g.add(attn, x)
+    del attn
 
-    normed = g.layernorm(y, p("norm2.gamma"), p("norm2.beta"), eps=LN_EPS)
-    mlp = g.mlp(normed, lambda leaf: p(f"mlp.{leaf}"))
-    del normed
-    return g.add(mlp, y)
+    mlp = g.mlp(g.layernorm(x, p("norm2.gamma"), p("norm2.beta"), eps=LN_EPS), lambda leaf: p(f"mlp.{leaf}"))
+    return g.add(mlp, x)

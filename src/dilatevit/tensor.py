@@ -43,11 +43,12 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.matmul(a, b, out=out)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (max-subtraction), in one output-sized buffer."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along ``axis`` (max-subtraction), in one output-sized
+    buffer: ``out`` when given, which may be x itself."""
     if not np.isfinite(x).all():
         raise NumericError("softmax requires finite inputs")
-    e = x - np.max(x, axis=axis, keepdims=True)
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
@@ -59,18 +60,10 @@ def channel_sums(a: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], dtype=a.dtype) @ rows
 
 
-def layernorm_with_state(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """:func:`layernorm` and the state its backward needs: token rows xhat [N, C]
-    normalized to zero mean and unit variance, and their 1/std [N, 1].
-
-    The channel mean is one GEMV against a 1/C vector and the variance one
-    einsum row dot, so no numpy loop runs over a single token's C channels.
-    """
+def _normalized_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """Token rows xhat [N, C] of x at zero mean and unit variance, and their 1/std [N, 1].
+    The channel mean is one GEMV against a 1/C vector and the variance one einsum
+    row dot, so no numpy loop runs over a single token's C channels."""
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layernorm channel mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
@@ -83,19 +76,23 @@ def layernorm_with_state(
     var = np.einsum("ij,ij->i", xhat, xhat) * inv_c[0]
     inv = (1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype)))[:, None]
     xhat *= inv
+    return xhat, inv
+
+
+def layernorm_with_state(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """:func:`layernorm` and the state its backward needs, (xhat, 1/std) of its rows."""
+    xhat, inv = _normalized_rows(x, gamma, beta, eps)
     out = xhat * gamma
     out += beta
     return out.reshape(x.shape), (xhat, inv)
 
 
-def layernorm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Per-token normalization over the last (channel) axis, then affine."""
-    return layernorm_with_state(x, gamma, beta, eps)[0]
+def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Per-token normalization over the last (channel) axis, then affine, in one map-sized buffer."""
+    out = _normalized_rows(x, gamma, beta, eps)[0]
+    out *= gamma
+    out += beta
+    return out.reshape(x.shape)
 
 
 def layernorm_backward(
@@ -148,6 +145,9 @@ IM2COL_BLOCK_BYTES = 1 << 19
 # Bytes of one block's MLP hidden map (512 KB), a constant of its own: the
 # hidden map, its GELU output and scratch stay in a core's 2 MB L2 cache.
 MLP_BLOCK_BYTES = 1 << 19
+# Bytes of logits one group of global-attention heads holds (256 KB): one head at tiny@224
+# stage 3 (2.49 ms; 3.31 ms all at once), all 24 at stage 4 (0.30 ms; 0.75 ms one by one).
+MHSA_GROUP_BYTES = 1 << 18
 
 
 def _horner(t2, coefs, out):

@@ -183,6 +183,22 @@ class TestMemory:
         for node_id, grad in kept.items():
             assert np.array_equal(grad, every[node_id])
 
+    def test_untaped_add_writes_over_an_op_output_and_never_a_leaf(self):
+        rng = np.random.default_rng(4)
+        branch, stream = (rng.standard_normal((3, 4, 5)).astype(np.float32) for _ in range(2))
+        kept = stream.copy()
+        g = graph(NoRecordTape())
+        out = g.add(g.leaf(branch), g.leaf(stream))
+        assert np.array_equal(stream, kept) and not np.shares_memory(out.data, stream)
+        assert np.array_equal(out.data, branch + stream)
+        made = g.gelu(g.leaf(stream))  # an op's output, which the caller gives up
+        expected = branch + made.data
+        out = g.add(g.leaf(branch), made)
+        assert out.data is made.data and np.array_equal(out.data, expected)
+        assert np.array_equal(stream, kept)
+        with pytest.raises(ShapeError, match="add shape"):
+            g.add(g.leaf(branch[:2]), g.gelu(g.leaf(stream)))
+
     def test_fresh_parameter_allocates_its_gradient_on_first_read(self):
         value = np.ones((256, 256))
         p, made = traced_peak(lambda: Parameter("p", value))

@@ -69,6 +69,16 @@ def test_a_count_below_one_is_a_usage_error(argv, tmp_path, monkeypatch, capsys)
     ["flops", "--expect", "flops=0:0.1"],
     ["flops", "--expect", "params=-17e6:0.05"],
     ["flops", "--expect", "flops=nan:0.1"],
+    ["flops", "--expect", "params=inf:0.1"],
+    ["flops", "--expect", "params=17e6:-0.5"],
+    ["train", "--steps", "-1", "--count", "8"],
+    ["bench", "--warmup", "-1", "--sizes", "8"],
+    ["train", "--lr", "nan", "--steps", "1", "--count", "8"],
+    ["train", "--lr", "0", "--steps", "1", "--count", "8"],
+    ["train", "--weight-decay", "nan", "--steps", "1", "--count", "8"],
+    ["train", "--min-acc", "2", "--steps", "1", "--count", "8"],
+    ["gradcheck", "--tol", "nan"],
+    ["attnstats", "--threshold", "2"],
 ])
 def test_a_malformed_value_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -77,7 +87,7 @@ def test_a_malformed_value_is_a_usage_error(argv, tmp_path, monkeypatch, capsys)
     with pytest.raises(SystemExit) as exc:
         run(argv + (["--input", str(matrix)] if argv[0] == "attnstats" else []))
     err = capsys.readouterr().err
-    assert exc.value.code == 2 and "error: argument" in err and "Traceback" not in err
+    assert exc.value.code == 2 and f"error: argument {argv[1]}" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [matrix]
 
 

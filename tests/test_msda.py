@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dilatevit.autograd import NoRecordTape, Parameter, Tape, finite_diff_check, graph
+from dilatevit import tensor as T
+from dilatevit.autograd import NoRecordTape, Parameter, Tape, backward, finite_diff_check, graph
 from dilatevit.errors import ConfigError, ContractError, ShapeError
 from dilatevit.msda import (
     MsdaBlockSpec,
@@ -161,6 +162,33 @@ class TestMsdaAttention:
         taped = graph(Tape())
         assert np.array_equal(out.data, taped.swda(taped.leaf(qkv), cfgs).data)
 
+    def test_swda_over_an_op_output_writes_the_heads_over_their_q_channels(self):
+        rng = np.random.default_rng(5)
+        cfgs = tuple(SwdaConfig(w=3, r=r, d_k=24) for r in (1, 2, 3))
+        x = rng.standard_normal((56, 56, 72)).astype(np.float32)
+        weight = (0.2 * rng.standard_normal((72, 216))).astype(np.float32)
+        g = graph(NoRecordTape())
+        qkv = g.linear(g.leaf(x), g.leaf(weight))  # an op's output, given up to swda
+        head = qkv.data[..., :24].nbytes
+        taped = graph(Tape())
+        expected = taped.swda(taped.leaf(qkv.data.copy()), cfgs).data
+        out, peak = traced_peak(lambda: g.swda(qkv, cfgs))
+        # As the leaf case above, less the output: it is a [56, 56, 72] view of q|k|v.
+        assert peak <= 4 * head, peak / head
+        assert np.shares_memory(out.data, qkv.data) and np.array_equal(out.data, expected)
+
+    def test_swda_and_add_leave_a_leaf_untouched(self):
+        rng = np.random.default_rng(6)
+        spec = MsdaBlockSpec(dim=12, n_heads=3, dilation_rates=(1, 2, 3))
+        params = make_block_params(spec, "b", rng, dtype=np.float32)
+        cfgs = tuple(spec.head_cfg(i) for i in range(3))
+        qkv, x = rng.standard_normal((6, 5, 36)).astype(np.float32), rng.standard_normal((6, 5, 12)).astype(np.float32)
+        kept = qkv.copy(), x.copy()
+        g = graph(NoRecordTape())
+        g.swda(g.leaf(qkv), cfgs)
+        transformer_block(g, g.leaf(x), spec, params, "b")
+        assert np.array_equal(qkv, kept[0]) and np.array_equal(x, kept[1])
+
     def test_swda_rejects_channels_that_do_not_fill_the_heads(self):
         cfgs = (SwdaConfig(w=3, r=1, d_k=4),) * 2
         g = graph(Tape())
@@ -190,6 +218,34 @@ class TestMsdaAttention:
 
 
 class TestMhsaAttention:
+    @pytest.mark.parametrize("lead", [(), (2,), (0,)])
+    @pytest.mark.parametrize("tape", [Tape, NoRecordTape])
+    def test_head_groups_give_the_bits_of_one_group(self, tape, lead, monkeypatch):
+        """Outputs, each head's sunk weights and gradients, with 1, 2 or all 4 heads a group
+        (an empty batch has no logits to budget)."""
+        rng = np.random.default_rng(9)
+        qkv = rng.standard_normal(lead + (5, 4, 36))
+        w = rng.standard_normal(lead + (5, 4, 12))
+        head_bytes = math.prod(lead) * 20 * 20 * qkv.itemsize
+
+        def run(group_bytes):
+            monkeypatch.setattr(T, "MHSA_GROUP_BYTES", group_bytes)
+            sink = [] if not lead else None
+            g = graph(tape(), attn_sink=sink)
+            x = g.leaf(qkv)
+            out = g.mhsa(x, 4, layer="m")
+            grad = backward(g.tape, g.sum_all(g.mul(out, g.leaf(w))))[x.id] if g.recording else None
+            return out.data, sink or [], grad
+
+        reference = run(1 << 30)
+        assert len(reference[1]) == (0 if lead else 4)
+        for group_bytes in (head_bytes, 2 * head_bytes + 1):
+            out, sink, grad = run(group_bytes)
+            assert np.array_equal(out, reference[0]) and np.array_equal(grad, reference[2])
+            assert [layer for layer, _, _ in sink] == [layer for layer, _, _ in reference[1]]
+            for (_, _, weights), (_, _, expected) in zip(sink, reference[1]):
+                assert np.array_equal(weights, expected)
+
     def test_single_token(self):
         rng = np.random.default_rng(4)
         spec = MsdaBlockSpec(dim=6, n_heads=2, dilation_rates=(1,))

@@ -430,6 +430,15 @@ class TestLayernorm:
         out = T.layernorm(x[None], np.ones(11), np.zeros(11))[0]
         assert np.abs(out - expected).max() < 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_buffer_form_is_the_stateful_one(self, dtype):
+        rng = np.random.default_rng(11)
+        x, gamma, beta = (rng.standard_normal(shape).astype(dtype) for shape in ((2, 5, 7, 24), (24,), (24,)))
+        kept = x.copy()
+        out = T.layernorm(x, gamma, beta)
+        assert np.array_equal(out, T.layernorm_with_state(x, gamma, beta)[0]) and out.dtype == dtype
+        assert np.array_equal(x, kept)
+
     def test_normalized_moments(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((4, 4, 16)) * 3 + 2
