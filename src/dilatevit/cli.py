@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dft1, metrics, model as model_mod, profiler, train as train_mod
 from .data import MAX_CLASSES, DatasetSpec, make_dataset
-from .errors import ConfigError, DilateVitError
+from .errors import ConfigError, DilateVitError, FormatError
 from .gradsuite import GRAD_TOL, run_gradient_suite
 from .msda import MsdaBlockSpec
 from .swda import SwdaConfig, swda_forward, swda_forward_naive
@@ -153,7 +153,7 @@ def cmd_flops(args) -> int:
     status = EXIT_OK
     for key, value, tol in args.expect or []:
         if key == "flops":
-            actual = report.headline_flops(flops_per_mac=args.flops_per_mac)
+            actual = report.total_macs * args.flops_per_mac
         else:
             actual = report.total_params
         ok = abs(actual - value) <= tol * value
@@ -260,12 +260,20 @@ def cmd_bench(args) -> int:
 
 
 def _load_dataset_dir(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The images and labels gen-data wrote to ``path``; a file that cannot be read,
+    a row without an integer label or a label count unlike the image count is a FormatError."""
     images = dft1.read_tensor(os.path.join(path, "images.dft1"))
-    labels = []
-    with open(os.path.join(path, "labels.csv"), "r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            labels.append(int(row["label"]))
-    return images, np.asarray(labels, dtype=np.int64)
+    labels_path = os.path.join(path, "labels.csv")
+    try:
+        with open(labels_path, "r", encoding="utf-8") as fh:
+            labels = np.asarray([int(row["label"]) for row in csv.DictReader(fh)], dtype=np.int64)
+    except OSError as exc:
+        raise FormatError(f"cannot read {labels_path}: {exc.strerror}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # also a file that is not UTF-8
+        raise FormatError(f"{labels_path}: every row needs an integer label: {exc}") from exc
+    if len(labels) != len(images):
+        raise FormatError(f"{labels_path} holds {len(labels)} labels for {len(images)} images")
+    return images, labels
 
 
 def cmd_train(args) -> int:
@@ -497,9 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except DilateVitError as exc:

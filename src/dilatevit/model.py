@@ -14,6 +14,7 @@ checker all agree on naming.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import shutil
@@ -30,6 +31,7 @@ from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, param_node, transfo
 from .tensor import DTYPE_NAMES, DTYPES
 
 CONFIG_FORMAT_VERSION = "1"
+TOKENIZER_STRIDES = (2, 1, 2, 1)  # of its four 3x3 convs
 
 
 def _integers(what: str, *values) -> None:
@@ -110,9 +112,8 @@ class ModelConfig:
     def block_pattern(self) -> str:
         return "".join(s.kind for s in self.stages)
 
-    def stage_resolution(self, stage_index: int, input_size: int | None = None) -> int:
-        size = input_size or self.input_size
-        return size // 4 // (2**stage_index)
+    def stage_resolution(self, stage_index: int) -> int:
+        return self.input_size // math.prod(TOKENIZER_STRIDES) // (2**stage_index)
 
     def block_spec(self, stage_index: int) -> MsdaBlockSpec:
         stage = self.stages[stage_index]
@@ -277,7 +278,7 @@ def validate_params(config: ModelConfig, params: dict[str, Parameter]) -> None:
 
 
 def tokenize(g: graph, image: Node, config: ModelConfig, params) -> Node:
-    """Four overlapping 3x3 convs with strides 2,1,2,1; norm+GELU after all but the last."""
+    """Four overlapping 3x3 convs with TOKENIZER_STRIDES; norm+GELU after all but the last."""
     if image.data.shape[-3] % 4 != 0 or image.data.shape[-2] % 4 != 0:
         raise ConfigError(f"tokenizer needs extents divisible by 4, got {image.data.shape}")
 
@@ -285,9 +286,8 @@ def tokenize(g: graph, image: Node, config: ModelConfig, params) -> Node:
         return param_node(g, params, f"tokenizer.{leaf}")
 
     x = image
-    strides = (2, 1, 2, 1)
-    for i in range(4):
-        x = g.conv2d(x, p(f"conv{i + 1}.weight"), p(f"conv{i + 1}.bias"), stride=strides[i], zero_pad=1)
+    for i, stride in enumerate(TOKENIZER_STRIDES):
+        x = g.conv2d(x, p(f"conv{i + 1}.weight"), p(f"conv{i + 1}.bias"), stride=stride, zero_pad=1)
         if i < 3:
             x = g.layernorm(x, p(f"norm{i + 1}.gamma"), p(f"norm{i + 1}.beta"), eps=LN_EPS)
             x = g.gelu(x)

@@ -2,11 +2,13 @@
 
 Counting convention
 -------------------
-``macs`` is the number of multiply-accumulate operations in convolutions,
-linear projections and attention matmuls (windowed attention costs
-``2*N*w^2*d_k`` MACs per head, global attention ``2*N^2*d_k``). The headline
-number reported against published complexity tables is the MAC count itself
-(1 MAC = 1 FLOP, the convention of the usual ViT profilers); a doubled
+``macs`` counts the multiply-accumulates of convolutions, linear projections
+and attention matmuls. A weighted row costs its output positions times the
+elements of the ``.weight`` tensors under its path in ``parameter_shapes``
+(the rule the kernels' ``add_macs`` calls follow); its params are every
+tensor under that path. Windowed attention costs ``2*N*w^2*d_k`` MACs per
+head, global attention ``2*N^2*d_k``. The headline number is the MAC count
+itself (1 MAC = 1 FLOP, the convention of the usual ViT profilers); a doubled
 count (1 MAC = 2 FLOPs) is always carried alongside as ``flops_total``.
 
 Normalization, softmax, GELU and pooling are itemized per row in an
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError
-from .model import ModelConfig, parameter_shapes
+from .model import TOKENIZER_STRIDES, ModelConfig, build_from_pattern, parameter_shapes
 
 NORM_OPS_PER_ELT = 8
 GELU_OPS_PER_ELT = 14
@@ -45,7 +48,6 @@ class CostReport:
     model: str
     input_size: int
     rows: list[CostRow]
-    convention: str = "headline counts multiply-accumulates (1 MAC = 1 FLOP)"
 
     @property
     def total_params(self) -> int:
@@ -59,16 +61,11 @@ class CostReport:
     def total_elementwise(self) -> int:
         return sum(r.elementwise for r in self.rows)
 
-    def headline_flops(self, flops_per_mac: int = 1) -> int:
-        return self.total_macs * flops_per_mac
-
-    def attention_rows(self) -> list[CostRow]:
-        return [r for r in self.rows if r.name.endswith(".attn")]
-
     def to_text(self) -> str:
         width = max(len(r.name) for r in self.rows) + 2
         lines = [
-            f"model {self.model} @ {self.input_size}x{self.input_size}  ({self.convention})",
+            f"model {self.model} @ {self.input_size}x{self.input_size}  "
+            "(headline counts multiply-accumulates (1 MAC = 1 FLOP))",
             f"{'module'.ljust(width)}{'params':>12}{'macs':>16}{'elementwise':>14}",
         ]
         for r in self.rows:
@@ -95,107 +92,60 @@ class CostReport:
         return buf.getvalue()
 
 
-def _conv_macs(h_out: int, w_out: int, kernel_cin: int, cout: int, k: int) -> int:
-    """MACs of a k x k conv whose kernel reads ``kernel_cin`` channels per output: 1 if depth-wise."""
-    return h_out * w_out * cout * k * k * kernel_cin
-
-
 def count_model(config: ModelConfig, input_size: int | None = None) -> CostReport:
     """Per-module cost rows for a config, without running the network."""
-    size = input_size or config.input_size
-    if size % 32 != 0:
-        raise ConfigError(f"input size must be divisible by 32, got {size}")
-    shapes = parameter_shapes(config)
-
-    def params_under(prefix: str) -> int:
-        dot = prefix + "."
-        total = 0
-        for name, shape in shapes.items():
-            if name.startswith(dot):
-                n = 1
-                for extent in shape:
-                    n *= extent
-                total += n
-        return total
+    if input_size:
+        config = replace(config, input_size=input_size)  # ModelConfig checks the size
+    params: Counter[str] = Counter()  # elements of every tensor under a path
+    weights: Counter[str] = Counter()  # elements of the .weight tensors under a path
+    for name, shape in parameter_shapes(config).items():
+        parts, size = name.split("."), math.prod(shape)
+        for i in range(1, len(parts)):
+            path = ".".join(parts[:i])
+            params[path] += size
+            if parts[-1] == "weight":
+                weights[path] += size
 
     rows: list[CostRow] = []
-    tc = config.tokenizer_channels
-    chans = [config.in_channels, *tc]
-    res = size
-    strides = (2, 1, 2, 1)
-    for i in range(4):
-        res = res // strides[i]
-        rows.append(
-            CostRow(
-                f"tokenizer.conv{i + 1}",
-                params_under(f"tokenizer.conv{i + 1}"),
-                _conv_macs(res, res, chans[i], chans[i + 1], 3),
-            )
-        )
-        if i < 3:
-            elems = res * res * chans[i + 1]
-            rows.append(
-                CostRow(
-                    f"tokenizer.norm{i + 1}",
-                    params_under(f"tokenizer.norm{i + 1}"),
-                    0,
-                    NORM_OPS_PER_ELT * elems,
-                )
-            )
-            rows.append(CostRow(f"tokenizer.act{i + 1}", 0, 0, GELU_OPS_PER_ELT * elems))
+
+    def row(path: str, positions: int, elementwise: int = 0) -> None:
+        rows.append(CostRow(path, params[path], positions * weights[path], elementwise))
+
+    res = config.input_size
+    for i, (stride, c) in enumerate(zip(TOKENIZER_STRIDES, config.tokenizer_channels), start=1):
+        res //= stride
+        row(f"tokenizer.conv{i}", res * res)
+        if i < 4:
+            row(f"tokenizer.norm{i}", res * res, NORM_OPS_PER_ELT * res * res * c)
+            row(f"tokenizer.act{i}", res * res, GELU_OPS_PER_ELT * res * res * c)
 
     for s, stage in enumerate(config.stages, start=1):
-        spec = config.block_spec(s - 1)
-        res = config.stage_resolution(s - 1, size)
-        n = res * res
+        n = config.stage_resolution(s - 1) ** 2
         d = stage.dim
-        hidden = config.mlp_ratio * d
-        if stage.kind == "D":
-            attn_macs = 2 * n * spec.kernel_w * spec.kernel_w * d
-            softmax_elems = stage.n_heads * n * spec.kernel_w * spec.kernel_w
-        else:
-            attn_macs = 2 * n * n * d
-            softmax_elems = stage.n_heads * n * n
+        keys = stage.kernel_w**2 if stage.kind == "D" else n
         for b in range(stage.depth):
             pfx = f"stage{s}.block{b}"
-            rows.append(CostRow(f"{pfx}.cpe", params_under(f"{pfx}.cpe"), _conv_macs(res, res, 1, d, 3)))
-            rows.append(CostRow(f"{pfx}.norm1", params_under(f"{pfx}.norm1"), 0, NORM_OPS_PER_ELT * n * d))
-            rows.append(CostRow(f"{pfx}.qkv", params_under(f"{pfx}.qkv"), n * d * 3 * d))
-            rows.append(CostRow(f"{pfx}.attn", 0, attn_macs, SOFTMAX_OPS_PER_ELT * softmax_elems))
-            rows.append(CostRow(f"{pfx}.proj", params_under(f"{pfx}.proj"), n * d * d))
-            rows.append(CostRow(f"{pfx}.norm2", params_under(f"{pfx}.norm2"), 0, NORM_OPS_PER_ELT * n * d))
-            rows.append(
-                CostRow(
-                    f"{pfx}.mlp",
-                    params_under(f"{pfx}.mlp"),
-                    2 * n * d * hidden,
-                    GELU_OPS_PER_ELT * n * hidden,
-                )
-            )
+            row(f"{pfx}.cpe", n)
+            row(f"{pfx}.norm1", n, NORM_OPS_PER_ELT * n * d)
+            row(f"{pfx}.qkv", n)
+            rows.append(CostRow(f"{pfx}.attn", 0, 2 * n * keys * d, SOFTMAX_OPS_PER_ELT * stage.n_heads * n * keys))
+            row(f"{pfx}.proj", n)
+            row(f"{pfx}.norm2", n, NORM_OPS_PER_ELT * n * d)
+            row(f"{pfx}.mlp", n, GELU_OPS_PER_ELT * n * config.mlp_ratio * d)
         if s < 4:
-            out_res = res // 2
-            rows.append(
-                CostRow(
-                    f"downsample{s}",
-                    params_under(f"downsample{s}"),
-                    _conv_macs(out_res, out_res, d, config.stages[s].dim, 3),
-                )
-            )
+            row(f"downsample{s}", config.stage_resolution(s) ** 2)
 
-    d4 = config.stages[3].dim
-    final_res = config.stage_resolution(3, size)
-    rows.append(CostRow("head.norm", params_under("head.norm"), 0, NORM_OPS_PER_ELT * final_res * final_res * d4))
-    rows.append(CostRow("head.pool", 0, 0, POOL_OPS_PER_ELT * final_res * final_res * d4))
-    rows.append(CostRow("head.fc", params_under("head.fc"), d4 * config.num_classes))
-    return CostReport(model=config.name, input_size=size, rows=rows)
+    n, d = config.stage_resolution(3) ** 2, config.stages[3].dim
+    row("head.norm", n, NORM_OPS_PER_ELT * n * d)
+    row("head.pool", n, POOL_OPS_PER_ELT * n * d)
+    row("head.fc", 1)
+    return CostReport(model=config.name, input_size=config.input_size, rows=rows)
 
 
 def count_pattern_suite(
     base_config: ModelConfig, patterns: list[str], input_size: int | None = None
 ) -> list[tuple[str, CostReport]]:
     """One report per D/G stage pattern applied to a base config."""
-    from .model import build_from_pattern
-
     return [
         (pattern, count_model(build_from_pattern(pattern, base_config), input_size))
         for pattern in patterns

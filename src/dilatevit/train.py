@@ -30,7 +30,6 @@ class TrainResult:
     params: dict[str, Parameter]
     log: list[TrainLogRow] = field(default_factory=list)
     final_accuracy: float = 0.0
-    final_loss: float = 0.0
 
 
 def batch_loss(
@@ -111,6 +110,4 @@ def train(
             window = []
 
     result.final_accuracy = accuracy(config, params, images, labels, batch_size)
-    if result.log:
-        result.final_loss = result.log[-1].loss
     return result

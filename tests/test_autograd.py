@@ -20,7 +20,7 @@ from dilatevit.autograd import (
     sgd_step,
     zero_grads,
 )
-from dilatevit.errors import ContractError, DeterminismError, NumericError, ShapeError
+from dilatevit.errors import ContractError, DeterminismError, NumericError, ShapeError, ValidationError
 from dilatevit.swda import SwdaConfig
 from tests_common import traced_peak
 
@@ -259,6 +259,12 @@ class TestBatchAxis:
         g = graph(Tape())
         with pytest.raises(NumericError, match="loss"), np.errstate(invalid="ignore"):
             g.softmax_cross_entropy(g.leaf(z), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("labels", [[0, 1.0, 2], [0, 4, 1], [-1, 0, 1]])
+    def test_cross_entropy_takes_integer_labels_below_k(self, labels):
+        g = graph(Tape())
+        with pytest.raises(ValidationError, match="labels"):
+            g.softmax_cross_entropy(g.leaf(np.zeros((3, 4))), np.array(labels))
 
     def test_cross_entropy_needs_one_label_per_row(self):
         g = graph(Tape())

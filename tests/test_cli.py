@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dilatevit import cli, dft1, model
+from dilatevit.profiler import count_model
 from tests_common import (
     BROKEN_CONFIGS,
     BROKEN_MANIFESTS,
@@ -204,6 +205,12 @@ class TestFlops:
             )
             capsys.readouterr()
 
+    def test_flops_per_mac_scales_the_checked_count(self, capsys):
+        flops = 2 * count_model(model.toy()).total_macs
+        for per_mac, code in ((2, 0), (1, 1)):
+            argv = ["flops", "--preset", "toy", "--flops-per-mac", str(per_mac), "--expect", f"flops={flops}:0"]
+            assert run(argv) == code
+
     def test_byte_identical_across_threads(self, tmp_path):
         paths = []
         for i, threads in enumerate(("1", "8")):
@@ -399,6 +406,35 @@ class TestGenData:
             )
             == 0
         )
+
+
+# How each broken labels.csv is made from the lines gen-data wrote; None removes the file.
+BROKEN_LABELS = {
+    "missing": None,
+    "no_label_column": lambda lines: ["index,class", *lines[1:]],
+    "short_row": lambda lines: [lines[0], "0", *lines[2:]],
+    "fractional_label": lambda lines: [lines[0], "0,1.5", *lines[2:]],
+    "fewer_labels_than_images": lambda lines: lines[:9],
+    "more_labels_than_images": lambda lines: [*lines, "16,0", "17,1"],
+    "label_of_a_class_the_model_lacks": lambda lines: [lines[0], "0,4", *lines[2:]],
+    "negative_label": lambda lines: [lines[0], "0,-1", *lines[2:]],
+}
+
+
+@pytest.mark.parametrize("how", sorted(BROKEN_LABELS))
+def test_train_on_a_broken_dataset_exits_1_without_traceback(how, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["gen-data", "--classes", "4", "--count", "16", "--out", str(data)]) == 0
+    labels = data / "labels.csv"
+    if BROKEN_LABELS[how] is None:
+        labels.unlink()
+    else:
+        labels.write_text("\n".join(BROKEN_LABELS[how](labels.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    argv = ["train", "--data", str(data), "--steps", "1", "--batch", "16", "--min-acc", "0", "--out", str(out)]
+    assert run(argv) == 1  # toy has 4 classes; one batch holds every label
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and not out.exists()
 
 
 class TestAttnstats:
