@@ -4,7 +4,8 @@ Nodes are appended in creation order, which is already a topological order,
 so backward is a single reverse sweep. Each op stores a closure that maps the
 incoming gradient to per-parent gradients; gradient accumulation follows node
 order, so two backward passes from the same forward state are bit-identical.
-The sweep frees inner gradients as it goes and returns leaf and parameter ones.
+The sweep frees inner gradients as it goes and returns leaf and parameter ones,
+which :func:`accumulate_param_grads` adopts, so a step holds each gradient once.
 A :class:`NoRecordTape` runs the same ops for inference and keeps nothing.
 """
 
@@ -48,7 +49,8 @@ class Node:
 
 
 class Parameter:
-    """A named trainable tensor whose gradient buffer is allocated, as zeros, on first read."""
+    """A named trainable tensor and its gradient, which :func:`zero_grads` drops and
+    :func:`accumulate_param_grads` adopts from backward; read while dropped, it becomes zeros."""
 
     def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
         self.name, self.value, self._grad = name, value, None
@@ -63,9 +65,9 @@ class Parameter:
 
     @grad.setter
     def grad(self, grad: np.ndarray) -> None:
-        if grad.shape != self.value.shape:
+        if grad.shape != self.value.shape or grad.dtype != self.value.dtype:
             raise ShapeError(
-                f"parameter {self.name}: grad shape {grad.shape} != value shape {self.value.shape}"
+                f"parameter {self.name}: grad shape {grad.shape} {grad.dtype} != value {self.value.shape} {self.value.dtype}"
             )
         self._grad = grad
 
@@ -127,16 +129,23 @@ def backward(tape: Tape, loss: Node) -> dict[int, np.ndarray]:
 
 
 def accumulate_param_grads(tape: Tape, grads: dict[int, np.ndarray]) -> None:
-    """Add node gradients into the bound Parameters; unreachable ones stay put."""
+    """Add node gradients into the bound Parameters; unreachable ones stay put. A dropped
+    gradient adopts its node's array, or a copy if another parameter holds it (``graph.add``
+    gives both parents one); a held one is summed out of place, so ``grads`` is not written."""
+    adopted = set()  # ids of the arrays in grads that a parameter holds
     for node_id, param in tape.param_nodes.items():
         g = grads.get(node_id)
-        if g is not None:
-            param.grad += g
+        if g is not None and param._grad is not None:
+            param.grad = param._grad + g
+        elif g is not None:
+            param.grad = g.copy() if id(g) in adopted else g
+            adopted.add(id(g))
 
 
 def zero_grads(params) -> None:
+    """Drops each parameter's gradient, which then reads as zeros until a backward's is adopted."""
     for p in _iter_params(params):
-        p.grad[...] = 0.0
+        p._grad = None
 
 
 def sgd_step(params, lr: float, weight_decay: float = 0.0) -> None:

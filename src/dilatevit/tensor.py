@@ -61,9 +61,9 @@ def channel_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _normalized_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    """Token rows xhat [N, C] of x at zero mean and unit variance, and their 1/std [N, 1].
-    The channel mean is one GEMV against a 1/C vector and the variance one einsum
-    row dot, so no numpy loop runs over a single token's C channels."""
+    """Token rows xhat [N, C] of x at zero mean and unit variance, their mean and their
+    1/std [N, 1]. The channel mean is one GEMV against a 1/C vector and the variance one
+    einsum row dot, so no numpy loop runs over a single token's C channels."""
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layernorm channel mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
@@ -72,44 +72,46 @@ def _normalized_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: fl
         raise ValueError(f"layernorm eps must be > 0, got {eps}")
     rows = x.reshape(-1, x.shape[-1])
     inv_c = np.full(rows.shape[1], 1.0 / rows.shape[1], dtype=x.dtype)
-    xhat = rows - (rows @ inv_c)[:, None]
+    mean = (rows @ inv_c)[:, None]
+    xhat = rows - mean
     var = np.einsum("ij,ij->i", xhat, xhat) * inv_c[0]
     inv = (1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype)))[:, None]
     xhat *= inv
-    return xhat, inv
+    return xhat, mean, inv
 
 
 def layernorm_with_state(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
-    """:func:`layernorm` and the state its backward needs, (xhat, 1/std) of its rows."""
-    xhat, inv = _normalized_rows(x, gamma, beta, eps)
-    out = xhat * gamma
-    out += beta
-    return out.reshape(x.shape), (xhat, inv)
+    """:func:`layernorm` and the state its backward needs: x itself and the mean and
+    1/std [N, 1] of its rows, so a tape that keeps x keeps no map more."""
+    xhat, mean, inv = _normalized_rows(x, gamma, beta, eps)
+    xhat *= gamma
+    xhat += beta
+    return xhat.reshape(x.shape), (x, mean, inv)
 
 
 def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Per-token normalization over the last (channel) axis, then affine, in one map-sized buffer."""
-    out = _normalized_rows(x, gamma, beta, eps)[0]
-    out *= gamma
-    out += beta
-    return out.reshape(x.shape)
+    return layernorm_with_state(x, gamma, beta, eps)[0]
 
 
 def layernorm_backward(
-    grad_out: np.ndarray, state: tuple[np.ndarray, np.ndarray], gamma: np.ndarray
+    grad_out: np.ndarray, state: tuple[np.ndarray, np.ndarray, np.ndarray], gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of :func:`layernorm` w.r.t. x, gamma and beta, from its forward state."""
-    xhat, inv = state
+    """Gradients of :func:`layernorm` w.r.t. x, gamma and beta, from its forward state, in two
+    map-sized buffers; the normalized rows are rebuilt bit for bit by the forward's own ops."""
+    x, mean, inv = state
+    xhat = x.reshape(-1, x.shape[-1]) - mean
+    xhat *= inv
     g = grad_out.reshape(xhat.shape)
     inv_c = np.full(xhat.shape[1], 1.0 / xhat.shape[1], dtype=xhat.dtype)
-    gx = g * gamma
+    gx = g * xhat
+    grad_gamma = channel_sums(gx)
+    np.multiply(g, gamma, out=gx)
     mean_g = (gx @ inv_c)[:, None]
     mean_gx = (np.einsum("ij,ij->i", gx, xhat) * inv_c[0])[:, None]
-    scratch = g * xhat
-    grad_gamma = channel_sums(scratch)
-    np.multiply(xhat, mean_gx, out=scratch)
+    xhat *= mean_gx
     gx -= mean_g
-    gx -= scratch
+    gx -= xhat
     gx *= inv
     return gx.reshape(grad_out.shape), grad_gamma, channel_sums(g)
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import model as model_mod
 from .autograd import NoRecordTape, Parameter, Tape, accumulate_param_grads, backward, graph, sgd_step, zero_grads
 from .data import DatasetSpec, make_dataset
+from .errors import ValidationError
 from .model import ModelConfig
 
 
@@ -68,9 +69,12 @@ def train(
     dtype=np.float32,
 ) -> TrainResult:
     """``steps`` SGD steps at a learning rate decayed linearly from ``lr`` towards 0,
-    on ``images``/``labels`` or, if none are given, 64 blobs drawn from ``seed``."""
+    on ``images``/``labels`` or, if none are given, 64 blobs drawn from ``seed``. A label
+    outside [0, num_classes) is a ValidationError before the first step."""
     if images is None:
         images, labels = make_dataset(64, DatasetSpec(classes=config.num_classes, size=config.input_size), seed=seed)
+    if labels.size and not 0 <= labels.min() <= labels.max() < config.num_classes:
+        raise ValidationError(f"labels must lie in [0, {config.num_classes}), got {labels.min()} to {labels.max()}")
     images = images.astype(dtype, copy=False)
     params = model_mod.init_params(config, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 1)

@@ -10,6 +10,7 @@ import numpy as np
 
 from dilatevit.model import ModelConfig
 from dilatevit.swda import SwdaConfig, dilated_indices
+from dilatevit.tensor import channel_sums
 
 
 def dense_window_oracle(q, k, v, cfg: SwdaConfig):
@@ -107,3 +108,22 @@ def param_count_breakdown(config: ModelConfig) -> dict[str, int]:
 def param_count_oracle(config: ModelConfig) -> int:
     """Total of :func:`param_count_breakdown`."""
     return sum(param_count_breakdown(config).values())
+
+
+def layernorm_backward_stored_xhat(grad_out, state, gamma):
+    """Gradients of tensor.layernorm w.r.t. x, gamma and beta from a state that stores the
+    normalized rows, (xhat [N, C], 1/std [N, 1]), in the same ops and order, so a
+    backward that rebuilds xhat from x must match it bit for bit."""
+    xhat, inv = state
+    g = grad_out.reshape(xhat.shape)
+    inv_c = np.full(xhat.shape[1], 1.0 / xhat.shape[1], dtype=xhat.dtype)
+    gx = g * gamma
+    mean_g = (gx @ inv_c)[:, None]
+    mean_gx = (np.einsum("ij,ij->i", gx, xhat) * inv_c[0])[:, None]
+    scratch = g * xhat
+    grad_gamma = channel_sums(scratch)
+    np.multiply(xhat, mean_gx, out=scratch)
+    gx -= mean_g
+    gx -= scratch
+    gx *= inv
+    return gx.reshape(grad_out.shape), grad_gamma, channel_sums(g)

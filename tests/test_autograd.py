@@ -217,6 +217,66 @@ class TestMemory:
             Parameter("q", np.ones(3), np.zeros(2))
         assert np.array_equal(Parameter("r", np.ones(3), np.full(3, 5.0)).grad, np.full(3, 5.0))
 
+    def test_gradient_assignment_checks_the_dtype(self):
+        p = Parameter("p", np.ones(3, dtype=np.float32))
+        with pytest.raises(ShapeError, match="float64 != value"):
+            p.grad = np.ones(3)
+        with pytest.raises(ShapeError, match="float64 != value"):
+            Parameter("q", np.ones(3, dtype=np.float32), np.ones(3))
+        # An adopted float64 gradient of a float32 parameter obeys the same rule.
+        g = graph(Tape())
+        loss = g.sum_all(g.mul(g.param(p), g.leaf(np.full(3, 2.0))))
+        zero_grads([p])
+        with pytest.raises(ShapeError, match="float64 != value"):
+            accumulate_param_grads(g.tape, backward(g.tape, loss))
+
+
+class TestGradientOwnership:
+    """accumulate_param_grads adopts the arrays backward returns and never writes them."""
+
+    def test_a_parameter_used_once_holds_the_array_backward_returned(self):
+        p = Parameter("p", np.array([0.5, -1.0, 2.0]))
+        g = graph(Tape())
+        node = g.param(p)
+        loss = g.sum_all(g.gelu(node))
+        grads = backward(g.tape, loss)
+        zero_grads([p])
+        accumulate_param_grads(g.tape, grads)
+        assert p.grad is grads[node.id]
+
+    def test_two_parameters_of_one_add_hold_distinct_arrays(self):
+        p, q = Parameter("p", np.ones(3)), Parameter("q", np.full(3, 2.0))
+        g = graph(Tape())
+        a, b = g.param(p), g.param(q)
+        loss = g.sum_all(g.add(a, b))
+        grads = backward(g.tape, loss)
+        assert grads[a.id] is grads[b.id]  # add hands both parents one array
+        zero_grads([p, q])
+        accumulate_param_grads(g.tape, grads)
+        assert p.grad is grads[a.id] and not np.shares_memory(p.grad, q.grad)
+        assert np.array_equal(p.grad, np.ones(3)) and np.array_equal(q.grad, np.ones(3))
+
+    def test_a_second_accumulation_sums_without_writing_the_first_arrays(self):
+        p, q = Parameter("p", np.array([0.5, -1.0])), Parameter("q", np.array([3.0, 4.0]))
+        g = graph(Tape())
+        a, b = g.param(p), g.param(q)
+        loss = g.sum_all(g.add(g.mul(a, a), b))
+        first = backward(g.tape, loss)
+        kept = {k: v.copy() for k, v in first.items()}
+        zero_grads([p, q])
+        accumulate_param_grads(g.tape, first)
+        accumulate_param_grads(g.tape, backward(g.tape, loss))
+        assert np.array_equal(p.grad, 2 * kept[a.id]) and np.array_equal(q.grad, 2 * kept[b.id])
+        assert all(np.array_equal(first[k], kept[k]) for k in kept)
+
+    def test_zero_grads_leaves_zeros_to_read(self):
+        p = Parameter("p", np.ones((2, 3), dtype=np.float32))
+        g = graph(Tape())
+        loss = g.sum_all(g.param(p))
+        accumulate_param_grads(g.tape, backward(g.tape, loss))
+        zero_grads([p])
+        assert p.grad.dtype == np.float32 and np.array_equal(p.grad, np.zeros((2, 3)))
+
 
 class TestBatchAxis:
     """Leading axes of pooling and cross-entropy are batch: a per-image loop gives the same."""

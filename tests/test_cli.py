@@ -437,6 +437,20 @@ def test_train_on_a_broken_dataset_exits_1_without_traceback(how, tmp_path, caps
     assert err.startswith("error: ") and "Traceback" not in err and not out.exists()
 
 
+def test_train_rejects_a_label_no_batch_draws(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["gen-data", "--classes", "4", "--count", "32", "--out", str(data)]) == 0
+    labels = data / "labels.csv"
+    lines = labels.read_text().splitlines()
+    labels.write_text("\n".join([*lines[:-1], "31,9"]) + "\n")
+    capsys.readouterr()
+    # Seed 0 draws images 26, 28, 7 and 1 for the one step, never image 31.
+    argv = ["train", "--data", str(data), "--steps", "1", "--batch", "4", "--min-acc", "0", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[0, 4)" in err and "Traceback" not in err and not out.exists()
+
+
 class TestAttnstats:
     def test_identity_fixture(self, tmp_path, capsys):
         path = tmp_path / "eye.dft1"

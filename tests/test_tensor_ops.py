@@ -11,6 +11,7 @@ from scipy.special import erf
 from dilatevit import tensor as T
 from dilatevit.counting import mac_counter
 from dilatevit.errors import NumericError, ShapeError
+from oracles import layernorm_backward_stored_xhat
 from tests_common import traced_peak
 
 
@@ -438,6 +439,27 @@ class TestLayernorm:
         out = T.layernorm(x, gamma, beta)
         assert np.array_equal(out, T.layernorm_with_state(x, gamma, beta)[0]) and out.dtype == dtype
         assert np.array_equal(x, kept)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        lead=st.lists(st.integers(1, 4), max_size=2),
+        c=st.integers(1, 9),
+        zero_gamma=st.lists(st.booleans(), min_size=9, max_size=9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_matches_the_stored_xhat_oracle(self, dtype, lead, c, zero_gamma, seed):
+        rng = np.random.default_rng(seed)
+        x, g = (rng.standard_normal((*lead, c)).astype(dtype) for _ in range(2))
+        gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+        gamma[np.array(zero_gamma[:c])] = 0.0
+        _, state = T.layernorm_with_state(x, gamma, beta)
+        assert state[0] is x  # the tape keeps x already; no map-sized state is added
+        xhat, _, inv = T._normalized_rows(x, gamma, beta, 1e-5)
+        got = T.layernorm_backward(g, state, gamma)
+        want = layernorm_backward_stored_xhat(g, (xhat, inv), gamma)
+        for name, a, b in zip(("x", "gamma", "beta"), got, want):
+            assert a.dtype == dtype and np.array_equal(a, b), name
 
     def test_normalized_moments(self):
         rng = np.random.default_rng(10)
