@@ -213,8 +213,7 @@ class graph:
         return self.tape.record(out, (x, kernel, bias), back)
 
     def layernorm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-        if not self.recording:
-            return self.tape.record(T.layernorm(x.data, gamma.data, beta.data, eps))
+        """T.layernorm on either tape; a NoRecordTape drops the closure and its (x, mean, 1/std)."""
         out, state = T.layernorm_with_state(x.data, gamma.data, beta.data, eps)
         return self.tape.record(
             out, (x, gamma, beta), lambda g: T.layernorm_backward(g, state, gamma.data)
@@ -317,7 +316,7 @@ class graph:
         gives the nodes "fc1.weight" [C, D], "fc1.bias" [D], "fc2.weight" [D, C'] and
         "fc2.bias" [C'], and is asked for fc2 only once fc1 has run.
 
-        Token rows run in blocks whose [rows, D] hidden map fits T.MLP_BLOCK_BYTES, and each
+        Token rows run in blocks whose [rows, D] hidden map fits T.BLOCK_BYTES, and each
         block's fc2 product is written into one [..., C'] output. When all rows fit one
         block, fc1's nodes are dropped before fc2's are looked up, so a lazy weight mapping
         never holds both. A recording tape keeps only the fc1 pre-activation; the backward
@@ -326,7 +325,7 @@ class graph:
         flat = x.data.reshape(-1, x.data.shape[-1])
         fc1 = _dense_layer(weight, "fc1")
         rows, hidden = flat.shape[0], fc1[0].data.shape[1]
-        step = max(1, T.MLP_BLOCK_BYTES // (hidden * flat.itemsize))
+        step = max(1, T.BLOCK_BYTES // (hidden * flat.itemsize))
         pre = np.empty((rows, hidden), dtype=flat.dtype) if self.recording else None
 
         def activation(r):

@@ -4,9 +4,9 @@ Subcommands: flops, gradcheck, bench, train, attnstats, gen-data. Exit codes
 are a stable contract: 0 success, 1 assertion/accuracy failure, 2 usage
 error. Each subcommand takes only the flags it reads: all but flops take
 --seed, bench and train take --dtype, flops and train take --config, and
-every one takes --out and --threads, which has no effect: the library runs
-on one thread. Apart from measured timings in bench output, results are
-byte-identical across runs.
+every one takes --out and --threads, which changes nothing: numpy's
+OpenBLAS follows OPENBLAS_NUM_THREADS. Apart from measured timings in bench
+output, results are byte-identical across runs at one BLAS thread count.
 """
 
 from __future__ import annotations
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except DilateVitError as exc:
+    except (DilateVitError, OSError) as exc:  # OSError: e.g. an --out path that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -59,13 +59,20 @@ def _random_block_params(
     return params
 
 
-def _weighted_sum_loss(g: graph, out, weights: np.ndarray):
-    return g.sum_all(g.mul(out, g.leaf(weights)))
+def _case(name: str, params: dict[str, Parameter], input_name: str, loss_w: np.ndarray, op, corrupt: bool):
+    """(name, build, params) of one case whose loss is sum(loss_w * op(g, input)). With
+    ``corrupt`` the output passes an identity whose backward is off by 1%: the harness
+    must flag it."""
 
+    def build():
+        tape = Tape()
+        g = graph(tape)
+        out = op(g, g.param(params[input_name]))
+        if corrupt:
+            out = tape.record(out.data.copy(), (out,), lambda grad: (grad * 1.01,))
+        return tape, g.sum_all(g.mul(out, g.leaf(loss_w)))
 
-def _corrupted_identity(g: graph, x):
-    """Identity forward whose backward is off by 1%: the harness must flag it."""
-    return g.tape.record(x.data.copy(), (x,), lambda grad: (grad * 1.01,))
+    return name, build, params
 
 
 def _swda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
@@ -78,17 +85,8 @@ def _swda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
     cfg = SwdaConfig(w=w, r=r, d_k=d, edge_mode=mode)
     params = {"qkv": Parameter("qkv", rng.standard_normal((h, w_map, 3 * d)))}
     loss_w = rng.standard_normal((h, w_map, d))
-
-    def build():
-        tape = Tape()
-        g = graph(tape)
-        out = g.swda(g.param(params["qkv"]), (cfg,))
-        if corrupt:
-            out = _corrupted_identity(g, out)
-        return tape, _weighted_sum_loss(g, out, loss_w)
-
     name = f"case{case_id:03d}.swda(h={h},w={w_map},d={d},win={w},r={r},{mode})"
-    return name, build, params
+    return _case(name, params, "qkv", loss_w, lambda g, qkv: g.swda(qkv, (cfg,)), corrupt)
 
 
 def _msda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
@@ -103,17 +101,8 @@ def _msda_case(rng: np.random.Generator, case_id: int, corrupt: bool):
     params = _random_block_params(spec, "b", rng)
     params["x"] = Parameter("x", rng.standard_normal((h, w_map, dim)))
     loss_w = rng.standard_normal((h, w_map, dim))
-
-    def build():
-        tape = Tape()
-        g = graph(tape)
-        out = msda_attention(g, g.param(params["x"]), spec, params, "b")
-        if corrupt:
-            out = _corrupted_identity(g, out)
-        return tape, _weighted_sum_loss(g, out, loss_w)
-
     name = f"case{case_id:03d}.msda(dim={dim},heads={n_heads},rates={rates},{mode})"
-    return name, build, params
+    return _case(name, params, "x", loss_w, lambda g, x: msda_attention(g, x, spec, params, "b"), corrupt)
 
 
 def _block_case(rng: np.random.Generator, case_id: int, corrupt: bool):
@@ -127,17 +116,8 @@ def _block_case(rng: np.random.Generator, case_id: int, corrupt: bool):
     params = _random_block_params(spec, "b", rng)
     params["x"] = Parameter("x", rng.standard_normal((h, w_map, dim)))
     loss_w = rng.standard_normal((h, w_map, dim))
-
-    def build():
-        tape = Tape()
-        g = graph(tape)
-        out = transformer_block(g, g.param(params["x"]), spec, params, "b", kind=kind)
-        if corrupt:
-            out = _corrupted_identity(g, out)
-        return tape, _weighted_sum_loss(g, out, loss_w)
-
     name = f"case{case_id:03d}.block(kind={kind},dim={dim},{h}x{w_map})"
-    return name, build, params
+    return _case(name, params, "x", loss_w, lambda g, x: transformer_block(g, x, spec, params, "b", kind=kind), corrupt)
 
 
 _CASE_BUILDERS = (_swda_case, _msda_case, _block_case)

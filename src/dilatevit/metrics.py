@@ -31,8 +31,6 @@ ROW_SUM_TOL = 1e-4
 
 @dataclass(frozen=True)
 class AttentionMap:
-    height: int
-    width: int
     weights: np.ndarray  # [H*W, K] weight of each query on its K candidate keys, rows sum to 1
     dist: np.ndarray  # [H*W, K] or [K]: Chebyshev distance of each candidate key from its query
 
@@ -102,7 +100,7 @@ def from_dense(weights: np.ndarray, height: int, width: int) -> AttentionMap:
             f"attention matrix shape {weights.shape} does not match "
             f"{height}x{width} grid (expected {(n, n)})"
         )
-    return AttentionMap(height, width, weights, _chebyshev_table(height, width))
+    return AttentionMap(weights, _chebyshev_table(height, width))
 
 
 def from_swda_weights(weights, cfg) -> AttentionMap:
@@ -121,4 +119,4 @@ def from_swda_weights(weights, cfg) -> AttentionMap:
     a = np.where(inside, a, 0.0).reshape(h * w, taps)
     a /= a.sum(axis=1, keepdims=True)
     dist = np.array([max(abs(p), abs(q)) * cfg.r for p, q in tap_offsets(cfg.w)])
-    return AttentionMap(h, w, a, dist)
+    return AttentionMap(a, dist)

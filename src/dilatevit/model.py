@@ -108,10 +108,6 @@ class ModelConfig:
             except ConfigError as exc:
                 raise ConfigError(f"stage {i + 1}: {exc}") from exc
 
-    @property
-    def block_pattern(self) -> str:
-        return "".join(s.kind for s in self.stages)
-
     def stage_resolution(self, stage_index: int) -> int:
         return self.input_size // math.prod(TOKENIZER_STRIDES) // (2**stage_index)
 
@@ -247,10 +243,6 @@ def init_params(
     return params
 
 
-def parameter_count(params: dict[str, Parameter]) -> int:
-    return sum(p.value.size for p in params.values())
-
-
 def _check_names(expected, names) -> None:
     """ConfigError naming the first missing parameter, else the first unexpected one."""
     for name in sorted(expected):
@@ -259,17 +251,6 @@ def _check_names(expected, names) -> None:
     for name in sorted(names):
         if name not in expected:
             raise ConfigError(f"unexpected parameter: {name}")
-
-
-def validate_params(config: ModelConfig, params: dict[str, Parameter]) -> None:
-    """Check the tree matches the config; report the first offending path."""
-    expected = parameter_shapes(config)
-    _check_names(expected, params)
-    for name in sorted(expected):
-        if params[name].value.shape != expected[name]:
-            raise ConfigError(
-                f"parameter {name} has shape {params[name].value.shape}, expected {expected[name]}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class TapIndexSet:
     coords: tuple[tuple[int, int], ...]
     in_bounds: tuple[bool, ...]
 
-    def valid_coords(self) -> list[tuple[int, int]]:
-        return [c for c, ok in zip(self.coords, self.in_bounds) if ok]
-
 
 def dilated_indices(i: int, j: int, cfg: SwdaConfig, H: int, W: int) -> TapIndexSet:
     """Tap coordinates (i + p*r, j + q*r) for the query at (i, j)."""
@@ -277,26 +274,3 @@ def swda_backward_naive(
                 grad_k[ii, jj] += gl[t] * q[i, j] * scale
                 grad_v[ii, jj] += aw[t] * grad_out[i, j]
     return grad_q, grad_k, grad_v
-
-
-def attention_to_dense(
-    weights: np.ndarray, cfg: SwdaConfig, renormalize: bool = False
-) -> np.ndarray:
-    """Expand tap-order weights [H, W, w*w] into a dense [H*W, H*W] matrix.
-
-    Out-of-bounds taps have no key position and are dropped; with
-    ``renormalize`` each row is rescaled to sum to 1 afterwards (needed for
-    zero_pad-mode weights, whose in-bounds mass is < 1 at the edges).
-    """
-    H, W, n_taps = weights.shape
-    if n_taps != cfg.taps:
-        raise ShapeError(f"weights carry {n_taps} taps but config expects {cfg.taps}")
-    dense = np.zeros((H * W, H * W), dtype=weights.dtype)
-    queries = np.arange(H * W).reshape(H, W)
-    # Key index + 1 through each tap's window: 0 where the tap falls in the zero pad.
-    for t, keys in enumerate(_tap_windows(queries[..., None] + 1, cfg)):
-        ok = keys[..., 0] > 0
-        dense[queries[ok], keys[ok, 0] - 1] = weights[..., t][ok]
-    if renormalize:
-        dense /= np.sum(dense, axis=1, keepdims=True)
-    return dense

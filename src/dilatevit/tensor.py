@@ -5,8 +5,10 @@ or float64; feature maps are channels-last ``[..., H, W, C]`` so a gathered
 window of key vectors is one contiguous read per channel. Any leading axes
 are batch axes: an op maps each leading index independently, and a kernel
 gradient sums over them. All ops are pure functions of their inputs: no
-hidden state, fixed reduction order, bit-identical results across runs and
-thread counts.
+hidden state, fixed reduction order, bit-identical results across runs at
+one BLAS thread count. The library starts no thread of its own, but numpy's
+OpenBLAS follows ``OPENBLAS_NUM_THREADS``, and its thread count changes how
+products round.
 
 dtype policy: float32 is the runtime default; float64 is used for oracle
 comparisons and gradient checks.
@@ -24,7 +26,6 @@ from .counting import add_macs
 from .errors import NumericError, ShapeError
 
 F32 = np.float32
-F64 = np.float64
 
 DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
@@ -141,12 +142,11 @@ _INV_SQRT2, _INV_SQRT_2PI, _FOUR, _MINUS_FOUR, _HALF, _MINUS_HALF = _f32(
 # float32 elements per pass: the x and output slices and two scratch rows
 # (512 KB) stay in a core's L2 cache, and 27 ufunc calls cover 32 k elements.
 CDF_CHUNK = 1 << 15
-# Bytes of im2col columns a dense conv unfolds at once (512 KB): tokenizer conv2
-# of a tiny@224 predict took 7.1-7.3 ms at every block size from 0.5 to 8 MB.
-IM2COL_BLOCK_BYTES = 1 << 19
-# Bytes of one block's MLP hidden map (512 KB), a constant of its own: the
-# hidden map, its GELU output and scratch stay in a core's 2 MB L2 cache.
-MLP_BLOCK_BYTES = 1 << 19
+# Bytes of one block of a map-sized temporary (512 KB): the im2col columns a dense
+# conv unfolds at once (tokenizer conv2 of a tiny@224 predict took 7.1-7.3 ms at
+# every block size from 0.5 to 8 MB), and one MLP block's hidden map (it, its GELU
+# output and scratch stay in a core's 2 MB L2 cache).
+BLOCK_BYTES = 1 << 19
 # Bytes of logits one group of global-attention heads holds (256 KB): one head at tiny@224
 # stage 3 (2.49 ms; 3.31 ms all at once), all 24 at stage 4 (0.30 ms; 0.75 ms one by one).
 MHSA_GROUP_BYTES = 1 << 18
@@ -328,7 +328,7 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: in
     """(where, cols) for each block of output rows of a dense conv over x [..., H,W,C]
     zero-padded by ph rows and pw columns a side: the block's index into the output
     viewed as [images, H', W', *] and its im2col columns [..., rows, W', kh*kw*C].
-    A block is as many whole images as fit IM2COL_BLOCK_BYTES of columns, so a map
+    A block is as many whole images as fit BLOCK_BYTES of columns, so a map
     whose columns fit runs as one block, or else as many of one image's output rows
     as fit. A block zero-pads only the input rows it unfolds. Drop cols before the
     next block to keep one alive."""
@@ -336,11 +336,11 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: in
     h_out = conv_output_extent(h, kh, stride, ph)
     row_bytes = conv_output_extent(w, kw, stride, pw) * kh * kw * c * x.itemsize  # one image, one output row
     images = x.reshape((-1, h, w, c))
-    if h_out * row_bytes <= IM2COL_BLOCK_BYTES:  # whole images per block
-        n = IM2COL_BLOCK_BYTES // (h_out * row_bytes)
+    if h_out * row_bytes <= BLOCK_BYTES:  # whole images per block
+        n = BLOCK_BYTES // (h_out * row_bytes)
         blocks = [(slice(i, i + n), 0, h_out) for i in range(0, len(images), n)]
     else:
-        step = max(1, IM2COL_BLOCK_BYTES // row_bytes)
+        step = max(1, BLOCK_BYTES // row_bytes)
         blocks = [(i, r, min(r + step, h_out)) for i in range(len(images)) for r in range(0, h_out, step)]
     for i, first, stop in blocks:
         top, bottom = first * stride - ph, (stop - 1) * stride + kh - ph  # the padded rows it reads
@@ -370,7 +370,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, zero_pad: int = 0
     dense [kh,kw,Cin,Cout], or depth-wise [kh,kw,1,C] on C > 1 channels.
 
     A depth-wise conv is a :func:`tap_sum` over its taps (no im2col
-    materialization). A dense conv unfolds at most IM2COL_BLOCK_BYTES of
+    materialization). A dense conv unfolds at most BLOCK_BYTES of
     columns at once, whatever the map size, and pads no more than the rows
     they read.
     """
@@ -398,7 +398,7 @@ def conv2d_backward(
     :func:`scatter_taps` instead. With ``input_grad=False`` the input gradient
     is skipped and returned as None. A dense kernel gradient sums
     ``cols.T @ grad_out`` over the forward's row blocks, so it too unfolds at
-    most IM2COL_BLOCK_BYTES of columns at once, and the dense stride-1 input
+    most BLOCK_BYTES of columns at once, and the dense stride-1 input
     gradient runs through the same blocks: neither x nor grad_out is copied whole.
     """
     kh, kw, kc, cout = kernel.shape

@@ -40,6 +40,25 @@ def dense_window_oracle(q, k, v, cfg: SwdaConfig):
     return out
 
 
+def attention_to_dense(weights, cfg: SwdaConfig, renormalize: bool = False):
+    """Tap-order weights [H, W, w*w] expanded into a dense [H*W, H*W] matrix, one
+    enumerated tap at a time. Out-of-bounds taps have no key position and are
+    dropped; with ``renormalize`` each row is rescaled to sum to 1 afterwards
+    (zero_pad weights lose the mass of their padded taps at the edges)."""
+    h, w, n_taps = weights.shape
+    assert n_taps == cfg.taps, f"weights carry {n_taps} taps but config expects {cfg.taps}"
+    dense = np.zeros((h * w, h * w), dtype=weights.dtype)
+    for i in range(h):
+        for j in range(w):
+            taps = dilated_indices(i, j, cfg, h, w)
+            for t, ((ii, jj), ok) in enumerate(zip(taps.coords, taps.in_bounds)):
+                if ok:
+                    dense[i * w + j, ii * w + jj] = weights[i, j, t]
+    if renormalize:
+        dense /= np.sum(dense, axis=1, keepdims=True)
+    return dense
+
+
 def dense_full_attention(q, k, v, d_k):
     """Unmasked dense attention over all H*W keys (flat two-loop reference)."""
     h, w, d = q.shape

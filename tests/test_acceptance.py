@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dense_window_oracle, param_count_breakdown
+from oracles import attention_to_dense, dense_window_oracle, param_count_breakdown
 
 from dilatevit import metrics, model, runtime
 from dilatevit.autograd import Tape, accumulate_param_grads, backward, graph, zero_grads
@@ -23,7 +23,7 @@ from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.gradsuite import run_gradient_suite
 from dilatevit.msda import MsdaBlockSpec, mhsa_attention, msda_attention
 from dilatevit.profiler import count_model, count_pattern_suite
-from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
+from dilatevit.swda import SwdaConfig, swda_forward
 from dilatevit.train import batch_loss, train
 from tests_common import make_block_params_f32
 

@@ -608,11 +608,11 @@ class TestPerOpGradients:
                   "fc2.weight": (hidden, 2), "fc2.bias": (2,)}
         params = {name: Parameter(name, rng.standard_normal(shape)) for name, shape in shapes.items()}
         w = rng.standard_normal(lead + (2,))
-        cap = T.MLP_BLOCK_BYTES if block_rows is None else block_rows * hidden * 8
+        cap = T.BLOCK_BYTES if block_rows is None else block_rows * hidden * 8
 
         def build():
             g = graph(Tape())
-            with mock.patch.object(T, "MLP_BLOCK_BYTES", cap):
+            with mock.patch.object(T, "BLOCK_BYTES", cap):
                 out = g.mlp(g.param(params["x"]), lambda leaf: g.param(params[leaf]))
             return g.tape, weighted_sum_loss(g, out, w)
 
@@ -662,7 +662,7 @@ class TestMlp:
         one = self.run(dtype)
         values, _ = self.values(dtype)
         rows = int(np.prod(self.ROWS))
-        monkeypatch.setattr(T, "MLP_BLOCK_BYTES", 7 * self.HIDDEN * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(T, "BLOCK_BYTES", 7 * self.HIDDEN * np.dtype(dtype).itemsize)
         gelu_rows, gelu = [], T.gelu
 
         def counted_gelu(x):
@@ -684,7 +684,7 @@ class TestMlp:
         """On a NoRecordTape, fc1's weight is freed before fc2's is asked for when all
         rows fit one block; several blocks need both at once."""
         if block_rows is not None:
-            monkeypatch.setattr(T, "MLP_BLOCK_BYTES", block_rows * self.HIDDEN * 4)
+            monkeypatch.setattr(T, "BLOCK_BYTES", block_rows * self.HIDDEN * 4)
         values, _ = self.values(np.float32)
         g = graph(NoRecordTape())
         asked, fc1_alive, fc1 = [], [], None

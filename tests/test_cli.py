@@ -451,6 +451,15 @@ def test_train_rejects_a_label_no_batch_draws(tmp_path, capsys):
     assert err.startswith("error: ") and "[0, 4)" in err and "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["flops", "--preset", "toy"], ["gen-data", "--count", "1"]])
+def test_an_out_path_under_a_file_exits_1_without_traceback(argv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run([*argv, "--out", str(blocker / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
+
+
 class TestAttnstats:
     def test_identity_fixture(self, tmp_path, capsys):
         path = tmp_path / "eye.dft1"
@@ -462,7 +471,8 @@ class TestAttnstats:
         assert float(row.rsplit(",", 1)[1]) == 1.0
 
     def test_swda_generated_map_saturates_at_tap_radius(self, tmp_path, capsys):
-        from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
+        from dilatevit.swda import SwdaConfig, swda_forward
+        from oracles import attention_to_dense
 
         rng = np.random.default_rng(0)
         cfg = SwdaConfig(w=3, r=3, d_k=2, edge_mode="masked")

@@ -8,8 +8,9 @@ import pytest
 from dilatevit import metrics, swda
 from dilatevit.errors import ShapeError, ValidationError
 from dilatevit.metrics import _chebyshev_table
-from dilatevit.swda import SwdaConfig, attention_to_dense, swda_forward
+from dilatevit.swda import SwdaConfig, swda_forward
 from dilatevit.tensor import softmax
+from oracles import attention_to_dense
 from tests_common import traced_peak
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chebyshev_masked_attention, dense_full_attention, dense_window_oracle
+from oracles import attention_to_dense, chebyshev_masked_attention, dense_full_attention, dense_window_oracle
 from tests_common import traced_peak
 
 from dilatevit import runtime
@@ -14,7 +14,6 @@ from dilatevit.errors import ConfigError, ContractError, ShapeError
 from dilatevit.swda import (
     SwdaConfig,
     SwdaState,
-    attention_to_dense,
     dilated_indices,
     receptive_span,
     swda_backward,
@@ -41,7 +40,8 @@ class TestTapGeometry:
         cfg = SwdaConfig(w=3, r=1, d_k=1)
         taps = dilated_indices(0, 0, cfg, 8, 8)
         assert len(taps.coords) == 9
-        assert set(taps.valid_coords()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        valid = {c for c, ok in zip(taps.coords, taps.in_bounds) if ok}
+        assert valid == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert sum(not ok for ok in taps.in_bounds) == 5
 
     def test_degenerate_window(self):
@@ -137,7 +137,8 @@ class TestLocalityAndEquivariance:
         q, k, v = rand_qkv(rng, h, w_map, 3)
         i, j = 3, 3
         out, _ = swda_forward(q, k, v, cfg)
-        taps = set(dilated_indices(i, j, cfg, h, w_map).valid_coords())
+        window = dilated_indices(i, j, cfg, h, w_map)
+        taps = {c for c, ok in zip(window.coords, window.in_bounds) if ok}
         k2, v2 = k.copy(), v.copy()
         for a in range(h):
             for b in range(w_map):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from dilatevit import tensor as T
+from dilatevit.autograd import NoRecordTape, Tape, graph
 from dilatevit.counting import mac_counter
 from dilatevit.errors import NumericError, ShapeError
 from oracles import layernorm_backward_stored_xhat
@@ -300,7 +301,7 @@ class TestConv2dProperty:
         (none, _), peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1, input_grad=False))
         # One block of columns and that block's zero-padded input rows, a small part of x;
         # unfolding all of x at once peaks at 5.3 MB, and padding it whole adds x.nbytes.
-        assert none is None and peak <= T.IM2COL_BLOCK_BYTES + x.nbytes // 4, f"peak {peak / 1e6:.2f} MB"
+        assert none is None and peak <= T.BLOCK_BYTES + x.nbytes // 4, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestConv2dBatchAxis:
@@ -346,7 +347,7 @@ class TestConv2dBatchAxis:
 
 
 class TestConv2dRowBlocks:
-    """A dense conv whose columns exceed T.IM2COL_BLOCK_BYTES unfolds and multiplies
+    """A dense conv whose columns exceed T.BLOCK_BYTES unfolds and multiplies
     a block of output rows of one image at a time; the kernel gradient sums over
     the same blocks, and the stride-1 input gradient runs through the same correlation."""
 
@@ -361,7 +362,7 @@ class TestConv2dRowBlocks:
         gout = rng.standard_normal(out_one.shape)
         gx_one, gk_one = T.conv2d_backward(gout, x, kernel, stride, 1)
         h_out, w_out = out_one.shape[-3:-1]
-        monkeypatch.setattr(T, "IM2COL_BLOCK_BYTES", rows_per_block * w_out * kernel[..., 0].size * x.itemsize)
+        monkeypatch.setattr(T, "BLOCK_BYTES", rows_per_block * w_out * kernel[..., 0].size * x.itemsize)
         unfolded = []  # output rows of each unfolding
         im2col = T.im2col
 
@@ -397,14 +398,14 @@ class TestConv2dRowBlocks:
         x = rng.standard_normal((128, 128, 4))  # 4.7 MB of columns for a 3x3 kernel
         kernel = rng.standard_normal((3, 3, 4, 4))
         gout = rng.standard_normal(x.shape)
-        step = T.IM2COL_BLOCK_BYTES // (128 * kernel[..., 0].size * x.itemsize)  # output rows per block
+        step = T.BLOCK_BYTES // (128 * kernel[..., 0].size * x.itemsize)  # output rows per block
         assert 1 < step < 128
         padded_rows = (step + 2) * 130 * 4 * x.itemsize  # the input rows one block reads, zero-padded
         out, forward_peak = traced_peak(lambda: T.conv2d(x, kernel, 1, 1))
         _, backward_peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1))
         # x and gout are made outside the trace, so the output (or grad_x) is the one
         # map-sized array counted; a padded copy of the whole map adds another.
-        bound = out.nbytes + T.IM2COL_BLOCK_BYTES + padded_rows
+        bound = out.nbytes + T.BLOCK_BYTES + padded_rows
         assert forward_peak <= bound, f"{forward_peak - bound} bytes over"
         assert backward_peak <= bound + 2 * kernel.nbytes, f"{backward_peak - bound} bytes over"  # gk, flipped kernel
 
@@ -432,12 +433,22 @@ class TestLayernorm:
         assert np.abs(out - expected).max() < 1e-10
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_buffer_form_is_the_stateful_one(self, dtype):
+    def test_both_tapes_match_the_two_pass_oracle(self, dtype):
+        """T.layernorm within 16 eps of the float64 two-pass form, and graph.layernorm
+        giving its bits on a recording and a NoRecordTape, x unwritten."""
         rng = np.random.default_rng(11)
         x, gamma, beta = (rng.standard_normal(shape).astype(dtype) for shape in ((2, 5, 7, 24), (24,), (24,)))
         kept = x.copy()
+        x64 = x.astype(np.float64)
+        mean = x64.mean(axis=-1, keepdims=True)
+        var = ((x64 - mean) ** 2).mean(axis=-1, keepdims=True)
+        want = (x64 - mean) / np.sqrt(var + 1e-5) * gamma + beta.astype(np.float64)
         out = T.layernorm(x, gamma, beta)
-        assert np.array_equal(out, T.layernorm_with_state(x, gamma, beta)[0]) and out.dtype == dtype
+        assert out.dtype == dtype
+        assert np.all(np.abs(out - want) <= 16 * np.finfo(dtype).eps * np.maximum(1.0, np.abs(want)))
+        for tape in (Tape(), NoRecordTape()):
+            g = graph(tape)
+            assert np.array_equal(g.layernorm(g.leaf(x), g.leaf(gamma), g.leaf(beta)).data, out)
         assert np.array_equal(x, kept)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
