@@ -25,7 +25,7 @@ from .errors import ContractError, DeterminismError, NumericError, ShapeError, V
 
 class AttentionSink(Protocol):
     """Receives each attention head's weights as its op computes them: a list keeps
-    them, a consumer can reduce each one and drop it."""
+    them, a consumer can reduce each one and drop it. They are not copies: a sink must not write them."""
 
     def append(self, head: tuple[str, _swda.SwdaConfig | None, np.ndarray]) -> None:
         """``(layer, cfg, weights)``: a windowed head's tap-order ``[H, W, w*w]`` weights
@@ -231,7 +231,7 @@ class graph:
         third and writes them to the same channels of the [..., C] output, which over
         a spare qkv is a view of its q channels, each written once its head has run.
         The ``attn_sink`` gets ``append((f"{layer}.head{i}", cfgs[i], weights))`` as each
-        head runs, with its ``[H, W, w*w]`` weights, copied if the tape keeps them.
+        head runs, with its ``[H, W, w*w]`` weights, which a recording tape keeps.
         """
         d_k, C = cfgs[0].d_k, len(cfgs) * cfgs[0].d_k
         if qkv.data.shape[-1] != 3 * C:
@@ -248,7 +248,7 @@ class graph:
             q, k, v = (qkv.data[channels(i, j)] for j in range(3))
             out[channels(i)], state = _swda.swda_forward_with_state(q, k, v, cfg)
             if self.attn_sink is not None:
-                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights.copy() if self.recording else state.weights))
+                self.attn_sink.append((f"{layer}.head{i}", cfg, state.weights))
             if self.recording:
                 states.append(state)
             del state  # before the next head runs
@@ -267,9 +267,9 @@ class graph:
 
         Head i reads channels [i*d_k, (i+1)*d_k) of each C-wide third, d_k = C / n_heads,
         and writes the same channels of the [..., H, W, C] output. Heads run in groups whose
-        logits fit T.MHSA_GROUP_BYTES; a group's softmax runs in place, or into the weights a
-        recording tape keeps. The ``attn_sink`` gets ``append((f"{layer}.head{i}", None,
-        weights))`` per head, with its ``[N, N]`` weights, copied if the tape keeps them.
+        logits fit T.MHSA_GROUP_BYTES, each group's softmax in place in its logits; no tape keeps
+        them, as the backward recomputes each group's weights with the same ops. The ``attn_sink``
+        gets ``append((f"{layer}.head{i}", None, weights))`` per head, with its ``[N, N]`` weights.
         """
         if qkv.data.ndim < 3 or qkv.data.shape[-1] % (3 * n_heads):
             raise ShapeError(f"mhsa needs [..., H, W, 3C] with C a multiple of {n_heads} heads, got {qkv.data.shape}")
@@ -282,31 +282,37 @@ class graph:
         k = np.ascontiguousarray(np.moveaxis(parts[..., 1, :, :], -3, -1))  # [..., heads, d_k, N]
         scale = np.asarray(1.0 / math.sqrt(d_k), dtype=qkv.data.dtype)
         step = max(1, T.MHSA_GROUP_BYTES // max(1, math.prod(lead) * n * n * qkv.data.itemsize))
-        attn = np.empty(lead + (n_heads, n, n), dtype=qkv.data.dtype) if self.recording else None
-        out = np.empty(lead + (n, n_heads, d_k), dtype=qkv.data.dtype)
-        for first in range(0, n_heads, step):
-            heads = (..., slice(first, first + step), slice(None), slice(None))
-            logits = T.matmul(q[heads], k[heads])
+        groups = [slice(first, first + step) for first in range(0, n_heads, step)]
+
+        def weights_of(cols, matmul):
+            """Softmax weights of the heads in ``cols``, [..., heads, N, N], in their logits' buffer."""
+            logits = matmul(q[..., cols, :, :], k[..., cols, :, :])
             logits *= scale
-            weights = T.softmax(logits, out=logits if attn is None else attn[heads])
-            del logits
+            return T.softmax(logits, out=logits)
+
+        out = np.empty(lead + (n, n_heads, d_k), dtype=qkv.data.dtype)
+        for cols in groups:
+            weights = weights_of(cols, T.matmul)
             if self.attn_sink is not None:
-                for i, head in enumerate(weights, start=first):
-                    self.attn_sink.append((f"{layer}.head{i}", None, head.copy() if self.recording else head))
-            out[..., first : first + step, :] = T.matmul(weights, v[heads]).swapaxes(-3, -2)
+                for i, head in enumerate(weights, start=cols.start):
+                    self.attn_sink.append((f"{layer}.head{i}", None, head))
+            out[..., cols, :] = T.matmul(weights, v[..., cols, :, :]).swapaxes(-3, -2)
             del weights  # before the next group's logits
 
         def back(g):
             g_out = np.ascontiguousarray(g.reshape(lead + (n, n_heads, d_k)).swapaxes(-3, -2))
-            g_attn = g_out @ v.swapaxes(-1, -2)
-            g_v = attn.swapaxes(-1, -2) @ g_out
-            g_logits = attn * (g_attn - np.sum(attn * g_attn, axis=-1, keepdims=True))
-            g_logits *= scale
             grad = np.empty(qkv.data.shape, dtype=qkv.data.dtype)
             g_parts = grad.reshape(parts.shape)
-            g_parts[..., 0, :, :] = (g_logits @ k.swapaxes(-1, -2)).swapaxes(-3, -2)
-            g_parts[..., 1, :, :] = np.moveaxis(q.swapaxes(-1, -2) @ g_logits, -1, -3)
-            g_parts[..., 2, :, :] = g_v.swapaxes(-3, -2)
+            for cols in groups:  # np.matmul, so a recompute counts no MACs
+                weights, g_o = weights_of(cols, np.matmul), g_out[..., cols, :, :]
+                g_parts[..., 2, cols, :] = (weights.swapaxes(-1, -2) @ g_o).swapaxes(-3, -2)
+                g_logits = g_o @ v[..., cols, :, :].swapaxes(-1, -2)
+                g_logits -= np.sum(weights * g_logits, axis=-1, keepdims=True)
+                g_logits *= weights
+                g_logits *= scale
+                g_parts[..., 0, cols, :] = (g_logits @ k[..., cols, :, :].swapaxes(-1, -2)).swapaxes(-3, -2)
+                g_parts[..., 1, cols, :] = np.moveaxis(q[..., cols, :, :].swapaxes(-1, -2) @ g_logits, -1, -3)
+                del weights, g_logits  # before the next group's weights
             return (grad,)
 
         return self.tape.record(out.reshape(lead + (h, w, c3 // 3)), (qkv,), back)

@@ -444,10 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=_positive_int, default=None, help="input resolution override")
     p.add_argument("--pattern", type=_pattern_arg, default=None, help="4-char D/G stage pattern")
     p.add_argument("--kernel-w", type=_positive_int, default=None, help="override D-stage window size")
-    p.add_argument("--suite", action="store_true", help="run the 5-pattern ablation table")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a text table")
     p.add_argument("--flops-per-mac", type=int, choices=[1, 2], default=1)
-    p.add_argument(
+    one = p.add_mutually_exclusive_group()  # the suite table checks no expectation
+    one.add_argument("--suite", action="store_true", help="run the 5-pattern ablation table")
+    one.add_argument(
         "--expect", action="append", type=_expect_arg, help="assert key=value:tol (flops/params)"
     )
     p.set_defaults(fn=cmd_flops)

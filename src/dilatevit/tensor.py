@@ -44,14 +44,16 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.matmul(a, b, out=out)
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (max-subtraction), in one output-sized
-    buffer: ``out`` when given, which may be x itself."""
-    if not np.isfinite(x).all():
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along the last axis (max-subtraction), in one output-sized
+    buffer: ``out`` when given, which may be x itself. The finite check reads the row maxima
+    (NaN, +inf) and the least element (-inf; 0 if x is empty), so it makes no map of x."""
+    top = np.max(x, axis=-1, keepdims=True)
+    if not (np.isfinite(top).all() and np.isfinite(x.min(initial=0))):
         raise NumericError("softmax requires finite inputs")
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    e = np.subtract(x, top, out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 

@@ -11,6 +11,7 @@ asserts that contradiction (the blocks plus downsample3 already exceed 21 M
 import statistics
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import attention_to_dense, dense_window_oracle, param_count_breakdo
 
 from dilatevit import metrics, model, runtime
 from dilatevit.autograd import Tape, accumulate_param_grads, backward, graph, zero_grads
+from dilatevit.counting import mac_counter
 from dilatevit.data import DatasetSpec, make_dataset
 from dilatevit.gradsuite import run_gradient_suite
 from dilatevit.msda import MsdaBlockSpec, mhsa_attention, msda_attention
@@ -229,7 +231,17 @@ def _round_robin_medians(fns, reps=9, warmup=2):
     return {key: statistics.median(ns) for key, ns in samples.items()}
 
 
+def _counted_macs(fn):
+    with mac_counter() as counter:
+        fn()
+    return counter.macs
+
+
 def test_criterion_07_scaling():
+    """Per query, dilated attention costs the same at every map size and global attention
+    a + b·N. Both are asserted on counted MACs; wall time is a sanity check only, since the
+    timed growth of the global call sits below 4x and moves with how its [N, N] buffers
+    are allocated."""
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     cfg = SwdaConfig(w=3, r=3, d_k=24)
@@ -237,6 +249,7 @@ def test_criterion_07_scaling():
     for size in (28, 56, 112):
         q, k, v = (rng.standard_normal((size, size, 24)).astype(np.float32) for _ in range(3))
         swda_runs[size] = lambda q=q, k=k, v=v: swda_forward(q, k, v, cfg)
+    swda_macs = {Fraction(_counted_macs(fn), s * s) for s, fn in swda_runs.items()}
     swda_per_query = [ns / (s * s) for s, ns in _round_robin_medians(swda_runs).items()]
     swda_ratio = max(swda_per_query) / min(swda_per_query)
 
@@ -252,15 +265,27 @@ def test_criterion_07_scaling():
             mhsa_attention(g, g.leaf(x), spec, params, "m")
 
         mhsa_runs[size] = run
+    # a: the q|k|v and output projections, 4·dim² per token; b·N: q·k and the weighted
+    # sum of v, d_k each per key and head.
+    per_query = {s: 4 * spec.dim**2 + 2 * spec.dim * s * s for s in mhsa_runs}
+    mac_growth = Fraction(_counted_macs(mhsa_runs[56]), 56**2) / Fraction(_counted_macs(mhsa_runs[28]), 28**2)
     mhsa_ns = _round_robin_medians(mhsa_runs)
-    mhsa_growth = (mhsa_ns[56] / 56**2) / (mhsa_ns[28] / 28**2)
+    time_growth = (mhsa_ns[56] / 56**2) / (mhsa_ns[28] / 28**2)
     elapsed = time.perf_counter() - start
-    ok = swda_ratio < 2.0 and mhsa_growth >= 4.0 and elapsed < 120.0
+    ok = (
+        swda_macs == {2 * cfg.w**2 * cfg.d_k}
+        and swda_ratio < 2.0
+        and mac_growth == Fraction(per_query[56], per_query[28])
+        and mac_growth > 3.8
+        and time_growth >= 2.0
+        and elapsed < 120.0
+    )
     report(
         "7",
         ok,
-        f"swda per-query spread {swda_ratio:.2f}x (<2), mhsa per-query growth "
-        f"{mhsa_growth:.1f}x (>=4), {elapsed:.1f} s",
+        f"swda per-query MACs {', '.join(map(str, sorted(swda_macs)))} (== {2 * cfg.w**2 * cfg.d_k}), time spread "
+        f"{swda_ratio:.2f}x (<2); mhsa per-query MAC growth {float(mac_growth):.3f}x "
+        f"(== {per_query[56]}/{per_query[28]}, >3.8), time growth {time_growth:.1f}x (>=2), {elapsed:.1f} s",
     )
     assert ok
 

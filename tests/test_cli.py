@@ -152,6 +152,12 @@ class TestFlops:
         for pattern in ("GGGG", "DGGG", "DDGG", "DDDG", "DDDD"):
             assert pattern in out
 
+    def test_suite_with_an_expectation_is_a_usage_error(self, capsys):
+        # The suite table checks no expectation, so the pair would pass unchecked.
+        with pytest.raises(SystemExit) as exc:
+            run(["flops", "--preset", "tiny", "--suite", "--expect", "flops=1e9:0.01"])
+        assert exc.value.code == 2 and "not allowed with argument --suite" in capsys.readouterr().err
+
     def test_csv_output(self, capsys):
         assert run(["flops", "--preset", "toy", "--csv"]) == 0
         out = capsys.readouterr().out

@@ -138,6 +138,21 @@ class TestTrainLoop:
         # gradients or an extra map-sized copy.
         assert peak <= 5.2e6, f"peak {peak / 1e6:.2f} MB"
 
+    def test_global_attention_step_keeps_no_weights_for_the_backward(self):
+        config = model.build_from_pattern("GGGG", model.toy(input_size=64))
+        params = model.init_params(config, seed=0)
+        images, labels = make_dataset(16, DatasetSpec(classes=4, size=64, noise=0.1), seed=0)
+
+        def step():
+            tape, loss = batch_loss(config, params, images, labels)
+            return backward(tape, loss)
+
+        _, peak = traced_peak(step)
+        # Stage 1 has 2 heads over 256 tokens, 4 MB of [16, 256, 256] f32 weights each.
+        # The backward recomputes one head's weights at a time and peaks at 28.3 MB; a tape
+        # that keeps every head's weights for the backward read 42.0 MB.
+        assert peak <= 32e6, f"peak {peak / 1e6:.2f} MB"
+
     def test_skipping_the_image_gradient_leaves_parameter_gradients_bit_identical(self):
         config = model.toy()
         params = model.init_params(config, seed=0)

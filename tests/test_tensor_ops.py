@@ -148,9 +148,18 @@ class TestSoftmax:
         assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-6
         assert (out >= 0).all()
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            T.softmax(np.array([1.0, np.nan]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.random.default_rng(15).standard_normal((2, 3, 4))
+        x[1, 2, 1] = bad
+        with pytest.raises(NumericError, match="finite"):
+            T.softmax(x)
+
+    def test_in_place_makes_no_input_sized_map(self):
+        x = np.random.default_rng(16).standard_normal((1024, 1024)).astype(np.float32)
+        _, peak = traced_peak(lambda: T.softmax(x, out=x))
+        # The row maxima and sums; a bool finite map of x would be 1 MB.
+        assert peak < 64 << 10, peak
 
 
 class TestConv2d:
