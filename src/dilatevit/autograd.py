@@ -386,22 +386,19 @@ class graph:
 
         return self.tape.record(x.data.mean(axis=(-3, -2)), (x,), back)
 
-    def linear(self, x: Node, weight: Node, bias: Node | None = None) -> Node:
-        """x[..., Cin] @ weight[Cin, Cout] (+ bias) applied tokenwise, as one node."""
+    def linear(self, x: Node, weight: Node, bias: Node) -> Node:
+        """x[..., Cin] @ weight[Cin, Cout] + bias applied tokenwise, as one node."""
         flat = x.data.reshape(-1, x.data.shape[-1])
         out = T.matmul(flat, weight.data)
-        if bias is not None:
-            if bias.data.shape != (out.shape[-1],):
-                raise ShapeError(f"bias shape {bias.data.shape} incompatible with {out.shape}")
-            out += bias.data
+        if bias.data.shape != (out.shape[-1],):
+            raise ShapeError(f"bias shape {bias.data.shape} incompatible with {out.shape}")
+        out += bias.data
 
         def back(g):
             gf = g.reshape(-1, g.shape[-1])
-            grads = ((gf @ weight.data.T).reshape(x.data.shape), flat.T @ gf)
-            return grads if bias is None else grads + (T.channel_sums(gf),)
+            return (gf @ weight.data.T).reshape(x.data.shape), flat.T @ gf, T.channel_sums(gf)
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        return self.tape.record(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, back)
+        return self.tape.record(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, weight, bias), back)
 
     def softmax_cross_entropy(self, logits: Node, labels) -> Node:
         """Mean over the leading axes of -log softmax(logits)[..., label] for logits [..., K];

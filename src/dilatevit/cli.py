@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import statistics
@@ -138,13 +139,17 @@ def cmd_flops(args) -> int:
         config = replace(config, stages=stages)
 
     if args.suite:
-        suite = profiler.count_pattern_suite(
-            config, ["GGGG", "DGGG", "DDGG", "DDDG", "DDDD"], args.input
-        )
-        lines = [f"{'pattern':<8}{'params':>12}{'flops_mac':>16}"]
-        for pattern, report in suite:
-            lines.append(f"{pattern:<8}{report.total_params:>12}{report.total_macs:>16}")
-        _write_or_print("\n".join(lines), args.out)
+        suite = profiler.count_pattern_suite(config, ["GGGG", "DGGG", "DDGG", "DDDG", "DDDD"], args.input)
+        if args.csv:  # the columns of CostReport.to_csv
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["pattern", "params", "flops_mac", "flops_total"])
+            writer.writerows([pattern, r.total_params, r.total_macs, 2 * r.total_macs] for pattern, r in suite)
+            _write_or_print(buf.getvalue(), args.out)
+        else:
+            lines = [f"{'pattern':<8}{'params':>12}{'flops_mac':>16}"]
+            lines += [f"{pattern:<8}{r.total_params:>12}{r.total_macs:>16}" for pattern, r in suite]
+            _write_or_print("\n".join(lines), args.out)
         return EXIT_OK
 
     report = profiler.count_model(config, args.input)
@@ -334,7 +339,7 @@ class _StatRows:
             self.add(layer, metrics.from_swda_weights(weights, cfg))
         else:
             side = int(round(weights.shape[0] ** 0.5))
-            self.add(layer, metrics.from_dense(weights.astype(np.float64), side, side))
+            self.add(layer, metrics.from_dense(weights, side, side))
 
     def add(self, layer: str, amap: metrics.AttentionMap) -> None:
         for radius in self.radii:
@@ -380,8 +385,6 @@ def _file_rows(args, rows: _StatRows) -> None:
 
 
 def cmd_attnstats(args) -> int:
-    if not args.input and not args.checkpoint:
-        raise DilateVitError("need --input FILE.dft1 or --checkpoint DIR")
     rows = _StatRows(args.radii, args.threshold)
     if args.input:
         _file_rows(args, rows)
@@ -488,9 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attnstats", help="locality/sparsity metrics of attention maps")
     _add_flags(p, "--seed")
-    p.add_argument("--input", default=None, help="DFT1 file holding a [H*W, H*W] matrix")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", default=None, help="DFT1 file holding a [H*W, H*W] matrix")
+    source.add_argument("--checkpoint", default=None, help="model checkpoint to generate maps from")
     p.add_argument("--grid", type=_grid_arg, default=None, help="H,W of the query grid")
-    p.add_argument("--checkpoint", default=None, help="model checkpoint to generate maps from")
     p.add_argument("--radii", type=_radii_arg, default="0,1,2,3")
     p.add_argument("--threshold", type=_number(lambda v: 0 < v < 1, "in (0, 1)"), default=0.01)
     p.set_defaults(fn=cmd_attnstats)

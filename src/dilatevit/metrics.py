@@ -92,8 +92,9 @@ def sparsity_profile(amap: AttentionMap, threshold: float = 0.01) -> SparsitySta
 
 
 def from_dense(weights: np.ndarray, height: int, width: int) -> AttentionMap:
-    """A map whose candidates are all H*W grid positions: weights [H*W, H*W]."""
-    weights = np.asarray(weights)
+    """A map whose candidates are all H*W grid positions: weights [H*W, H*W], reduced
+    in float64 as every map is (an f64 array is not copied)."""
+    weights = np.asarray(weights, dtype=np.float64)
     n = height * width
     if weights.shape != (n, n):
         raise ValidationError(

@@ -30,7 +30,8 @@ from .errors import ConfigError, FormatError, NumericError
 from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, param_node, transformer_block, trunc_normal
 from .tensor import DTYPE_NAMES, DTYPES
 
-CONFIG_FORMAT_VERSION = "1"
+CONFIG_FORMAT_VERSION = "2"
+IN_CHANNELS = 3  # RGB
 TOKENIZER_STRIDES = (2, 1, 2, 1)  # of its four 3x3 convs
 
 
@@ -71,42 +72,33 @@ class ModelConfig:
 
     name: str = "custom"
     input_size: int = 224
-    in_channels: int = 3
     num_classes: int = 1000
     mlp_ratio: int = 4
-    qkv_bias: bool = True
-    edge_mode: str = "zero_pad"
-    tokenizer_channels: tuple[int, ...] = ()
     stages: tuple[StageSpec, StageSpec, StageSpec, StageSpec] = field(kw_only=True)
 
     def __post_init__(self):
         if not isinstance(self.stages, tuple) or len(self.stages) != 4:
             raise ConfigError(f"expected a list of 4 stages, got {self.stages!r}")
         _typed("name", self.name, str)
-        _typed("qkv_bias", self.qkv_bias, bool)
-        _typed("tokenizer_channels", self.tokenizer_channels, tuple)
-        sizes = (self.input_size, self.in_channels, self.num_classes, self.mlp_ratio)
-        _integers("input_size, in_channels, num_classes, mlp_ratio and tokenizer_channels",
-                  *sizes, *self.tokenizer_channels)
+        sizes = (self.input_size, self.num_classes, self.mlp_ratio)
+        _integers("input_size, num_classes and mlp_ratio", *sizes)
         if min(sizes) < 1:
-            raise ConfigError(f"input_size, in_channels, num_classes and mlp_ratio must be >= 1, got {sizes}")
+            raise ConfigError(f"input_size, num_classes and mlp_ratio must be >= 1, got {sizes}")
         if self.input_size % 32 != 0:
             raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
-        if not self.tokenizer_channels:
-            d1 = self.stages[0].dim
-            if d1 % 2 != 0:
-                raise ConfigError(f"stage-1 dim must be even for the tokenizer ramp, got {d1}")
-            object.__setattr__(self, "tokenizer_channels", (d1 // 2, d1 // 2, d1, d1))
-        tc = self.tokenizer_channels
-        if len(tc) != 4 or tc[-1] != self.stages[0].dim or any(c < 1 for c in tc):
-            raise ConfigError(
-                f"tokenizer_channels must be 4 positive values ending in the stage-1 dim, got {tc}"
-            )
+        if self.stages[0].dim % 2 != 0:
+            raise ConfigError(f"stage-1 dim must be even for the tokenizer ramp, got {self.stages[0].dim}")
         for i in range(4):
             try:
                 self.block_spec(i)
             except ConfigError as exc:
                 raise ConfigError(f"stage {i + 1}: {exc}") from exc
+
+    @property
+    def tokenizer_channels(self) -> tuple[int, int, int, int]:
+        """Output channels of the four tokenizer convs: d1/2, d1/2, d1, d1."""
+        d1 = self.stages[0].dim
+        return (d1 // 2, d1 // 2, d1, d1)
 
     def stage_resolution(self, stage_index: int) -> int:
         return self.input_size // math.prod(TOKENIZER_STRIDES) // (2**stage_index)
@@ -118,9 +110,7 @@ class ModelConfig:
             n_heads=stage.n_heads,
             dilation_rates=stage.dilation_rates if stage.kind == "D" else (1,),
             kernel_w=stage.kernel_w,
-            edge_mode=self.edge_mode,
             mlp_ratio=self.mlp_ratio,
-            qkv_bias=self.qkv_bias,
         )
 
 
@@ -200,8 +190,7 @@ def build_from_pattern(pattern: str, base_config: ModelConfig) -> ModelConfig:
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter path and its shape, in initialization order."""
     shapes: dict[str, tuple[int, ...]] = {}
-    tc = config.tokenizer_channels
-    chans = [config.in_channels, *tc]
+    chans = [IN_CHANNELS, *config.tokenizer_channels]
     for i in range(4):
         shapes[f"tokenizer.conv{i + 1}.weight"] = (3, 3, chans[i], chans[i + 1])
         shapes[f"tokenizer.conv{i + 1}.bias"] = (chans[i + 1],)
@@ -291,16 +280,13 @@ def forward(
     params: Mapping[str, Parameter],
     attn_sink: AttentionSink | None = None,
 ) -> Node:
-    """Logits [..., K] for an image node [..., S, S, in_channels]; leading axes are batch.
+    """Logits [..., K] for an image node [..., S, S, IN_CHANNELS]; leading axes are batch.
     ``params`` is looked up once per tensor, as its layer runs. An ``attn_sink`` gets
     every head's attention weights as they appear, through a graph on g's tape that
     carries it (see ``graph.swda``)."""
     s = config.input_size
-    if image.data.shape[-3:] != (s, s, config.in_channels):
-        raise ConfigError(
-            f"image shape {image.data.shape} does not match configured "
-            f"(..., {s}, {s}, {config.in_channels})"
-        )
+    if image.data.shape[-3:] != (s, s, IN_CHANNELS):
+        raise ConfigError(f"image shape {image.data.shape} does not match configured (..., {s}, {s}, {IN_CHANNELS})")
     if not np.isfinite(image.data).all():
         raise NumericError("image holds non-finite values")
     if attn_sink is not None:

@@ -38,7 +38,6 @@ class MsdaBlockSpec:
     kernel_w: int = 3
     edge_mode: str = "zero_pad"
     mlp_ratio: int = 4
-    qkv_bias: bool = True
 
     def __post_init__(self):
         if self.n_heads < 1 or self.dim % self.n_heads != 0:
@@ -95,8 +94,7 @@ def block_param_shapes(spec: MsdaBlockSpec, prefix: str) -> dict[str, tuple[int,
     shapes[f"{prefix}.norm1.gamma"] = (d,)
     shapes[f"{prefix}.norm1.beta"] = (d,)
     shapes[f"{prefix}.qkv.weight"] = (d, 3 * d)
-    if spec.qkv_bias:
-        shapes[f"{prefix}.qkv.bias"] = (3 * d,)
+    shapes[f"{prefix}.qkv.bias"] = (3 * d,)
     shapes[f"{prefix}.proj.weight"] = (d, d)
     shapes[f"{prefix}.proj.bias"] = (d,)
     shapes[f"{prefix}.norm2.gamma"] = (d,)
@@ -116,15 +114,10 @@ def param_node(g: graph, params: Mapping[str, Parameter], name: str) -> Node:
     return g.param(p)
 
 
-def _qkv(g: graph, x: Node, spec: MsdaBlockSpec, params, prefix) -> Node:
-    """The fused [..., 3C] q|k|v projection of x."""
-    w = param_node(g, params, f"{prefix}.qkv.weight")
-    return g.linear(x, w, param_node(g, params, f"{prefix}.qkv.bias") if spec.qkv_bias else None)
-
-
-def _project(g: graph, heads: Node, params: Mapping[str, Parameter], prefix: str) -> Node:
-    """The output projection of the merged [..., C] heads."""
-    return g.linear(heads, param_node(g, params, f"{prefix}.proj.weight"), param_node(g, params, f"{prefix}.proj.bias"))
+def _linear(g: graph, x: Node, params: Mapping[str, Parameter], prefix: str) -> Node:
+    """x through the linear layer ``prefix``: the fused [..., 3C] q|k|v projection of the
+    normed map, or the output projection of the merged [..., C] heads."""
+    return g.linear(x, param_node(g, params, f"{prefix}.weight"), param_node(g, params, f"{prefix}.bias"))
 
 
 def _check_input(x: Node, spec: MsdaBlockSpec) -> None:
@@ -143,11 +136,11 @@ def msda_attention(
     ``g.attn_sink`` as in ``graph.swda``."""
     _check_input(x, spec)
     cfgs = tuple(spec.head_cfg(i) for i in range(spec.n_heads))
-    qkv = _qkv(g, x, spec, params, prefix)
+    qkv = _linear(g, x, params, f"{prefix}.qkv")
     del x  # a NoRecordTape frees a normed input that the caller did not keep
     heads = g.swda(qkv, cfgs, layer=prefix)
     del qkv
-    return _project(g, heads, params, prefix)
+    return _linear(g, heads, params, f"{prefix}.proj")
 
 
 def mhsa_attention(
@@ -160,11 +153,11 @@ def mhsa_attention(
     """Global attention of spec.n_heads heads over all H*W tokens of each [..., H, W, C]
     map; the dilation rates are not read. Heads go to ``g.attn_sink`` as in ``graph.mhsa``."""
     _check_input(x, spec)
-    qkv = _qkv(g, x, spec, params, prefix)
+    qkv = _linear(g, x, params, f"{prefix}.qkv")
     del x  # as in msda_attention
     heads = g.mhsa(qkv, spec.n_heads, layer=prefix)
     del qkv
-    return _project(g, heads, params, prefix)
+    return _linear(g, heads, params, f"{prefix}.proj")
 
 
 def transformer_block(

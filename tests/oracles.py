@@ -94,23 +94,24 @@ def chebyshev_masked_attention(q, k, v, radius, d_k):
 def param_count_breakdown(config: ModelConfig) -> dict[str, int]:
     """Closed-form parameter count per part, written from the documented layout.
 
-    - tokenizer: four 3x3 convs with bias, a LayerNorm after each of the
-      first three;
+    - tokenizer: four 3x3 convs with bias from the 3 RGB channels through
+      d1/2, d1/2, d1 and d1 channels, a LayerNorm after each of the first three;
     - per block: depthwise 3x3 positional conv with bias, two LayerNorms,
-      qkv (bias per ``qkv_bias``), proj with bias, and an MLP
+      qkv with bias, proj with bias, and an MLP
       d -> mlp_ratio*d -> d with biases; 'D' and 'G' blocks cost the same;
     - a 3x3/stride-2 conv with bias between consecutive stages;
     - head: LayerNorm and a linear classifier with bias.
     """
-    chans = (config.in_channels, *config.tokenizer_channels)
+    d1 = config.stages[0].dim
+    chans = (3, d1 // 2, d1 // 2, d1, d1)
     tokenizer = sum(9 * c_in * c_out + c_out for c_in, c_out in zip(chans, chans[1:]))
-    tokenizer += sum(2 * c for c in config.tokenizer_channels[:3])
+    tokenizer += sum(2 * c for c in chans[1:4])
 
     def block(d: int) -> int:
         hidden = config.mlp_ratio * d
         cpe = 9 * d + d
         norms = 2 * 2 * d
-        qkv = 3 * d * d + (3 * d if config.qkv_bias else 0)
+        qkv = 3 * d * d + 3 * d
         proj = d * d + d
         mlp = d * hidden + hidden + hidden * d + d
         return cpe + norms + qkv + proj + mlp

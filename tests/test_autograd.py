@@ -64,7 +64,7 @@ class TestBackwardBasics:
         g = graph(Tape())
         a = g.leaf(rng.standard_normal((4, 4)))
         b = g.leaf(rng.standard_normal((4, 4)))
-        loss = g.sum_all(g.gelu(g.linear(a, b)))
+        loss = g.sum_all(g.gelu(g.linear(a, b, g.leaf(rng.standard_normal(4)))))
         g1 = backward(g.tape, loss)
         g2 = backward(g.tape, loss)
         assert np.array_equal(g1[a.id], g2[a.id])
@@ -96,16 +96,13 @@ class TestBackwardBasics:
 
         assert np.abs(combined() - separate()).max() < 1e-12
 
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_linear_is_one_node(self, with_bias):
+    def test_linear_is_one_node(self):
         g = graph(Tape())
-        x, w = g.leaf(np.ones((2, 3, 4))), g.leaf(np.ones((4, 5)))
-        bias = g.leaf(np.arange(5.0)) if with_bias else None
+        x, w, bias = g.leaf(np.ones((2, 3, 4))), g.leaf(np.ones((4, 5))), g.leaf(np.arange(5.0))
         before = len(g.tape.nodes)
         out = g.linear(x, w, bias)
-        assert len(g.tape.nodes) == before + 1
-        assert out.parents == ((x, w, bias) if with_bias else (x, w))
-        assert np.array_equal(out.data, np.full((2, 3, 5), 4.0) + (np.arange(5.0) if with_bias else 0))
+        assert len(g.tape.nodes) == before + 1 and out.parents == (x, w, bias)
+        assert np.array_equal(out.data, np.full((2, 3, 5), 4.0) + np.arange(5.0))
 
     def test_conv2d_is_one_node(self):
         g = graph(Tape())
@@ -348,7 +345,6 @@ class TestPerOpGradients:
             self._case_depthwise_conv,
             self._case_layernorm,
             self._case_gelu,
-            self._case_linear_bias,
             self._case_swda,
             self._case_mhsa,
             self._case_pool,
@@ -460,36 +456,19 @@ class TestPerOpGradients:
 
         return build, params
 
-    def _case_linear_bias(self, rng):
-        params = {
-            "x": Parameter("x", rng.standard_normal((2, 3, 4))),
-            "w": Parameter("w", rng.standard_normal((4, 5))),
-            "b": Parameter("b", rng.standard_normal(5)),
-        }
-        w = rng.standard_normal((2, 3, 5))
-
-        def build():
-            g = graph(Tape())
-            out = g.linear(g.param(params["x"]), g.param(params["w"]), g.param(params["b"]))
-            return g.tape, weighted_sum_loss(g, out, w)
-
-        return build, params
-
     def _case_linear(self, rng):
-        """1 to 3 axes in, with or without a bias."""
+        """1 to 3 axes in."""
         lead = tuple(int(n) for n in rng.integers(1, 4, int(rng.integers(0, 3))))
         params = {
             "x": Parameter("x", rng.standard_normal(lead + (4,))),
             "w": Parameter("w", rng.standard_normal((4, 3))),
+            "b": Parameter("b", rng.standard_normal(3)),
         }
-        if rng.integers(2):
-            params["b"] = Parameter("b", rng.standard_normal(3))
         w = rng.standard_normal(lead + (3,))
 
         def build():
             g = graph(Tape())
-            bias = g.param(params["b"]) if "b" in params else None
-            out = g.linear(g.param(params["x"]), g.param(params["w"]), bias)
+            out = g.linear(g.param(params["x"]), g.param(params["w"]), g.param(params["b"]))
             return g.tape, weighted_sum_loss(g, out, w)
 
         return build, params

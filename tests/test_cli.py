@@ -152,6 +152,14 @@ class TestFlops:
         for pattern in ("GGGG", "DGGG", "DDGG", "DDDG", "DDDD"):
             assert pattern in out
 
+    def test_suite_csv(self, capsys):
+        assert run(["flops", "--preset", "toy", "--suite", "--csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "pattern,params,flops_mac,flops_total"
+        for line, pattern in zip(lines[1:], ("GGGG", "DGGG", "DDGG", "DDDG", "DDDD"), strict=True):
+            report = count_model(model.build_from_pattern(pattern, model.toy()))
+            assert line == f"{pattern},{report.total_params},{report.total_macs},{2 * report.total_macs}"
+
     def test_suite_with_an_expectation_is_a_usage_error(self, capsys):
         # The suite table checks no expectation, so the pair would pass unchecked.
         with pytest.raises(SystemExit) as exc:
@@ -607,5 +615,23 @@ class TestAttnstats:
         assert err.startswith("error: cannot read ") and str(path) in err and "Traceback" not in err
 
     def test_requires_a_source(self, capsys):
-        assert run(["attnstats"]) == 1
-        assert "need --input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["attnstats"])
+        assert exc.value.code == 2 and "one of the arguments --input --checkpoint is required" in capsys.readouterr().err
+
+    def test_takes_one_source_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["attnstats", "--input", str(tmp_path / "a.dft1"), "--checkpoint", str(tmp_path / "ckpt")])
+        assert exc.value.code == 2 and "not allowed with argument --input" in capsys.readouterr().err
+
+    def test_an_f32_map_reduces_as_its_f64_upcast(self, tmp_path, capsys):
+        weights = np.random.default_rng(0).random((784, 784)).astype(np.float32)  # a 28x28 grid
+        weights /= weights.sum(axis=1, keepdims=True)
+        csvs = []
+        for dtype in (np.float32, np.float64):  # reduced in f32, the CSVs differ in the 10th digit
+            path = tmp_path / np.dtype(dtype).name / "map.dft1"
+            path.parent.mkdir()
+            dft1.write_tensor(path, weights.astype(dtype))
+            assert run(["attnstats", "--input", str(path), "--out", str(path.parent / "stats.csv")]) == 0
+            csvs.append((path.parent / "stats.csv").read_bytes())
+        assert csvs[0] == csvs[1]

@@ -90,12 +90,14 @@ class TestLocalityMass:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_mask_products_equal_masked_copies_bit_for_bit(dtype):
     """The metrics multiply by 0/1 masks and take log(w + (w == 0)); summed, both
-    equal the masked copies they replaced, zero weights included."""
+    equal the masked copies they replaced, zero weights included. A map of either
+    dtype holds its weights in float64."""
     rng = np.random.default_rng(4)
     rows = softmax(rng.standard_normal((36, 36)) * 3.0)
     rows[rows < 0.01] = 0.0
-    rows = (rows / rows.sum(axis=1, keepdims=True)).astype(dtype)
-    amap = metrics.from_dense(rows, 6, 6)
+    amap = metrics.from_dense((rows / rows.sum(axis=1, keepdims=True)).astype(dtype), 6, 6)
+    rows = amap.weights
+    assert rows.dtype == np.float64
     for radius in range(4):
         masked = np.sum(np.where(amap.dist <= radius, rows, 0.0), axis=1)
         assert np.array_equal(metrics.locality_mass(amap, radius)[0], masked)

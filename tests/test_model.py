@@ -84,34 +84,52 @@ def test_config_that_is_not_an_object_is_a_config_error():
         model.config_from_dict([model.config_to_dict(model.toy())])  # was AttributeError
 
 
+# The keys config format 1 had beyond format 2, each at its toy value.
+RETIRED_KEYS = {"in_channels": 3, "qkv_bias": True, "edge_mode": "zero_pad", "tokenizer_channels": [8, 8, 16, 16]}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+def test_retired_key_is_a_config_error(key):
+    d = {**model.config_to_dict(model.toy()), key: RETIRED_KEYS[key]}
+    with pytest.raises(ConfigError, match=key):
+        model.config_from_dict(d)
+
+
+def test_version_1_config_is_a_config_error_naming_its_version():
+    d = {**model.config_to_dict(model.toy()), **RETIRED_KEYS, "format_version": "1"}
+    with pytest.raises(ConfigError, match="version '1'"):
+        model.config_from_dict(d)
+
+
+@pytest.mark.parametrize("name", ["toy", "tiny"])
+def test_example_config_is_its_preset(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == json.dumps(model.config_to_dict(model.PRESETS[name]()), indent=2, sort_keys=True) + "\n"
+
+
 @st.composite
 def model_configs(draw):
-    """Valid ModelConfigs: any stage kinds and widths, with or without explicit tokenizer
-    channels; every stage's head count is a multiple of its rate count, so any pattern holds."""
+    """Valid ModelConfigs: any stage kinds and widths, the stage-1 width even for the
+    tokenizer ramp; every stage's head count is a multiple of its rate count, so any pattern holds."""
     stages = []
-    for _ in range(4):
+    for i in range(4):
         n_heads = draw(st.integers(1, 4))
         n_rates = draw(st.sampled_from([k for k in (1, 2, 3) if n_heads % k == 0]))
         stages.append(model.StageSpec(
             kind=draw(st.sampled_from("DG")),
             depth=draw(st.integers(1, 3)),
-            dim=n_heads * draw(st.integers(1, 8)),
+            dim=n_heads * draw(st.integers(1, 8)) * (2 if i == 0 else 1),
             n_heads=n_heads,
             dilation_rates=tuple(draw(st.lists(st.integers(1, 4), min_size=n_rates, max_size=n_rates))),
             kernel_w=draw(st.sampled_from([1, 3, 5])),
         ))
-    d1 = stages[0].dim
-    ramp = draw(st.lists(st.integers(1, 9), min_size=3, max_size=3))
-    tokenizer = tuple(ramp) + (d1,) if d1 % 2 or draw(st.booleans()) else ()
     return model.ModelConfig(
         stages=tuple(stages),
         input_size=32 * draw(st.integers(1, 8)),
-        in_channels=draw(st.integers(1, 4)),
         num_classes=draw(st.integers(1, 10)),
         mlp_ratio=draw(st.integers(1, 4)),
-        qkv_bias=draw(st.booleans()),
-        edge_mode=draw(st.sampled_from(["zero_pad", "masked"])),
-        tokenizer_channels=tokenizer,
         name=draw(st.text(max_size=8)),
     )
 
@@ -153,8 +171,8 @@ class TestConfigDictProperties:
         out = model.config_to_dict(config)
         for built, source in [(out, d), *zip(out["stages"], d["stages"])]:
             for key, value in source.items():
-                if key == "stages" or (key == "tokenizer_channels" and value == []):
-                    continue  # each stage is a pair of its own; an empty ramp stands for the default
+                if key == "stages":
+                    continue  # each stage is a pair of its own
                 assert json.dumps(built[key]) == json.dumps(value), key
         model.parameter_shapes(config)
         for i, stage in enumerate(config.stages):
@@ -611,7 +629,7 @@ class TestOpenCheckpoint:
                 fh.write(damaged)
             try:
                 config, tensors = model.open_checkpoint(toy_checkpoint)
-                image = np.full((config.input_size, config.input_size, config.in_channels), 0.5, np.float32)
+                image = np.full((config.input_size, config.input_size, model.IN_CHANNELS), 0.5, np.float32)
                 g = graph(NoRecordTape())
                 with np.errstate(all="ignore"):  # a mutated payload may hold NaN or huge weights
                     model.forward(g, g.leaf(image), config, tensors)

@@ -168,7 +168,7 @@ class TestMsdaAttention:
         x = rng.standard_normal((56, 56, 72)).astype(np.float32)
         weight = (0.2 * rng.standard_normal((72, 216))).astype(np.float32)
         g = graph(NoRecordTape())
-        qkv = g.linear(g.leaf(x), g.leaf(weight))  # an op's output, given up to swda
+        qkv = g.linear(g.leaf(x), g.leaf(weight), g.leaf(np.zeros(216, np.float32)))  # an op's output, given up to swda
         head = qkv.data[..., :24].nbytes
         taped = graph(Tape())
         expected = taped.swda(taped.leaf(qkv.data.copy()), cfgs).data

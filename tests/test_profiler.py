@@ -55,12 +55,10 @@ class TestParamCountOracle:
 
     CONFIGS = {
         "toy": model.toy(),
-        "toy_no_qkv_bias": replace(model.toy(), qkv_bias=False),
         "toy_mlp_ratio_3": replace(model.toy(), mlp_ratio=3),
-        "toy_tokenizer_channels": replace(model.toy(), tokenizer_channels=(5, 9, 12, 16)),
         "toy_GGGG": model.build_from_pattern("GGGG", model.toy()),
         "toy_DDDD": model.build_from_pattern("DDDD", model.toy()),
-        "tiny_no_qkv_bias_mlp_ratio_3": replace(model.tiny(), qkv_bias=False, mlp_ratio=3),
+        "tiny_mlp_ratio_3": replace(model.tiny(), mlp_ratio=3),
     }
 
     @pytest.mark.parametrize("name", list(CONFIGS))

@@ -83,12 +83,14 @@ BROKEN_CONFIGS = {
     "rates_not_a_list": lambda d: d["stages"][0].update(dilation_rates=2),  # was TypeError
     "unknown_key": lambda d: d.update(mlp_raito=2),
     "unknown_stage_key": lambda d: d["stages"][1].update(kernel=3),
+    # Keys of config format 1 that format 2 retired: each is now an unknown key.
     "qkv_bias_a_string": lambda d: d.update(qkv_bias="false"),
     "unknown_edge_mode": lambda d: d.update(edge_mode="bogus"),
     "unknown_edge_mode_all_g": lambda d: (_all_g(d), d.update(edge_mode="bogus")),
     "even_kernel_w": lambda d: d["stages"][0].update(kernel_w=4),
     "even_kernel_w_all_g": lambda d: (_all_g(d), d["stages"][0].update(kernel_w=4)),
     "no_d_stage_rates": lambda d: d["stages"][1].update(dilation_rates=[]),
+    "odd_stage1_dim": lambda d: d["stages"][0].update(dim=15, n_heads=1, dilation_rates=[1]),  # no tokenizer ramp
 }
 
 
