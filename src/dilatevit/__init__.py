@@ -4,7 +4,7 @@ Public surface:
 
 * :mod:`dilatevit.tensor` — dense numeric primitives (matmul, softmax,
   conv2d, layernorm, gelu) on contiguous float arrays, and the tap engine
-  (taps, tap_sum, scatter_taps) that conv2d and swda share.
+  (tap_rects, tap_sum, scatter_taps) that conv2d and swda share.
 * :mod:`dilatevit.autograd` — tape-based reverse-mode differentiation and a
   finite-difference verification harness.
 * :mod:`dilatevit.swda` — the windowed dilated attention op, forward and

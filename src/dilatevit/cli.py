@@ -385,6 +385,8 @@ def _file_rows(args, rows: _StatRows) -> None:
 
 
 def cmd_attnstats(args) -> int:
+    if args.checkpoint and args.grid:  # a checkpoint's maps carry their grid
+        args.usage_error("argument --grid: not allowed with argument --checkpoint")
     rows = _StatRows(args.radii, args.threshold)
     if args.input:
         _file_rows(args, rows)
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=None, help="H,W of the query grid")
     p.add_argument("--radii", type=_radii_arg, default="0,1,2,3")
     p.add_argument("--threshold", type=_number(lambda v: 0 < v < 1, "in (0, 1)"), default=0.01)
-    p.set_defaults(fn=cmd_attnstats)
+    p.set_defaults(fn=cmd_attnstats, usage_error=p.error)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
     _add_flags(p, "--seed")

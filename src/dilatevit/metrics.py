@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .swda import _valid_mask, tap_offsets
+from .swda import tap_offsets, window_rects
 
 ROW_SUM_TOL = 1e-4
 
@@ -116,8 +116,10 @@ def from_swda_weights(weights, cfg) -> AttentionMap:
     h, w, taps = a.shape
     if taps != cfg.taps:
         raise ShapeError(f"weights carry {taps} taps but config expects {cfg.taps}")
-    inside = np.moveaxis(_valid_mask(h, w, cfg), 0, -1)
-    a = np.where(inside, a, 0.0).reshape(h * w, taps)
+    kept = np.zeros_like(a)
+    for t, o, _ in window_rects(h, w, cfg):
+        kept[..., t, None][o] = a[..., t, None][o]
+    a = kept.reshape(h * w, taps)
     a /= a.sum(axis=1, keepdims=True)
     dist = np.array([max(abs(p), abs(q)) * cfg.r for p, q in tap_offsets(cfg.w)])
     return AttentionMap(a, dist)

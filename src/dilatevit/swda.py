@@ -15,14 +15,13 @@ map size. Two edge policies are provided:
 
 Two implementations sit behind one contract: a naive per-query gather loop
 (the reference, one [H, W, d] map) and a blocked one that loops over the w*w
-taps and reads each as a shifted [..., H, W, d] view of the zero-padded map,
-leading axes being batch, so no pass stacks the taps into a copy.
-Equivalence is a standing test.
+taps and reads the part of each on the map as one rectangle of the unpadded
+[..., H, W, d] maps, leading axes being batch, so no pass pads a map or
+stacks the taps into a copy. Equivalence is a standing test.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -112,33 +111,23 @@ def _check_qkv(q, k, v, cfg):
         raise ShapeError(f"channel extent {q.shape[-1]} != configured d_k {cfg.d_k}")
 
 
-def _margin(cfg: SwdaConfig) -> int:
-    """Zero rows and columns a map is padded by on each side, so every tap of every query lands in it."""
-    return ((cfg.w - 1) // 2) * cfg.r
+def window_rects(h: int, w: int, cfg: SwdaConfig) -> list:
+    """:func:`tensor.tap_rects` of the w*w taps in tap_offsets(w) order: on-map taps and their queries."""
+    return T.tap_rects(h, w, cfg.w, cfg.w, pad=(cfg.w - 1) // 2 * cfg.r, dilation=cfg.r)
 
 
-def _tap_windows(x: np.ndarray, cfg: SwdaConfig):
-    """The w*w tap windows of x [..., H, W, d] in tap_offsets(w) order: window t's
-    (i, j) entry is the tap (i + p*r, j + q*r) of offset (p, q), zero off the map."""
-    return T.taps(T.pad_hw(x, _margin(cfg)), cfg.w, cfg.w, dilation=cfg.r)
+def _tap_major(a: np.ndarray) -> np.ndarray:
+    """A tap-major [..., taps, H, W] buffer viewed as [taps, ..., H, W, 1], to broadcast per tap."""
+    return np.moveaxis(a[..., None], -4, 0)
 
 
-@functools.lru_cache(maxsize=16)
-def _valid_mask(H: int, W: int, cfg: SwdaConfig) -> np.ndarray:
-    """Boolean [taps, H, W]: tap lies inside the map. One read-only array per (H, W, cfg)."""
-    mask = np.stack([win[..., 0] for win in _tap_windows(np.ones((H, W, 1), dtype=bool), cfg)])
-    mask.flags.writeable = False
-    return mask
-
-
-def _tap_dots(x: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
-    """[..., taps, H, W]: each query's x dotted with each of its taps of y."""
-    return np.stack([np.einsum("...d,...d->...", x, yw) for yw in _tap_windows(y, cfg)], axis=-3)
-
-
-def _tap_sum(a: np.ndarray, y: np.ndarray, cfg: SwdaConfig) -> np.ndarray:
-    """[..., H, W, d]: each query's taps of y weighted by a [..., taps, H, W] and summed."""
-    return T.tap_sum(_tap_windows(y, cfg), np.moveaxis(a[..., None], -4, 0))
+def _tap_dots(x: np.ndarray, y: np.ndarray, rects: list, taps: int, fill: float) -> np.ndarray:
+    """[..., taps, H, W]: each query's x dotted with each on-map tap of y; off-map taps hold fill."""
+    a = np.full(x.shape[:-3] + (taps,) + x.shape[-3:-1], fill, dtype=x.dtype)
+    at = _tap_major(a)
+    for t, o, i in rects:
+        np.einsum("...d,...d->...", x[o], y[i], out=at[t][o][..., 0])
+    return a
 
 
 def swda_forward(
@@ -163,17 +152,17 @@ def swda_forward_with_state(
     add_macs(2 * q.size * cfg.taps)  # logits + value reduction, every leading index
 
     # Tap-major [..., taps, H, W] until the end: reducing over a short last axis is slow.
-    a = _tap_dots(q, k, cfg)
+    # An off-map tap's logit is 0 (its key is a zero pad) or, masked, -inf, so that
+    # exp(-inf) = 0 drops it; the center tap is always on the map.
+    rects = window_rects(*q.shape[-3:-1], cfg)
+    a = _tap_dots(q, k, rects, cfg.taps, -np.inf if cfg.edge_mode == "masked" else 0.0)
     a *= np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
-    if cfg.edge_mode == "masked":
-        # Off-map taps get exp(-inf) = 0; the center tap is always on the map.
-        a[..., ~_valid_mask(*q.shape[-3:-1], cfg)] = -np.inf
     # The tap softmax, in place in the logits buffer.
     a -= np.max(a, axis=-3, keepdims=True)
     np.exp(a, out=a)
     a /= np.sum(a, axis=-3, keepdims=True)
     weights = np.moveaxis(a, -3, -1)  # a view: the backward reads the tap-major buffer back
-    return _tap_sum(a, v, cfg), SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
+    return T.tap_sum(v, _tap_major(a), rects, q.shape), SwdaState(q=q, k=k, v=v, weights=weights, cfg=cfg)
 
 
 def swda_forward_naive(
@@ -220,28 +209,28 @@ def swda_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic adjoint of the forward contract.
 
-    Gathers read the tap windows of the padded K and V; grad_K and grad_V are
-    their adjoint, :func:`tensor.scatter_taps`, so off-map contributions land
-    in the pad margin and are cropped away, which also kills the phantom
-    gradient of zero-padded taps. grad_K and grad_V are the center windows of
-    those padded buffers: views, not contiguous copies.
+    Gathers read each tap's rectangle of K and V; grad_K and grad_V are their adjoint,
+    :func:`tensor.scatter_taps`, which adds only into the rectangle a tap read, so zero-padded taps
+    get no phantom gradient. The three gradients are made in turn, through one product scratch.
     """
     if state is None or state.weights is None:
         raise ContractError("swda_backward requires the saved forward state")
     q, k, v, cfg = state.q, state.k, state.v, state.cfg
     if grad_out.shape != q.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != output shape {q.shape}")
+    rects = window_rects(*q.shape[-3:-1], cfg)
     a = np.ascontiguousarray(np.moveaxis(state.weights, -1, -3))  # tap-major, as in the forward
-    grad_a = _tap_dots(grad_out, v, cfg)
+    grad_a = _tap_dots(grad_out, v, rects, cfg.taps, 0.0)
     # Softmax Jacobian-vector product over the tap axis, times the logit scale.
     scale = np.asarray(1.0 / math.sqrt(cfg.d_k), dtype=q.dtype)
-    grad_logits = a * (grad_a - np.sum(a * grad_a, axis=-3, keepdims=True)) * scale
+    grad_logits = _tap_major(a * (grad_a - np.sum(a * grad_a, axis=-3, keepdims=True)) * scale)
+    del grad_a
+    scratch = np.empty_like(q)
 
-    def scatter(b: np.ndarray, x: np.ndarray) -> np.ndarray:  # tap t of the result gets b[..., t, :, :] * x
-        parts = (bt * x for bt in np.moveaxis(b[..., None], -4, 0))
-        return T.scatter_taps(parts, x.shape, x.dtype, cfg.w, cfg.w, 1, _margin(cfg), cfg.r)
+    def scatter(b: np.ndarray, x: np.ndarray) -> np.ndarray:  # tap t of the result gets b[t] * x
+        return T.scatter_taps(lambda t, o: np.multiply(b[t][o], x[o], out=scratch[o]), rects, q.shape, q.dtype)
 
-    return _tap_sum(grad_logits, k, cfg), scatter(grad_logits, q), scatter(a, grad_out)
+    return T.tap_sum(k, grad_logits, rects, q.shape), scatter(grad_logits, q), scatter(_tap_major(a), grad_out)
 
 
 def swda_backward_naive(

@@ -254,53 +254,57 @@ def _padded_rows(x: np.ndarray, top: int, bottom: int, pw: int) -> np.ndarray:
     return out
 
 
-def pad_hw(x: np.ndarray, pad: int, pad_w: int | None = None) -> np.ndarray:
-    """Zero-pad the H axis of x [..., H, W, C] by ``pad`` and the W axis by
-    ``pad_w`` (default ``pad``) on each side."""
-    return _padded_rows(x, -pad, x.shape[-3] + pad, pad if pad_w is None else pad_w)
+# The tap engine of every windowed op: tap (a, b) of a kh x kw kernel at ``stride`` and ``dilation``
+# over a map zero-padded by ``pad`` reads (i*stride + a*dilation - pad, j*stride + b*dilation - pad)
+# for output (i, j), a zero off the map, so its reads on the map are one rectangle, read in place.
+# A conv's taps are its kernel entries; a dilated window's are its w*w keys r apart.
 
 
-# The tap engine of every windowed op. A kh x kw kernel at ``stride`` and
-# ``dilation`` has kh*kw taps in ascending (a, b) order; tap (a, b) reads the
-# padded map at (i*stride + a*dilation, j*stride + b*dilation) for output (i, j).
-# A conv's taps are its kernel entries; a dilated attention window's taps are
-# its w*w keys r apart, read from a map padded by the window's margin.
+def _axis_spans(n: int, k: int, stride: int, pad: int, dilation: int) -> dict:
+    """{a: (outputs, reads)} for each tap a whose reads along an axis of extent n lie in [0, n)."""
+    n_out, spans = conv_output_extent(n, dilation * (k - 1) + 1, stride, pad), {}
+    for a in range(k):
+        first = a * dilation - pad  # the index output 0 reads
+        lo, hi = max(0, -(first // stride)), min(n_out, (n - 1 - first) // stride + 1)
+        if lo < hi:
+            spans[a] = slice(lo, hi), slice(lo * stride + first, (hi - 1) * stride + first + 1, stride)
+    return spans
 
 
-def taps(xp: np.ndarray, kh: int, kw: int, stride: int = 1, dilation: int = 1):
-    """Each tap's [..., H', W', C] window: the view of the padded map xp
-    [..., Hp, Wp, C] that the tap reads, in ascending tap order."""
-    h_out = conv_output_extent(xp.shape[-3], dilation * (kh - 1) + 1, stride, 0)
-    w_out = conv_output_extent(xp.shape[-2], dilation * (kw - 1) + 1, stride, 0)
-    for a in range(0, dilation * kh, dilation):
-        for b in range(0, dilation * kw, dilation):
-            yield xp[..., a : a + stride * h_out : stride, b : b + stride * w_out : stride, :]
+def tap_rects(h: int, w: int, kh: int, kw: int, stride: int = 1, pad: int = 0, dilation: int = 1,
+              pad_w: int | None = None) -> list:
+    """(t, out, inp) for each tap t that reads an [..., H, W, C] map padded by ``pad`` rows and
+    ``pad_w`` (default ``pad``) columns, either of which may be negative: basic slices of the
+    outputs whose read lies on the map, and of those reads."""
+    cols = _axis_spans(w, kw, stride, pad if pad_w is None else pad_w, dilation)
+    return [(a * kw + b, (..., ro, co, slice(None)), (..., ri, ci, slice(None)))
+            for a, (ro, ri) in _axis_spans(h, kh, stride, pad, dilation).items() for b, (co, ci) in cols.items()]
 
 
-def tap_sum(windows, weights) -> np.ndarray:
-    """sum_t windows[t] * weights[t] in tap order, each product broadcast to the
-    window's shape, through one reused product scratch; the first product is
-    the output buffer."""
-    out = scratch = None
-    for window, weight in zip(windows, weights):
-        if out is None:
-            out = np.multiply(window, weight)
-            scratch = np.empty_like(out)
-        else:
-            out += np.multiply(window, weight, out=scratch)
+def _tap_products(x: np.ndarray, weights, rects: list, scratch: np.ndarray):
+    """Each tap t in order, once ``scratch`` holds window_t(x) * weights[t], zero off its rectangle."""
+    for t, o, i in rects:
+        np.multiply(x[i], weights[t][o], out=scratch[o])
+        _, r, c, _ = o
+        scratch[..., : r.start, :, :] = scratch[..., r.stop :, :, :] = 0
+        scratch[..., r, : c.start, :] = scratch[..., r, c.stop :, :] = 0
+        yield t
+
+
+def tap_sum(x: np.ndarray, weights, rects: list, shape: tuple) -> np.ndarray:
+    """sum_t window_t(x) * weights[t] in tap order into zeros of ``shape``, each add one whole pass."""
+    out, scratch = np.zeros(shape, dtype=x.dtype), np.empty(shape, dtype=x.dtype)
+    for _ in _tap_products(x, weights, rects, scratch):
+        out += scratch
     return out
 
 
-def scatter_taps(parts, shape, dtype, kh: int, kw: int, stride: int, pad: int, dilation: int = 1) -> np.ndarray:
-    """Adjoint of :func:`taps` on a map of ``shape`` [..., H, W, C] zero-padded by
-    ``pad``: adds parts[t] into tap t's window of a zero padded buffer in tap
-    order, then crops the pad away. Within one tap every element receives at
-    most one contribution; the result is a view of the padded buffer."""
-    h, w = shape[-3:-1]
-    xp = np.zeros(tuple(shape[:-3]) + (h + 2 * pad, w + 2 * pad, shape[-1]), dtype=dtype)
-    for window, part in zip(taps(xp, kh, kw, stride, dilation), parts):
-        window += part
-    return xp[..., pad : pad + h, pad : pad + w, :]
+def scatter_taps(part, rects: list, shape: tuple, dtype) -> np.ndarray:
+    """Adjoint of the windows: adds each tap's part(t, out) where it reads, in tap order, into zeros of ``shape``."""
+    grad = np.zeros(shape, dtype=dtype)
+    for t, o, i in rects:
+        grad[i] += part(t, o)
+    return grad
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -318,12 +322,11 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win.reshape(lead + (h_out, w_out, -1))
 
 
-def _tap_rows(kernel: np.ndarray, w_out: int) -> np.ndarray:
-    """[kh*kw, w_out, C]: each tap's entry of a depth-wise kernel [kh,kw,1,C]
-    repeated along a row, so its product with a tap window runs w_out*C long
-    instead of C long per pixel."""
+def _tap_rows(kernel: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+    """[kh*kw, H', W', C]: each tap's entry of a depth-wise kernel [kh,kw,1,C] repeated along a row,
+    so its product with a tap rectangle runs a row's width times C long instead of C long per pixel."""
     kh, kw, _, c = kernel.shape
-    return np.ascontiguousarray(np.broadcast_to(kernel.reshape(kh * kw, 1, c), (kh * kw, w_out, c)))
+    return np.broadcast_to(np.repeat(kernel.reshape(kh * kw, 1, 1, c), w_out, axis=2), (kh * kw, h_out, w_out, c))
 
 
 def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int):
@@ -371,8 +374,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, zero_pad: int = 0
     """Cross-correlation of x [..., H,W,Cin] with a kernel whose shape sets the kind:
     dense [kh,kw,Cin,Cout], or depth-wise [kh,kw,1,C] on C > 1 channels.
 
-    A depth-wise conv is a :func:`tap_sum` over its taps (no im2col
-    materialization). A dense conv unfolds at most BLOCK_BYTES of
+    A depth-wise conv is a :func:`tap_sum` over its taps' rectangles (no im2col
+    materialization, no padded copy). A dense conv unfolds at most BLOCK_BYTES of
     columns at once, whatever the map size, and pads no more than the rows
     they read.
     """
@@ -380,7 +383,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, zero_pad: int = 0
     kh, kw, kc, cout = kernel.shape
     add_macs(math.prod(x.shape[:-3]) * h_out * w_out * cout * kh * kw * kc)
     if kc < x.shape[-1]:  # depth-wise
-        return tap_sum(taps(pad_hw(x, zero_pad), kh, kw, stride), _tap_rows(kernel, w_out))
+        rects = tap_rects(*x.shape[-3:-1], kh, kw, stride, zero_pad)
+        return tap_sum(x, _tap_rows(kernel, h_out, w_out), rects, x.shape[:-3] + (h_out, w_out, cout))
     return _dense_correlate(x, kernel, stride, zero_pad, zero_pad)
 
 
@@ -405,13 +409,15 @@ def conv2d_backward(
     """
     kh, kw, kc, cout = kernel.shape
     h, w, cin = x.shape[-3:]
+    h_out, w_out = grad_out.shape[-3:-1]
     depthwise = kc < cin
+    rects = tap_rects(h, w, kh, kw, stride, zero_pad)
 
     if depthwise:
-        grad_kernel = np.empty_like(kernel)
+        grad_kernel = np.zeros_like(kernel)
         per_tap, scratch = grad_kernel.reshape(kh * kw, cin), np.empty_like(grad_out)
-        for t, window in enumerate(taps(pad_hw(x, zero_pad), kh, kw, stride)):
-            per_tap[t] = channel_sums(np.multiply(window, grad_out, out=scratch))
+        for t in _tap_products(x, [grad_out] * (kh * kw), rects, scratch):
+            per_tap[t] = channel_sums(scratch)  # every row: a GEMV rounds by its row count
     else:  # summed over the forward's blocks of columns
         kmat = np.zeros((kh * kw * cin, cout), dtype=x.dtype)
         images = grad_out.reshape((-1,) + grad_out.shape[-3:])
@@ -422,18 +428,19 @@ def conv2d_backward(
     if not input_grad:
         return None, grad_kernel
 
+    ph, pw = kh - 1 - zero_pad, kw - 1 - zero_pad
+    if stride == 1 and depthwise:
+        del scratch
+        rects = tap_rects(h_out, w_out, kh, kw, pad=ph, pad_w=pw)  # the flipped kernel's, over grad_out
+        return tap_sum(grad_out, _tap_rows(kernel[::-1, ::-1], h, w), rects, x.shape), grad_kernel
     if stride == 1:
-        h_out, w_out = grad_out.shape[-3], grad_out.shape[-2]
-        ph, pw = kh - 1 - zero_pad, kw - 1 - zero_pad
         g = grad_out[..., max(-ph, 0) : h_out - max(-ph, 0), max(-pw, 0) : w_out - max(-pw, 0), :]
-        if depthwise:
-            windows = taps(pad_hw(g, max(ph, 0), max(pw, 0)), kh, kw)
-            return tap_sum(windows, _tap_rows(kernel[::-1, ::-1], w)), grad_kernel
         return _dense_correlate(g, kernel[::-1, ::-1].swapaxes(2, 3), 1, max(ph, 0), max(pw, 0)), grad_kernel
 
     if depthwise:
-        parts = (np.multiply(grad_out, row, out=scratch) for row in _tap_rows(kernel, grad_out.shape[-2]))
+        rows = _tap_rows(kernel, h_out, w_out)
+        part = lambda t, o: np.multiply(grad_out[o], rows[t][o], out=scratch[o])  # noqa: E731
     else:  # one GEMM for every tap's columns, [..., H', W', kh*kw, Cin]
         gcols = (grad_out.reshape(-1, cout) @ kernel.reshape(-1, cout).T).reshape(grad_out.shape[:-1] + (kh * kw, cin))
-        parts = np.moveaxis(gcols, -2, 0)
-    return scatter_taps(parts, x.shape, x.dtype, kh, kw, stride, zero_pad), grad_kernel
+        part = lambda t, o: gcols[..., t, :][o]  # noqa: E731
+    return scatter_taps(part, rects, x.shape, x.dtype), grad_kernel

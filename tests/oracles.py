@@ -40,6 +40,10 @@ def dense_window_oracle(q, k, v, cfg: SwdaConfig):
     return out
 
 
+def valid_tap_mask(h, w, cfg: SwdaConfig):
+    """Boolean [H, W, w*w]: whether each query's tap lies on the map, one enumerated tap at a time."""
+    return np.array([[dilated_indices(i, j, cfg, h, w).in_bounds for j in range(w)] for i in range(h)])
+
 def attention_to_dense(weights, cfg: SwdaConfig, renormalize: bool = False):
     """Tap-order weights [H, W, w*w] expanded into a dense [H*W, H*W] matrix, one
     enumerated tap at a time. Out-of-bounds taps have no key position and are

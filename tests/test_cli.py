@@ -624,6 +624,14 @@ class TestAttnstats:
             run(["attnstats", "--input", str(tmp_path / "a.dft1"), "--checkpoint", str(tmp_path / "ckpt")])
         assert exc.value.code == 2 and "not allowed with argument --input" in capsys.readouterr().err
 
+    def test_grid_with_a_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        ckpt, out = str(tmp_path / "ckpt"), tmp_path / "stats.csv"
+        model.save_checkpoint(ckpt, model.toy(), model.init_params(model.toy(), seed=0))
+        with pytest.raises(SystemExit) as exc:
+            run(["attnstats", "--checkpoint", ckpt, "--grid", "8,8", "--out", str(out)])
+        assert exc.value.code == 2 and "argument --grid: not allowed with argument --checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_an_f32_map_reduces_as_its_f64_upcast(self, tmp_path, capsys):
         weights = np.random.default_rng(0).random((784, 784)).astype(np.float32)  # a 28x28 grid
         weights /= weights.sum(axis=1, keepdims=True)

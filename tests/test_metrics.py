@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dilatevit import metrics, swda
+from dilatevit import metrics
 from dilatevit.errors import ShapeError, ValidationError
 from dilatevit.metrics import _chebyshev_table
 from dilatevit.swda import SwdaConfig, swda_forward
 from dilatevit.tensor import softmax
-from oracles import attention_to_dense
+from oracles import attention_to_dense, valid_tap_mask
 from tests_common import traced_peak
 
 
@@ -76,11 +76,12 @@ class TestLocalityMass:
         assert identity_map(5, 6).dist.shape == (30, 30)
         assert identity_map(5, 6).dist is not a.dist
 
-    def test_windowed_maps_on_one_grid_share_a_read_only_tap_mask(self):
+    @pytest.mark.parametrize("h, w", [(7, 6), (6, 7), (2, 5), (1, 1)])
+    def test_windowed_maps_keep_exactly_the_on_map_taps(self, h, w):
         cfg = SwdaConfig(w=3, r=2, d_k=4)
-        mask = swda._valid_mask(7, 6, cfg)
-        assert swda._valid_mask(7, 6, cfg) is mask and not mask.flags.writeable
-        assert swda._valid_mask(6, 7, cfg) is not mask
+        amap = metrics.from_swda_weights(np.full((h, w, cfg.taps), 1 / cfg.taps), cfg)
+        assert np.array_equal(amap.weights > 0, valid_tap_mask(h, w, cfg).reshape(h * w, cfg.taps))
+        assert np.abs(amap.weights.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):

@@ -217,7 +217,7 @@ class TestConv2d:
 
 
 class TestTapEngine:
-    """taps, tap_sum and scatter_taps, which every conv and dilated window runs through."""
+    """tap_rects, tap_sum and scatter_taps, which every conv and dilated window runs through."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -228,37 +228,63 @@ class TestTapEngine:
         kw=st.integers(1, 4),
         stride=st.integers(1, 2),
         dilation=st.integers(1, 3),
-        pad=st.integers(0, 3),
+        pad=st.integers(-1, 3),
+        pad_w=st.integers(-1, 3),
         batch=st.sampled_from([(), (2,)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_scatter_is_the_adjoint_of_the_windows(self, h, w, c, kh, kw, stride, dilation, pad, batch, seed):
-        hp, wp = h + 2 * pad, w + 2 * pad
-        assume(hp >= dilation * (kh - 1) + 1 and wp >= dilation * (kw - 1) + 1)
-        h_out, w_out = ((n - dilation * (k - 1) - 1) // stride + 1 for n, k in ((hp, kh), (wp, kw)))
-        # Windows against index arithmetic: tap (a, b) reads (i*stride + a*dilation, j*stride + b*dilation).
-        index = np.arange(hp * wp).reshape(hp, wp, 1)
-        windows = list(T.taps(index, kh, kw, stride, dilation))
-        assert len(windows) == kh * kw
+    def test_scatter_is_the_adjoint_of_the_windows(self, h, w, c, kh, kw, stride, dilation, pad, pad_w, batch, seed):
+        h_out, w_out = (T.conv_output_extent(n, dilation * (k - 1) + 1, stride, p)
+                        for n, k, p in ((h, kh, pad), (w, kw, pad_w)))
+        assume(h_out >= 1 and w_out >= 1)
+        rects = T.tap_rects(h, w, kh, kw, stride, pad, dilation, pad_w)
+        assert [t for t, _, _ in rects] == sorted({t for t, _, _ in rects})
+
+        def windows(x):  # each tap's [..., H', W', C] window of x, zero off the map
+            out = np.zeros((kh * kw,) + x.shape[:-3] + (h_out, w_out, x.shape[-1]), dtype=x.dtype)
+            for t, o, i in rects:
+                out[t][o] = x[i]
+            return out
+
+        # Windows against index arithmetic: tap (a, b) reads (i*stride + a*dilation - pad,
+        # j*stride + b*dilation - pad_w), a zero off the map; a tap left out reads only zeros.
         i, j = np.arange(h_out)[:, None], np.arange(w_out)[None, :]
-        for t, window in enumerate(windows):
+        for t, window in enumerate(windows(np.arange(1, h * w + 1).reshape(h, w, 1))):
             a, b = divmod(t, kw)
-            expect = (i * stride + a * dilation) * wp + j * stride + b * dilation
-            assert window.shape == (h_out, w_out, 1) and np.array_equal(window[..., 0], expect)
-        # <taps(pad(x)), parts> == <x, scatter_taps(parts)> in float64.
+            row, col = i * stride + a * dilation - pad, j * stride + b * dilation - pad_w
+            on = (0 <= row) & (row < h) & (0 <= col) & (col < w)
+            assert np.array_equal(window[..., 0], np.where(on, row * w + col + 1, 0))
+        # <windows(x), parts> == <x, scatter_taps(parts)> in float64.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(batch + (h, w, c))
         parts = rng.standard_normal((kh * kw,) + batch + (h_out, w_out, c))
-        lhs = sum(np.vdot(win, part) for win, part in zip(T.taps(T.pad_hw(x, pad), kh, kw, stride, dilation), parts))
-        scattered = T.scatter_taps(parts, x.shape, x.dtype, kh, kw, stride, pad, dilation)
+        lhs = sum(np.vdot(win, part) for win, part in zip(windows(x), parts))
+        scattered = T.scatter_taps(lambda t, o: parts[t][o], rects, x.shape, x.dtype)
         assert scattered.shape == x.shape and scattered.dtype == x.dtype
         assert abs(lhs - np.vdot(x, scattered)) <= 1e-12 * max(1.0, abs(lhs))
-        # tap_sum adds the products in tap order.
-        weights = rng.standard_normal((kh * kw, w_out, c))
-        expect = None
-        for win, weight in zip(T.taps(T.pad_hw(x, pad), kh, kw, stride, dilation), weights):
-            expect = win * weight if expect is None else expect + win * weight
-        assert np.array_equal(T.tap_sum(T.taps(T.pad_hw(x, pad), kh, kw, stride, dilation), weights), expect)
+        # tap_sum adds the products to zeros in tap order.
+        weights = rng.standard_normal((kh * kw, h_out, w_out, c))
+        expect = np.zeros(batch + (h_out, w_out, c))
+        for win, weight in zip(windows(x), weights):
+            expect += win * weight
+        assert np.array_equal(T.tap_sum(x, weights, rects, expect.shape), expect)
+
+    # (map, kernel side, stride, pad): each has taps that lie wholly off the map.
+    OFF_MAP = [((1, 1), 3, 1, 1), ((2, 5), 5, 1, 2), ((1, 3), 3, 2, 2), ((3, 1), 3, 2, 2), ((1, 5), 3, 2, 1)]
+
+    @pytest.mark.parametrize("hw, k, stride, pad", OFF_MAP)
+    def test_depthwise_taps_off_the_map_match_the_direct_loops(self, hw, k, stride, pad):
+        assert len(T.tap_rects(*hw, k, k, stride, pad)) < k * k
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(hw + (2,))
+        kernel = rng.standard_normal((k, k, 1, 2))
+        out = T.conv2d(x, kernel, stride, pad)
+        gout = rng.standard_normal(out.shape)
+        gx, gk = T.conv2d_backward(gout, x, kernel, stride, pad)
+        for c in (slice(0, 1), slice(1, 2)):  # channel c is a one-channel conv with kernel[..., c]
+            assert np.abs(out[..., c] - direct_loop_conv2d(x[..., c], kernel[..., c], stride, pad)).max() <= 1e-12
+            gx_ref, gk_ref = direct_loop_conv2d_backward(gout[..., c], x[..., c], kernel[..., c], stride, pad)
+            assert np.abs(gx[..., c] - gx_ref).max() <= 1e-12 and np.abs(gk[..., c] - gk_ref).max() <= 1e-12
 
 
 class TestConv2dProperty:
@@ -418,6 +444,19 @@ class TestConv2dRowBlocks:
         assert forward_peak <= bound, f"{forward_peak - bound} bytes over"
         assert backward_peak <= bound + 2 * kernel.nbytes, f"{backward_peak - bound} bytes over"  # gk, flipped kernel
 
+
+
+class TestMemory:
+    def test_depthwise_peaks_stay_within_a_few_maps(self):
+        rng = np.random.default_rng(19)
+        x, gout = (rng.standard_normal((56, 56, 72)).astype(np.float32) for _ in range(2))
+        kernel = rng.standard_normal((3, 3, 1, 72)).astype(np.float32)
+        _, forward_peak = traced_peak(lambda: T.conv2d(x, kernel, 1, 1))
+        _, backward_peak = traced_peak(lambda: T.conv2d_backward(gout, x, kernel, 1, 1))
+        # The output and one product scratch (2.2 maps); a zero-padded copy of x or
+        # grad_out adds another map.
+        assert forward_peak <= 2.4 * x.nbytes, forward_peak / x.nbytes
+        assert backward_peak <= 2.4 * x.nbytes, backward_peak / x.nbytes
 
 class TestLayernorm:
     def test_constant_token_collapses_to_beta(self):
