@@ -52,10 +52,8 @@ class Parameter:
     """A named trainable tensor and its gradient, which :func:`zero_grads` drops and
     :func:`accumulate_param_grads` adopts from backward; read while dropped, it becomes zeros."""
 
-    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
+    def __init__(self, name: str, value: np.ndarray):
         self.name, self.value, self._grad = name, value, None
-        if grad is not None:
-            self.grad = grad
 
     @property
     def grad(self) -> np.ndarray:
@@ -212,9 +210,9 @@ class graph:
 
         return self.tape.record(out, (x, kernel, bias), back)
 
-    def layernorm(self, x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
+    def layernorm(self, x: Node, gamma: Node, beta: Node) -> Node:
         """T.layernorm on either tape; a NoRecordTape drops the closure and its (x, mean, 1/std)."""
-        out, state = T.layernorm_with_state(x.data, gamma.data, beta.data, eps)
+        out, state = T.layernorm_with_state(x.data, gamma.data, beta.data)
         return self.tape.record(
             out, (x, gamma, beta), lambda g: T.layernorm_backward(g, state, gamma.data)
         )

@@ -355,8 +355,9 @@ class _StatRows:
 def _checkpoint_rows(args, rows: _StatRows) -> None:
     """One probe image through the checkpoint, each weight read as its layer runs."""
     config, tensors = model_mod.open_checkpoint(args.checkpoint)
-    # One probe image needs no more classes than the synthetic palette has colors.
-    classes = min(config.num_classes, MAX_CLASSES)
+    # One probe image needs no more classes than the synthetic palette has colors,
+    # and no fewer than the two a dataset draws from, whatever the head's width.
+    classes = max(2, min(config.num_classes, MAX_CLASSES))
     spec = DatasetSpec(classes=classes, size=config.input_size, noise=0.1)
     images, _ = make_dataset(1, spec, seed=args.seed)
 

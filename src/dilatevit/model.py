@@ -27,10 +27,10 @@ import numpy as np
 from . import dft1
 from .autograd import AttentionSink, Node, NoRecordTape, Parameter, graph
 from .errors import ConfigError, FormatError, NumericError
-from .msda import LN_EPS, MsdaBlockSpec, block_param_shapes, param_node, transformer_block, trunc_normal
-from .tensor import DTYPE_NAMES, DTYPES
+from .msda import MsdaBlockSpec, block_param_shapes, param_node, transformer_block, trunc_normal
 
 CONFIG_FORMAT_VERSION = "2"
+CONFIG_FILE = "config.json"  # a checkpoint's config, beside its tensors
 IN_CHANNELS = 3  # RGB
 TOKENIZER_STRIDES = (2, 1, 2, 1)  # of its four 3x3 convs
 
@@ -232,16 +232,6 @@ def init_params(
     return params
 
 
-def _check_names(expected, names) -> None:
-    """ConfigError naming the first missing parameter, else the first unexpected one."""
-    for name in sorted(expected):
-        if name not in names:
-            raise ConfigError(f"missing parameter: {name}")
-    for name in sorted(names):
-        if name not in expected:
-            raise ConfigError(f"unexpected parameter: {name}")
-
-
 # ---------------------------------------------------------------------------
 # Forward graph
 # ---------------------------------------------------------------------------
@@ -259,7 +249,7 @@ def tokenize(g: graph, image: Node, config: ModelConfig, params) -> Node:
     for i, stride in enumerate(TOKENIZER_STRIDES):
         x = g.conv2d(x, p(f"conv{i + 1}.weight"), p(f"conv{i + 1}.bias"), stride=stride, zero_pad=1)
         if i < 3:
-            x = g.layernorm(x, p(f"norm{i + 1}.gamma"), p(f"norm{i + 1}.beta"), eps=LN_EPS)
+            x = g.layernorm(x, p(f"norm{i + 1}.gamma"), p(f"norm{i + 1}.beta"))
             x = g.gelu(x)
     return x
 
@@ -298,9 +288,7 @@ def forward(
             x = transformer_block(g, x, spec, params, f"stage{si}.block{b}", kind=stage.kind)
         if si < 4:
             x = downsample(g, x, params, si)
-    x = g.layernorm(
-        x, param_node(g, params, "head.norm.gamma"), param_node(g, params, "head.norm.beta"), eps=LN_EPS
-    )
+    x = g.layernorm(x, param_node(g, params, "head.norm.gamma"), param_node(g, params, "head.norm.beta"))
     pooled = g.global_avg_pool(x)
     return g.linear(pooled, param_node(g, params, "head.fc.weight"), param_node(g, params, "head.fc.bias"))
 
@@ -378,33 +366,25 @@ def load_config(path: str | os.PathLike) -> ModelConfig:
 def save_checkpoint(
     directory: str | os.PathLike, config: ModelConfig, params: dict[str, Parameter]
 ) -> None:
-    """Write into a temporary sibling directory, then rename it into place, so a
-    failed save leaves the old checkpoint whole; only a checkpoint is replaced."""
+    """Write CONFIG_FILE and one ``<name>.dft1`` per parameter into a temporary sibling
+    directory, then rename it into place, so a failed save leaves the old checkpoint
+    whole; only a checkpoint is replaced."""
     dtypes = {p.value.dtype for p in params.values()}
-    if len(dtypes) != 1 or not dtypes <= DTYPE_NAMES.keys():
+    if len(dtypes) != 1 or not dtypes <= {np.dtype(np.float32), np.dtype(np.float64)}:
         raise FormatError(
             f"a checkpoint holds one dtype, f32 or f64; the parameters are {sorted(map(str, dtypes))}"
         )
     directory = os.path.abspath(directory)
     old = os.listdir(directory) if os.path.exists(directory) else []  # NotADirectoryError for a file
-    if any(f != "manifest.json" and not f.endswith(".dft1") for f in old):
+    if any(f != CONFIG_FILE and not f.endswith(".dft1") for f in old):
         raise FormatError(f"{directory} holds files no checkpoint writes; not replacing it")
     os.makedirs(os.path.dirname(directory), exist_ok=True)
     staging = tempfile.mkdtemp(prefix=f".{os.path.basename(directory)}.", dir=os.path.dirname(directory))
     try:
-        files = {}
         for name in sorted(params):
-            fname = f"{name}.dft1"
-            dft1.write_tensor(os.path.join(staging, fname), params[name].value)
-            files[name] = fname
-        manifest = {
-            "format_version": "1",
-            "dtype": DTYPE_NAMES[dtypes.pop()],
-            "config": config_to_dict(config),
-            "files": files,
-        }
-        with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            dft1.write_tensor(os.path.join(staging, f"{name}.dft1"), params[name].value)
+        with open(os.path.join(staging, CONFIG_FILE), "w", encoding="utf-8") as fh:
+            json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)  # as configs/*.json
             fh.write("\n")
         if os.path.exists(directory):  # aside until the new checkpoint is in place
             os.rename(directory, staging + ".old")
@@ -414,81 +394,67 @@ def save_checkpoint(
     shutil.rmtree(staging + ".old", ignore_errors=True)
 
 
+def _read(directory: str, name: str, reader):
+    """``reader(path)`` on the tensor's file; a FormatError it raises, a missing file's
+    too, gets the tensor and file named in front and keeps its byte offset."""
+    path = os.path.join(directory, f"{name}.dft1")
+    try:
+        return reader(path)
+    except FormatError as exc:
+        named = FormatError(f"tensor {name} ({path}): {exc}")
+        named.offset = exc.offset
+        raise named from exc
+
+
 class CheckpointTensors(Mapping):
-    """A checkpoint's parameters by name, read-only. Each lookup reads and decodes
-    that tensor's file, checks its dtype and shape again and keeps nothing."""
+    """A checkpoint's parameters by name, read-only: the names are the config's, each
+    in ``<name>.dft1``. Each lookup reads and decodes that file, checks its dtype and
+    shape again and keeps nothing."""
 
-    def __init__(self, directory: str, files: dict[str, str], dtype: str, shapes: dict):
-        self._directory, self._files, self._dtype, self._shapes = directory, files, dtype, shapes
-
-    def path(self, name: str) -> str:
-        return os.path.join(self._directory, self._files[name])
+    def __init__(self, directory: str, shapes: dict[str, tuple[int, ...]], dtype: np.dtype):
+        self._directory, self._shapes, self.dtype = directory, shapes, dtype
 
     def check(self, name: str, dtype: np.dtype, shape: tuple[int, ...]) -> None:
-        if dtype != DTYPES[self._dtype]:
-            raise FormatError(f"tensor {name} is {dtype}, the manifest says {self._dtype}")
+        if dtype != self.dtype:
+            raise FormatError(f"tensor {name} is {dtype}, the checkpoint is {self.dtype}")
         if shape != self._shapes[name]:
             raise FormatError(f"tensor {name} has shape {shape}, the config expects {self._shapes[name]}")
 
-    def read(self, name: str, reader):
-        """``reader(path)`` on the tensor's file; a FormatError it raises gets the
-        tensor and file named in front and keeps its byte offset."""
-        try:
-            return reader(self.path(name))
-        except FormatError as exc:
-            named = FormatError(f"tensor {name} ({self.path(name)}): {exc}")
-            named.offset = exc.offset
-            raise named from exc
-
     def __getitem__(self, name: str) -> Parameter:
-        value = self.read(name, dft1.read_tensor)
+        if name not in self._shapes:
+            raise KeyError(name)
+        value = _read(self._directory, name, dft1.read_tensor)
         self.check(name, value.dtype, value.shape)
         return Parameter(name, value)
 
     def __contains__(self, name) -> bool:
-        return name in self._files
+        return name in self._shapes
 
     def __iter__(self):
-        return iter(self._files)
+        return iter(self._shapes)
 
     def __len__(self) -> int:
-        return len(self._files)
+        return len(self._shapes)
 
 
 def open_checkpoint(directory: str | os.PathLike) -> tuple[ModelConfig, CheckpointTensors]:
-    """The config and a lazy view of the tensors. Every file's header and size are
-    checked against the manifest dtype and the config's shapes; no payload is read."""
-    manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise FormatError(f"no manifest.json in checkpoint directory {directory}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise FormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path} must hold a JSON object")
-    if manifest.get("format_version") != "1":
-        raise FormatError(
-            f"unsupported checkpoint format version {manifest.get('format_version')!r}"
-        )
-    for key in ("config", "files"):
-        if not isinstance(manifest.get(key), dict):
-            raise FormatError(f"{manifest_path} needs a {key!r} object")
-    if manifest.get("dtype") not in ("f32", "f64"):
-        raise FormatError(f"{manifest_path}: dtype must be 'f32' or 'f64', got {manifest.get('dtype')!r}")
-    config = config_from_dict(manifest["config"])
+    """The config and a lazy view of the tensors. The directory holds CONFIG_FILE and one
+    ``<name>.dft1`` per parameter of that config, nothing else. Every file's header and
+    size are checked against the first tensor's dtype and the config's shapes; no
+    payload is read."""
+    directory = os.fspath(directory)
+    config_path = os.path.join(directory, CONFIG_FILE)
+    if not os.path.isfile(config_path):
+        raise FormatError(f"no {CONFIG_FILE} in checkpoint directory {directory}")
+    config = load_config(config_path)
     shapes = parameter_shapes(config)
-    files = manifest["files"]
-    _check_names(shapes, files)
-    tensors = CheckpointTensors(os.fspath(directory), files, manifest["dtype"], shapes)
-    for name, fname in files.items():
-        # Tensors live in the checkpoint directory itself, never elsewhere.
-        if not isinstance(fname, str) or fname in ("", ".", "..") or set(fname) & set("/\\\0"):
-            raise FormatError(f"tensor {name}: {fname!r} is not a plain file name")
-        if not os.path.isfile(tensors.path(name)):
-            raise FormatError(f"tensor {name}: no file {fname!r} in {directory}")
-        tensors.check(name, *tensors.read(name, dft1.read_header))
+    stray = sorted(set(os.listdir(directory)) - {CONFIG_FILE} - {f"{name}.dft1" for name in shapes})
+    if stray:
+        raise FormatError(f"{directory} holds {stray[0]!r}, which is no file of this config's checkpoint")
+    headers = [(name, *_read(directory, name, dft1.read_header)) for name in shapes]
+    tensors = CheckpointTensors(directory, shapes, dtype=headers[0][1])
+    for header in headers:
+        tensors.check(*header)
     return config, tensors
 
 

@@ -27,8 +27,6 @@ from .autograd import Node, Parameter, graph
 from .errors import ConfigError, ShapeError
 from .swda import SwdaConfig
 
-LN_EPS = 1e-5
-
 
 @dataclass(frozen=True)
 class MsdaBlockSpec:
@@ -185,9 +183,9 @@ def transformer_block(
     del cpe
 
     attention = msda_attention if kind == "D" else mhsa_attention
-    attn = attention(g, g.layernorm(x, p("norm1.gamma"), p("norm1.beta"), eps=LN_EPS), spec, params, prefix)
+    attn = attention(g, g.layernorm(x, p("norm1.gamma"), p("norm1.beta")), spec, params, prefix)
     x = g.add(attn, x)
     del attn
 
-    mlp = g.mlp(g.layernorm(x, p("norm2.gamma"), p("norm2.beta"), eps=LN_EPS), lambda leaf: p(f"mlp.{leaf}"))
+    mlp = g.mlp(g.layernorm(x, p("norm2.gamma"), p("norm2.beta")), lambda leaf: p(f"mlp.{leaf}"))
     return g.add(mlp, x)

@@ -11,10 +11,6 @@ head, global attention ``2*N^2*d_k``. The headline number is the MAC count
 itself (1 MAC = 1 FLOP, the convention of the usual ViT profilers); a doubled
 count (1 MAC = 2 FLOPs) is always carried alongside as ``flops_total``.
 
-Normalization, softmax, GELU and pooling are itemized per row in an
-``elementwise`` column using small fixed per-element costs and are excluded
-from the headline so the matmul-only totals can be compared directly.
-
 Totals are exact integer sums of the rows, and the MAC total equals what an
 instrumented forward pass counts, which is a standing test.
 """
@@ -29,18 +25,12 @@ from dataclasses import dataclass, replace
 
 from .model import TOKENIZER_STRIDES, ModelConfig, build_from_pattern, parameter_shapes
 
-NORM_OPS_PER_ELT = 8
-GELU_OPS_PER_ELT = 14
-SOFTMAX_OPS_PER_ELT = 5
-POOL_OPS_PER_ELT = 1
-
 
 @dataclass(frozen=True)
 class CostRow:
     name: str
     params: int
     macs: int
-    elementwise: int = 0
 
 
 @dataclass
@@ -57,25 +47,16 @@ class CostReport:
     def total_macs(self) -> int:
         return sum(r.macs for r in self.rows)
 
-    @property
-    def total_elementwise(self) -> int:
-        return sum(r.elementwise for r in self.rows)
-
     def to_text(self) -> str:
         width = max(len(r.name) for r in self.rows) + 2
         lines = [
             f"model {self.model} @ {self.input_size}x{self.input_size}  "
             "(headline counts multiply-accumulates (1 MAC = 1 FLOP))",
-            f"{'module'.ljust(width)}{'params':>12}{'macs':>16}{'elementwise':>14}",
+            f"{'module'.ljust(width)}{'params':>12}{'macs':>16}",
         ]
         for r in self.rows:
-            lines.append(
-                f"{r.name.ljust(width)}{r.params:>12}{r.macs:>16}{r.elementwise:>14}"
-            )
-        lines.append(
-            f"{'TOTAL'.ljust(width)}{self.total_params:>12}{self.total_macs:>16}"
-            f"{self.total_elementwise:>14}"
-        )
+            lines.append(f"{r.name.ljust(width)}{r.params:>12}{r.macs:>16}")
+        lines.append(f"{'TOTAL'.ljust(width)}{self.total_params:>12}{self.total_macs:>16}")
         lines.append(
             f"params {self.total_params / 1e6:.2f} M, "
             f"flops {self.total_macs / 1e9:.3f} G (x2 = {2 * self.total_macs / 1e9:.3f} G)"
@@ -108,16 +89,16 @@ def count_model(config: ModelConfig, input_size: int | None = None) -> CostRepor
 
     rows: list[CostRow] = []
 
-    def row(path: str, positions: int, elementwise: int = 0) -> None:
-        rows.append(CostRow(path, params[path], positions * weights[path], elementwise))
+    def row(path: str, positions: int) -> None:
+        rows.append(CostRow(path, params[path], positions * weights[path]))
 
     res = config.input_size
-    for i, (stride, c) in enumerate(zip(TOKENIZER_STRIDES, config.tokenizer_channels), start=1):
+    for i, stride in enumerate(TOKENIZER_STRIDES, start=1):
         res //= stride
         row(f"tokenizer.conv{i}", res * res)
         if i < 4:
-            row(f"tokenizer.norm{i}", res * res, NORM_OPS_PER_ELT * res * res * c)
-            row(f"tokenizer.act{i}", res * res, GELU_OPS_PER_ELT * res * res * c)
+            row(f"tokenizer.norm{i}", res * res)
+            row(f"tokenizer.act{i}", res * res)
 
     for s, stage in enumerate(config.stages, start=1):
         n = config.stage_resolution(s - 1) ** 2
@@ -126,18 +107,18 @@ def count_model(config: ModelConfig, input_size: int | None = None) -> CostRepor
         for b in range(stage.depth):
             pfx = f"stage{s}.block{b}"
             row(f"{pfx}.cpe", n)
-            row(f"{pfx}.norm1", n, NORM_OPS_PER_ELT * n * d)
+            row(f"{pfx}.norm1", n)
             row(f"{pfx}.qkv", n)
-            rows.append(CostRow(f"{pfx}.attn", 0, 2 * n * keys * d, SOFTMAX_OPS_PER_ELT * stage.n_heads * n * keys))
+            rows.append(CostRow(f"{pfx}.attn", 0, 2 * n * keys * d))
             row(f"{pfx}.proj", n)
-            row(f"{pfx}.norm2", n, NORM_OPS_PER_ELT * n * d)
-            row(f"{pfx}.mlp", n, GELU_OPS_PER_ELT * n * config.mlp_ratio * d)
+            row(f"{pfx}.norm2", n)
+            row(f"{pfx}.mlp", n)
         if s < 4:
             row(f"downsample{s}", config.stage_resolution(s) ** 2)
 
-    n, d = config.stage_resolution(3) ** 2, config.stages[3].dim
-    row("head.norm", n, NORM_OPS_PER_ELT * n * d)
-    row("head.pool", n, POOL_OPS_PER_ELT * n * d)
+    n = config.stage_resolution(3) ** 2
+    row("head.norm", n)
+    row("head.pool", n)
     row("head.fc", 1)
     return CostReport(model=config.name, input_size=config.input_size, rows=rows)
 

@@ -26,9 +26,7 @@ from .counting import add_macs
 from .errors import NumericError, ShapeError
 
 F32 = np.float32
-
-DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
-DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+LN_EPS = 1e-5  # layernorm's variance floor
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -63,7 +61,7 @@ def channel_sums(a: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], dtype=a.dtype) @ rows
 
 
-def _normalized_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+def _normalized_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Token rows xhat [N, C] of x at zero mean and unit variance, their mean and their
     1/std [N, 1]. The channel mean is one GEMV against a 1/C vector and the variance one
     einsum row dot, so no numpy loop runs over a single token's C channels."""
@@ -71,30 +69,28 @@ def _normalized_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: fl
         raise ShapeError(
             f"layernorm channel mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
-    if eps <= 0:
-        raise ValueError(f"layernorm eps must be > 0, got {eps}")
     rows = x.reshape(-1, x.shape[-1])
     inv_c = np.full(rows.shape[1], 1.0 / rows.shape[1], dtype=x.dtype)
     mean = (rows @ inv_c)[:, None]
     xhat = rows - mean
     var = np.einsum("ij,ij->i", xhat, xhat) * inv_c[0]
-    inv = (1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype)))[:, None]
+    inv = (1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype)))[:, None]
     xhat *= inv
     return xhat, mean, inv
 
 
-def layernorm_with_state(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+def layernorm_with_state(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """:func:`layernorm` and the state its backward needs: x itself and the mean and
     1/std [N, 1] of its rows, so a tape that keeps x keeps no map more."""
-    xhat, mean, inv = _normalized_rows(x, gamma, beta, eps)
+    xhat, mean, inv = _normalized_rows(x, gamma, beta)
     xhat *= gamma
     xhat += beta
     return xhat.reshape(x.shape), (x, mean, inv)
 
 
-def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-token normalization over the last (channel) axis, then affine, in one map-sized buffer."""
-    return layernorm_with_state(x, gamma, beta, eps)[0]
+    return layernorm_with_state(x, gamma, beta)[0]
 
 
 def layernorm_backward(

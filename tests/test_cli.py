@@ -1,6 +1,5 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
-import json
 from collections import Counter
 from dataclasses import replace
 
@@ -10,8 +9,8 @@ import pytest
 from dilatevit import cli, dft1, model
 from dilatevit.profiler import count_model
 from tests_common import (
+    BROKEN_CHECKPOINTS,
     BROKEN_CONFIGS,
-    BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
     STAGE4_TENSOR,
     counting_reads,
@@ -171,6 +170,13 @@ class TestFlops:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "module,params,flops_mac,flops_total"
 
+    def test_checkpoint_config_reports_as_its_preset(self, tmp_path, capsys):
+        model.save_checkpoint(tmp_path / "ckpt", model.toy(), model.init_params(model.toy(), seed=0))
+        assert run(["flops", "--config", str(tmp_path / "ckpt" / model.CONFIG_FILE)]) == 0
+        from_checkpoint = capsys.readouterr().out
+        assert run(["flops", "--preset", "toy"]) == 0
+        assert from_checkpoint == capsys.readouterr().out
+
     def test_bad_pattern_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["flops", "--pattern", "DDQQ"])
@@ -304,7 +310,7 @@ class TestTrain:
         assert code == 0
         log = (out / "train_log.csv").read_text().splitlines()
         assert log[0] == "epoch,step,loss,accuracy"
-        assert (out / "checkpoint" / "manifest.json").exists()
+        assert (out / "checkpoint" / model.CONFIG_FILE).exists()
 
     def test_zero_steps_reports_chance_and_fails_threshold(self, tmp_path, capsys):
         out = tmp_path / "run0"
@@ -315,11 +321,9 @@ class TestTrain:
         printed = capsys.readouterr().out
         acc = float(printed.split("accuracy")[1].split()[0])
         assert 0.0 <= acc <= 0.6
-        assert (out / "checkpoint" / "manifest.json").exists()
+        assert (out / "checkpoint" / model.CONFIG_FILE).exists()
 
     def test_dtype_flag_controls_checkpoint_precision(self, tmp_path):
-        import json
-
         out = tmp_path / "r64"
         assert (
             run(
@@ -341,8 +345,7 @@ class TestTrain:
             )
             == 0
         )
-        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
-        assert manifest["dtype"] == "f64"
+        assert model.open_checkpoint(out / "checkpoint")[1].dtype == np.float64
         arr = dft1.read_tensor(out / "checkpoint" / "head.fc.weight.dft1")
         assert arr.dtype == np.float64
 
@@ -543,8 +546,8 @@ class TestAttnstats:
         assert any(line.startswith("stage1.block0.head0,") for line in lines)
         assert any(line.startswith("stage3.block0.head0,") for line in lines)
 
-    def test_checkpoint_with_more_classes_than_the_palette(self, tmp_path, capsys):
-        config = model.toy(num_classes=10)
+    @staticmethod
+    def _assert_rows_for_every_head(tmp_path, capsys, config):
         model.save_checkpoint(tmp_path / "ckpt", config, model.init_params(config, seed=0))
         radii = "0,1,2,3"
         assert run(["attnstats", "--checkpoint", str(tmp_path / "ckpt"), "--radii", radii]) == 0
@@ -553,6 +556,13 @@ class TestAttnstats:
         n_heads = sum(stage.depth * stage.n_heads for stage in config.stages)
         assert len(per_layer) == n_heads
         assert set(per_layer.values()) == {len(radii.split(",")) + 3}
+
+    def test_checkpoint_with_more_classes_than_the_palette(self, tmp_path, capsys):
+        self._assert_rows_for_every_head(tmp_path, capsys, model.toy(num_classes=10))
+
+    def test_checkpoint_with_one_class(self, tmp_path, capsys):
+        # The probe image is drawn from two classes, the fewest a dataset has.
+        self._assert_rows_for_every_head(tmp_path, capsys, model.toy(num_classes=1))
 
     def test_checkpoint_peak_memory(self, tmp_path, capsys):
         config = model.toy()
@@ -584,8 +594,7 @@ class TestAttnstats:
         model.save_checkpoint(tmp_path / "ckpt", config, model.init_params(config, seed=0))
         reads = counting_reads(monkeypatch)
         assert run(["attnstats", "--checkpoint", str(tmp_path / "ckpt")]) == 0
-        with open(tmp_path / "ckpt" / "manifest.json", encoding="utf-8") as fh:
-            files = json.load(fh)["files"].values()
+        files = [f"{name}.dft1" for name in model.parameter_shapes(config)]
         assert Counter(reads) == Counter(files) and len(reads) == len(files)
 
     @pytest.mark.parametrize("how", sorted(DAMAGED_TENSORS))
@@ -596,7 +605,7 @@ class TestAttnstats:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and STAGE4_TENSOR in err and forwards == []
 
-    @pytest.mark.parametrize("how", sorted(BROKEN_MANIFESTS))
+    @pytest.mark.parametrize("how", sorted(BROKEN_CHECKPOINTS))
     def test_broken_checkpoint_exits_1_without_traceback(self, tmp_path, capsys, how):
         assert run(["attnstats", "--checkpoint", write_broken_checkpoint(tmp_path, how)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -16,8 +16,8 @@ from dilatevit.counting import mac_counter
 from dilatevit.errors import ConfigError, DilateVitError, FormatError, NumericError
 from dilatevit.profiler import count_model
 from tests_common import (
+    BROKEN_CHECKPOINTS,
     BROKEN_CONFIGS,
-    BROKEN_MANIFESTS,
     DAMAGED_TENSORS,
     STAGE4_TENSOR,
     broken_config,
@@ -528,14 +528,36 @@ class TestSerialization:
             assert p.value.flags.writeable and p.value.flags.c_contiguous
             assert np.array_equal(p.value, params[name].value - np.float32(0.1) * np.float32(0.5)), name
 
-    def test_load_checkpoint_requires_manifest(self, tmp_path):
-        with pytest.raises(FormatError):
+    def test_load_checkpoint_requires_a_config(self, tmp_path):
+        with pytest.raises(FormatError, match="no config.json"):
             model.load_checkpoint(tmp_path)
 
-    @pytest.mark.parametrize("how", sorted(BROKEN_MANIFESTS))
-    def test_broken_manifest_is_a_format_error(self, tmp_path, how):
-        with pytest.raises(FormatError):
-            model.load_checkpoint(write_broken_checkpoint(tmp_path, how))
+    def test_checkpoint_config_is_the_config_file_text(self, tmp_path):
+        config = model.toy()
+        model.save_checkpoint(tmp_path / "ckpt", config, model.init_params(config, seed=0))
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.json")
+        with open(path, encoding="utf-8") as fh:
+            assert (tmp_path / "ckpt" / model.CONFIG_FILE).read_text(encoding="utf-8") == fh.read()
+        names = {f"{name}.dft1" for name in model.parameter_shapes(config)}
+        assert {p.name for p in (tmp_path / "ckpt").iterdir()} == names | {model.CONFIG_FILE}
+
+    def test_save_refuses_to_replace_an_old_format_checkpoint(self, tmp_path):
+        ckpt = write_broken_checkpoint(tmp_path, "old_format")
+        before = sorted(os.listdir(ckpt))
+        with pytest.raises(FormatError, match="no checkpoint writes"):
+            model.save_checkpoint(ckpt, model.toy(), model.init_params(model.toy(), seed=0))
+        assert sorted(os.listdir(ckpt)) == before
+
+    @pytest.mark.parametrize("how", sorted(BROKEN_CHECKPOINTS))
+    def test_broken_checkpoint_fails_at_open_without_reading_a_payload(self, tmp_path, monkeypatch, how):
+        error, match, _ = BROKEN_CHECKPOINTS[how]
+        ckpt = write_broken_checkpoint(tmp_path, how)
+        reads = counting_reads(monkeypatch)
+        with pytest.raises(error, match=match):
+            model.open_checkpoint(ckpt)
+        with pytest.raises(error, match=match):
+            model.load_checkpoint(ckpt)
+        assert reads == []
 
 
 @pytest.fixture(scope="module")
@@ -596,25 +618,13 @@ class TestOpenCheckpoint:
             tensors[STAGE4_TENSOR]
         assert tensors["head.fc.bias"].value.shape == (config.num_classes,)
 
-    def test_manifest_naming_a_tensor_the_config_lacks_is_a_config_error(self, tmp_path):
-        ckpt = os.path.join(tmp_path, "ckpt")
-        config = model.toy()
-        model.save_checkpoint(ckpt, config, model.init_params(config, seed=0))
-        files = {name: f"{name}.dft1" for name in model.parameter_shapes(config)}
-        manifest = {"format_version": "1", "dtype": "f32", "config": model.config_to_dict(config)}
-        for edit, match in (({"extra.weight": "head.fc.bias.dft1"}, "unexpected parameter: extra.weight"),
-                            ({"head.fc.bias": None}, "missing parameter: head.fc.bias")):
-            with open(os.path.join(ckpt, "manifest.json"), "w", encoding="utf-8") as fh:
-                json.dump({**manifest, "files": {k: v for k, v in {**files, **edit}.items() if v}}, fh)
-            with pytest.raises(ConfigError, match=match):
-                model.open_checkpoint(ckpt)
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_mutated_checkpoint_only_raises_library_errors(self, toy_checkpoint, data):
-        """Byte mutations or a truncation of one file, through open, a lazy forward and load."""
-        names = sorted(os.listdir(toy_checkpoint))
-        path = os.path.join(toy_checkpoint, data.draw(st.sampled_from(names), label="file"))
+        """Byte mutations or a truncation of one file, through open, a lazy forward and load;
+        half the draws mutate config.json, the other half any file."""
+        names = st.one_of(st.just(model.CONFIG_FILE), st.sampled_from(sorted(os.listdir(toy_checkpoint))))
+        path = os.path.join(toy_checkpoint, data.draw(names, label="file"))
         with open(path, "rb") as fh:
             blob = fh.read()
         if data.draw(st.booleans(), label="truncate"):

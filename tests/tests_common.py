@@ -9,6 +9,7 @@ import numpy as np
 
 from dilatevit import dft1, model
 from dilatevit.autograd import Parameter
+from dilatevit.errors import ConfigError, FormatError
 from dilatevit.msda import MsdaBlockSpec, block_param_shapes
 
 
@@ -36,30 +37,64 @@ def make_block_params_f32(spec: MsdaBlockSpec, prefix: str, rng) -> dict[str, Pa
     return params
 
 
-def _first_file_named(name):
-    """Point the first tensor at ``name``, or at the outside copy when name is None."""
+def _rewrite_config(text):
+    """An edit that replaces a checkpoint's config.json with text(the toy config dict),
+    a str written as UTF-8 or raw bytes."""
 
-    def edit(manifest, outside):
-        manifest["files"][sorted(manifest["files"])[0]] = name or outside
-        return json.dumps(manifest)
+    def edit(ckpt):
+        blob = text(model.config_to_dict(model.toy()))
+        with open(os.path.join(ckpt, model.CONFIG_FILE), "wb") as fh:
+            fh.write(blob.encode() if isinstance(blob, str) else blob)
 
     return edit
 
 
-# How each broken manifest is made from a valid one: edit(manifest, outside) -> text.
-BROKEN_MANIFESTS = {
-    "not_json": lambda m, outside: json.dumps(m)[:-9],
-    "not_an_object": lambda m, outside: json.dumps([m]),
-    "no_files": lambda m, outside: json.dumps({k: v for k, v in m.items() if k != "files"}),
-    "no_config": lambda m, outside: json.dumps({k: v for k, v in m.items() if k != "config"}),
-    "parent_dir_file": _first_file_named("../outside.dft1"),
-    "absolute_file": _first_file_named(None),
-    "dotdot_file": _first_file_named(".."),
-    "missing_file": _first_file_named("absent.dft1"),
-    "no_dtype": lambda m, outside: json.dumps({k: v for k, v in m.items() if k != "dtype"}),
-    "unknown_dtype": lambda m, outside: json.dumps({**m, "dtype": "f16"}),
-    "dtype_not_a_string": lambda m, outside: json.dumps({**m, "dtype": ["f32"]}),
-    "dtype_disagrees_with_tensors": lambda m, outside: json.dumps({**m, "dtype": "f64"}),
+def _old_format(ckpt):
+    """The layout before config.json: a manifest wrapping the config, with a file map."""
+    files = {name: f"{name}.dft1" for name in model.parameter_shapes(model.toy())}
+    manifest = {"format_version": "1", "dtype": "f32", "config": model.config_to_dict(model.toy()), "files": files}
+    with open(os.path.join(ckpt, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    os.remove(os.path.join(ckpt, model.CONFIG_FILE))
+
+
+def _remove(fname):
+    return lambda ckpt: os.remove(os.path.join(ckpt, fname))
+
+
+def _replace_by_directory(fname):
+    def edit(ckpt):
+        os.remove(os.path.join(ckpt, fname))
+        os.mkdir(os.path.join(ckpt, fname))
+
+    return edit
+
+
+def _stray_copy(ckpt):
+    shutil.copyfile(os.path.join(ckpt, "head.fc.bias.dft1"), os.path.join(ckpt, "extra.weight.dft1"))
+
+
+def _first_tensor_f64(ckpt):
+    """The first parameter's file, whose dtype the checkpoint's is, rewritten as f64."""
+    path = os.path.join(ckpt, f"{next(iter(model.parameter_shapes(model.toy())))}.dft1")
+    dft1.write_tensor(path, dft1.read_tensor(path).astype(np.float64))
+
+
+# How each broken checkpoint is made from a valid one, and what opening it raises:
+# (error type, pattern its message matches, edit(ckpt) breaking the directory in place).
+BROKEN_CHECKPOINTS = {
+    "not_json": (ConfigError, "config.json", _rewrite_config(lambda d: json.dumps(d)[:-9])),
+    "not_utf8": (ConfigError, "config.json", _rewrite_config(lambda d: b'{"name": "\xff"}')),
+    "not_an_object": (ConfigError, "JSON object", _rewrite_config(lambda d: json.dumps([d]))),
+    "other_config": (FormatError, "the config expects", _rewrite_config(lambda d: json.dumps({**d, "num_classes": 5}))),
+    "no_config": (FormatError, "no config.json", _remove(model.CONFIG_FILE)),
+    "config_is_a_directory": (FormatError, "no config.json", _replace_by_directory(model.CONFIG_FILE)),
+    "missing_file": (FormatError, "tensor head.fc.bias ", _remove("head.fc.bias.dft1")),
+    "tensor_is_a_directory": (FormatError, "tensor head.fc.bias ", _replace_by_directory("head.fc.bias.dft1")),
+    "first_tensor_f64": (FormatError, "is float32, the checkpoint is float64", _first_tensor_f64),
+    "stray_file": (FormatError, "'extra.weight.dft1'", _stray_copy),
+    "stray_directory": (FormatError, "'extra'", lambda ckpt: os.mkdir(os.path.join(ckpt, "extra"))),
+    "old_format": (FormatError, "no config.json", _old_format),
 }
 
 
@@ -102,24 +137,15 @@ def broken_config(how: str) -> dict:
 
 
 def write_broken_checkpoint(root, how: str) -> str:
-    """A toy checkpoint under root/ckpt whose manifest is broken as BROKEN_MANIFESTS[how],
-    or whose config is broken as BROKEN_CONFIGS[how]."""
+    """A toy checkpoint under root/ckpt broken as BROKEN_CHECKPOINTS[how], or whose
+    config.json holds the toy config broken as BROKEN_CONFIGS[how]."""
     ckpt_dir = os.path.join(root, "ckpt")
     config = model.toy()
     model.save_checkpoint(ckpt_dir, config, model.init_params(config, seed=0))
-    path = os.path.join(ckpt_dir, "manifest.json")
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    # A valid tensor next to the checkpoint, so only the name check can refuse reading it.
-    outside = os.path.join(root, "outside.dft1")
-    shutil.copyfile(os.path.join(ckpt_dir, manifest["files"][sorted(manifest["files"])[0]]), outside)
     if how in BROKEN_CONFIGS:
-        manifest["config"] = broken_config(how)
-        text = json.dumps(manifest)
+        _rewrite_config(lambda d: json.dumps(broken_config(how)))(ckpt_dir)
     else:
-        text = BROKEN_MANIFESTS[how](manifest, outside)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        BROKEN_CHECKPOINTS[how][2](ckpt_dir)
     return ckpt_dir
 
 
